@@ -25,10 +25,8 @@ fn bench_solver_window() {
         })
         .collect();
     // Exactly the solve the LC-OPG planner issues per weight: a warm-started,
-    // time-limited window model.
-    let solver = CpSolver::with_config(SolverConfig::with_time_limit_ms(
-        config.solver_time_limit_ms,
-    ));
+    // node-capped window model.
+    let solver = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit));
     group("solver");
     bench("opg_window_solve_24_candidates", 10, || {
         let window = build_weight_window_model(25, 40, &candidates, &config);

@@ -86,7 +86,7 @@ fn main() {
     let jobs: Vec<Box<dyn FnOnce() -> Output + Send>> = vec![
         job(quick, table1::run),
         job(quick, fig2::run),
-        job(quick, table4::run),
+        json_job(quick, "table4", table4::run, table4::Table4::to_json),
         job(quick, fig4::run),
         job(quick, table6::run),
         json_job(quick, "table7", table7::run, table7::Table7::to_json),

@@ -1,12 +1,11 @@
 //! Regenerates the paper's table4 on the simulated device.
 //!
-//! Usage: `cargo run --release -p flashmem-bench --bin table4 [-- --quick]`
-//! The `--quick` flag restricts the sweep to a reduced model set.
+//! Usage: `cargo run --release -p flashmem-bench --bin table4 [-- --quick] [--json PATH]`
+//! The `--quick` flag restricts the sweep to a reduced model set; `--json`
+//! additionally writes the deterministic columns as machine-readable JSON.
 
 use flashmem_bench::experiments::table4;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let result = table4::run(quick);
-    println!("{result}");
+    flashmem_bench::run_bin_with_json(table4::run, table4::Table4::to_json);
 }

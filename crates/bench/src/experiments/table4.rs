@@ -1,5 +1,6 @@
 //! Table 4 — execution-time breakdown of the LC-OPG solver (process nodes /
-//! build model / solve model) and its termination status under a time budget.
+//! build model / solve model) and its termination status under a search-node
+//! budget.
 
 use std::time::Duration;
 
@@ -7,6 +8,7 @@ use flashmem_core::{FlashMemConfig, LcOpgSolver};
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{ModelSpec, ModelZoo};
 
+use crate::json::Json;
 use crate::table::TextTable;
 
 /// One row of Table 4.
@@ -24,6 +26,13 @@ pub struct Table4Row {
     pub solve_model: Duration,
     /// Final solver status (`OPTIMAL` / `FEASIBLE`).
     pub status: String,
+    /// Weight windows the planner processed.
+    pub windows: usize,
+    /// Fallback tiers used: soft-threshold retries, greedy backups and
+    /// fallback preloads.
+    pub fallbacks: usize,
+    /// Search nodes the CP solves explored.
+    pub solver_nodes: u64,
     /// Fraction of weights streamed by the resulting plan.
     pub streamed_fraction: f64,
 }
@@ -33,8 +42,8 @@ pub struct Table4Row {
 pub struct Table4 {
     /// Rows in model order.
     pub rows: Vec<Table4Row>,
-    /// The per-run solver budget used (the paper uses 150 s).
-    pub budget: Duration,
+    /// The per-model solver node budget (standing in for the paper's 150 s).
+    pub node_budget: u64,
 }
 
 fn models(quick: bool) -> Vec<ModelSpec> {
@@ -52,16 +61,15 @@ fn models(quick: bool) -> Vec<ModelSpec> {
     }
 }
 
-/// Run the Table 4 experiment with a total solver budget (per model).
-pub fn run_with_budget(quick: bool, budget: Duration) -> Table4 {
+/// Run the Table 4 experiment with a total solver node budget (per model).
+pub fn run_with_budget(quick: bool, node_budget: u64) -> Table4 {
     let device = DeviceSpec::oneplus_12();
     let rows = models(quick)
         .into_iter()
         .map(|model| {
-            let config = FlashMemConfig::memory_priority();
             let config = FlashMemConfig {
-                total_solver_budget_ms: budget.as_millis() as u64,
-                ..config
+                solver_node_budget: node_budget,
+                ..FlashMemConfig::memory_priority()
             };
             let solver = LcOpgSolver::new(device.clone(), config);
             let (plan, report) = solver.plan(model.graph());
@@ -72,24 +80,52 @@ pub fn run_with_budget(quick: bool, budget: Duration) -> Table4 {
                 build_model: report.build_model,
                 solve_model: report.solve_model,
                 status: report.status.name().to_string(),
+                windows: report.windows,
+                fallbacks: report.fallback_soft + report.fallback_greedy + report.fallback_preload,
+                solver_nodes: report.nodes_explored,
                 streamed_fraction: plan.streamed_fraction(),
             }
         })
         .collect();
-    Table4 { rows, budget }
+    Table4 { rows, node_budget }
 }
 
-/// Run the Table 4 experiment with the paper's 150-second budget.
+/// Run the Table 4 experiment with the planner's default node budget.
 pub fn run(quick: bool) -> Table4 {
-    run_with_budget(quick, Duration::from_secs(150))
+    run_with_budget(quick, FlashMemConfig::memory_priority().solver_node_budget)
+}
+
+impl Table4 {
+    /// Machine-readable form with the deterministic columns only: the phase
+    /// times are wall clocks and stay in the text table.
+    pub fn to_json(&self) -> Json {
+        let rows: Vec<Json> = self
+            .rows
+            .iter()
+            .map(|r| {
+                Json::obj()
+                    .field("model", r.model.as_str())
+                    .field("graph_nodes", r.nodes)
+                    .field("windows", r.windows)
+                    .field("status", r.status.as_str())
+                    .field("fallbacks", r.fallbacks)
+                    .field("solver_nodes", r.solver_nodes)
+                    .field("streamed_fraction", r.streamed_fraction)
+            })
+            .collect();
+        Json::obj()
+            .field("experiment", "table4")
+            .field("node_budget", self.node_budget)
+            .field("rows", Json::Arr(rows))
+    }
 }
 
 impl std::fmt::Display for Table4 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "Table 4: LC-OPG execution-time breakdown (budget {:.0} s per model)",
-            self.budget.as_secs_f64()
+            "Table 4: LC-OPG execution-time breakdown (budget {} search nodes per model)",
+            self.node_budget
         )?;
         let mut t = TextTable::new(&[
             "Model",
@@ -98,6 +134,8 @@ impl std::fmt::Display for Table4 {
             "Build model (s)",
             "Solve model (s)",
             "Solver Status",
+            "Fallbacks",
+            "Solver nodes",
             "Streamed (%)",
         ]);
         for r in &self.rows {
@@ -108,6 +146,8 @@ impl std::fmt::Display for Table4 {
                 format!("{:.3}", r.build_model.as_secs_f64()),
                 format!("{:.3}", r.solve_model.as_secs_f64()),
                 r.status.clone(),
+                format!("{}", r.fallbacks),
+                format!("{}", r.solver_nodes),
                 format!("{:.1}", r.streamed_fraction * 100.0),
             ]);
         }
@@ -133,6 +173,11 @@ mod tests {
         let text = result.to_string();
         assert!(text.contains("GPTNeo-Small"));
         assert!(text.contains("Solver Status"));
+        // The JSON keeps the deterministic columns and drops the wall clocks.
+        let json = result.to_json().pretty();
+        assert!(json.contains("\"solver_nodes\""));
+        assert!(json.contains("\"status\""));
+        assert!(!json.contains("process_nodes"));
     }
 
     #[test]

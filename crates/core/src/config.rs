@@ -32,10 +32,14 @@ pub struct FlashMemConfig {
     /// Rolling-window length (in kernels) the incremental scheduler considers
     /// when placing a weight's chunks before its consumer.
     pub window: usize,
-    /// Per-window CP-SAT time limit in milliseconds.
-    pub solver_time_limit_ms: u64,
-    /// Total solver budget in milliseconds (the paper uses 150 s offline).
-    pub total_solver_budget_ms: u64,
+    /// Search nodes one LC-OPG window may explore before its CP solve stops
+    /// with its best plan so far (status `FEASIBLE`). A count, not a clock,
+    /// so plans do not depend on machine speed.
+    pub solver_node_limit: u64,
+    /// Search nodes all windows of one plan may explore together — the
+    /// stand-in for the paper's 150 s offline CP-SAT limit. Once spent, the
+    /// remaining weights are scheduled greedily and the plan is `FEASIBLE`.
+    pub solver_node_budget: u64,
     /// Weight names that must be preloaded regardless of the solver's choice
     /// (the explicit `|W|` list mentioned in Section 5.4).
     pub explicit_preload: Vec<String>,
@@ -66,8 +70,12 @@ impl FlashMemConfig {
             chunk_bytes: 256 * 1024,
             alpha: 0.25,
             window: 32,
-            solver_time_limit_ms: 40,
-            total_solver_budget_ms: 150_000,
+            // About 30 ms of search on a 32-kernel window at ~3 µs per node
+            // (2-vCPU Xeon, release build) — the order of the old 40 ms
+            // wall clock.
+            solver_node_limit: 10_000,
+            // About the paper's 150 s of offline solving at that rate.
+            solver_node_budget: 50_000_000,
             explicit_preload: Vec::new(),
             enable_opg: true,
             enable_adaptive_fusion: true,
@@ -177,8 +185,8 @@ impl FlashMemConfig {
             .write_u64(self.chunk_bytes)
             .write_f64(self.alpha)
             .write_u64(self.window as u64)
-            .write_u64(self.solver_time_limit_ms)
-            .write_u64(self.total_solver_budget_ms)
+            .write_u64(self.solver_node_limit)
+            .write_u64(self.solver_node_budget)
             .write_u64(u64::from(self.enable_opg))
             .write_u64(u64::from(self.enable_adaptive_fusion))
             .write_u64(u64::from(self.enable_kernel_rewriting));

@@ -132,12 +132,77 @@ pub fn build_weight_window_model(
     }
     model.minimize(objective);
 
-    WeightWindowModel {
+    let mut window = WeightWindowModel {
         model,
         x_vars,
         z_var,
         preload_var,
         total_chunks,
+    };
+    // The optimum below is exact only for candidates in execution order before
+    // the consumer, which is how LC-OPG builds every window.
+    let in_order = candidates.windows(2).all(|p| p[0].kernel < p[1].kernel)
+        && candidates.iter().all(|s| s.kernel < consumer_kernel);
+    if in_order {
+        let optimum = window.optimum();
+        window.model.set_objective_bound(Some(optimum));
+    }
+    window
+}
+
+impl WeightWindowModel {
+    /// The window's optimal objective value, the better of preloading and the
+    /// back-to-front fill.
+    ///
+    /// Preloading has one assignment (`p = 1`, every `x = 0`, `z = 0`). Every
+    /// streamed assignment places `T(w)` chunks under the same per-kernel
+    /// upper bounds, and the fill packs them as late as those bounds allow, so
+    /// among all of them it has the smallest prefix sum at every candidate
+    /// and the latest earliest-loading kernel. The objective's streamed part
+    /// is `(1−λ)·(i_w − z_w)`, smallest at the latest `z_w`, plus
+    /// `μ·Σ (i_w − 1 − ℓ)·x_ℓ`, a non-negative combination of the prefix sums
+    /// because the distance falls as `ℓ` grows; the fill minimises both. A
+    /// fill that breaks a C2 prefix or cannot cover `T(w)` proves that no
+    /// assignment can stream the weight, and preloading is the optimum.
+    fn optimum(&self) -> i64 {
+        let (objective, _) = self.model.objective().expect("window models minimise");
+        let preload = CpModel::eval_expr(objective, &self.preload_assignment());
+        match self.back_to_front_fill() {
+            Some(fill) => preload.min(CpModel::eval_expr(objective, &fill)),
+            None => preload,
+        }
+    }
+
+    /// The preload assignment: the weight joins `W`. Always feasible.
+    fn preload_assignment(&self) -> Vec<i64> {
+        let mut assignment = vec![0i64; self.model.num_vars()];
+        assignment[self.preload_var.0] = 1;
+        assignment
+    }
+
+    /// Fill candidates from the closest to the consumer backwards, each up to
+    /// its variable's upper bound, with `z_w` at the earliest kernel that
+    /// holds a chunk (the consumer when there is nothing to load). `None`
+    /// when the fill cannot cover the weight or breaks a C2 prefix.
+    fn back_to_front_fill(&self) -> Option<Vec<i64>> {
+        let mut assignment = vec![0i64; self.model.num_vars()];
+        let mut remaining = self.total_chunks as i64;
+        for (_, v) in self.x_vars.iter().rev() {
+            if remaining == 0 {
+                break;
+            }
+            let take = self.model.domain(*v).hi.min(remaining);
+            assignment[v.0] = take;
+            remaining -= take;
+        }
+        assignment[self.z_var.0] = self
+            .x_vars
+            .iter()
+            .filter(|(_, v)| assignment[v.0] > 0)
+            .map(|(k, _)| *k as i64)
+            .min()
+            .unwrap_or(self.model.domain(self.z_var).hi);
+        (remaining == 0 && self.model.is_feasible(&assignment)).then_some(assignment)
     }
 }
 
@@ -175,50 +240,15 @@ pub fn extract_decision(window: &WeightWindowModel, solution: &Solution) -> Wind
     }
 }
 
-/// A greedy warm-start hint for a window model: fill candidates from the
-/// closest to the consumer backwards, respecting capacity and memory bounds.
-/// Returns a full assignment vector ordered by variable id, or `None` if the
-/// greedy fill cannot cover the weight (the hint then falls back to preload).
+/// A greedy warm-start hint for a window model: the back-to-front fill of
+/// [`WeightWindowModel`]'s candidates when it is feasible, otherwise the
+/// preload assignment. Returns a full assignment vector ordered by variable
+/// id; it is always feasible, and optimal whenever it scores the window's
+/// objective bound.
 pub fn greedy_hint(window: &WeightWindowModel) -> Vec<i64> {
-    let num_vars = window.model.num_vars();
-    let mut assignment = vec![0i64; num_vars];
-    let mut remaining = window.total_chunks as i64;
-
-    // Variable ids: 0 = preload, 1 = z, then x vars in candidate order.
-    // Fill from the last candidate (closest to the consumer) backwards.
-    for (idx, (_, v)) in window.x_vars.iter().enumerate().rev() {
-        if remaining == 0 {
-            break;
-        }
-        let ub = window.model.domain(*v).hi;
-        // Respect the prefix memory constraints conservatively by never
-        // exceeding the candidate's own headroom (already in the ub).
-        let take = ub.min(remaining);
-        assignment[v.0] = take;
-        remaining -= take;
-        let _ = idx;
-    }
-
-    // z = earliest kernel with a non-zero allocation.
-    let z = window
-        .x_vars
-        .iter()
-        .filter(|(_, v)| assignment[v.0] > 0)
-        .map(|(k, _)| *k as i64)
-        .min()
-        .unwrap_or(0);
-    assignment[window.z_var.0] = z;
-    assignment[window.preload_var.0] = 0;
-
-    // Backfilling from the consumer can still violate a prefix-memory bound
-    // in pathological headroom profiles; the preload escape hatch is always
-    // feasible, so fall back to it rather than hand the solver a bad hint.
-    if remaining > 0 || !window.model.is_feasible(&assignment) {
-        assignment = vec![0i64; num_vars];
-        assignment[window.preload_var.0] = 1;
-        assignment[window.z_var.0] = 0;
-    }
-    assignment
+    window
+        .back_to_front_fill()
+        .unwrap_or_else(|| window.preload_assignment())
 }
 
 #[cfg(test)]
@@ -243,7 +273,7 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(5, 10, 100), (6, 10, 100), (7, 10, 100)]);
         let window = build_weight_window_model(8, 12, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution(), "{:?}", out.status);
         let decision = extract_decision(&window, &out.solution.unwrap());
@@ -263,7 +293,7 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(2, 2, 100), (3, 3, 100)]);
         let window = build_weight_window_model(4, 40, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution());
         let decision = extract_decision(&window, &out.solution.unwrap());
@@ -276,7 +306,7 @@ mod tests {
         // Plenty of per-kernel capacity but almost no memory headroom early.
         let slots = candidates(&[(1, 50, 1), (2, 50, 1), (3, 50, 30)]);
         let window = build_weight_window_model(4, 20, &slots, &config);
-        let out = CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000))
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         let decision = extract_decision(&window, &out.solution.unwrap());
         assert!(!decision.preload);
@@ -297,8 +327,8 @@ mod tests {
         let config = FlashMemConfig::memory_priority();
         let slots = candidates(&[(3, 8, 100), (4, 8, 100)]);
         let window = build_weight_window_model(5, 10, &slots, &config);
-        let out =
-            CpSolver::with_config(SolverConfig::with_time_limit_ms(2_000)).solve(&window.model);
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
+            .solve(&window.model);
         assert_eq!(out.status, SolveStatus::Optimal);
         let solution = out.solution.unwrap();
         let decision = extract_decision(&window, &solution);

@@ -147,6 +147,16 @@ impl<'env> ScopeState<'env> {
     }
 }
 
+/// Clears the calling thread's worker flag once it has worked a region's
+/// first shard, even if one of those jobs panics.
+struct LeaveWorker;
+
+impl Drop for LeaveWorker {
+    fn drop(&mut self) {
+        IN_WORKER.with(|flag| flag.set(false));
+    }
+}
+
 /// Guard that closes a scope region even if the submitting closure panics.
 struct CloseOnDrop<'scope, 'env>(&'scope ScopeState<'env>);
 
@@ -192,9 +202,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 /// A fixed-width work-stealing thread pool. See the [module docs](self) for
 /// the design.
 ///
-/// The pool itself holds no threads: workers are spawned per
-/// [`scope`](Self::scope) region inside [`std::thread::scope`] so jobs can
-/// borrow caller data, and are all joined before the region returns.
+/// The pool itself holds no threads: a width-`n` [`scope`](Self::scope)
+/// region spawns `n − 1` workers inside [`std::thread::scope`] so jobs can
+/// borrow caller data, and the calling thread works as the `n`-th once the
+/// scope closure has submitted its jobs. Every worker is joined before the
+/// region returns.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
     threads: usize,
@@ -230,8 +242,8 @@ impl ThreadPool {
     }
 
     /// [`scope`](Self::scope) with the worker count capped at `width` — used
-    /// by the batch helpers so a 2-job batch on a 16-wide pool spawns 2
-    /// workers, not 16.
+    /// by the batch helpers so a 2-job batch on a 16-wide pool runs on 2
+    /// threads, not 16.
     fn scope_with<'env, R>(&self, width: usize, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
         let width = width.clamp(1, self.threads);
         if width == 1 || in_worker() {
@@ -239,7 +251,7 @@ impl ThreadPool {
         }
         let state = ScopeState::new(width);
         std::thread::scope(|s| {
-            for home in 0..width {
+            for home in 1..width {
                 let state = &state;
                 s.spawn(move || state.worker(home));
             }
@@ -247,7 +259,12 @@ impl ThreadPool {
             let result = f(&Scope {
                 state: Some(guard.0),
             });
-            drop(guard); // close + notify, then thread::scope joins the drain
+            // Close + notify, then work shard 0 on the caller: one thread
+            // fewer to spawn per region, and its jobs allocate from the
+            // caller's own heap instead of a fresh thread's malloc arena.
+            drop(guard);
+            let _leave = LeaveWorker;
+            state.worker(0);
             result
         })
     }
@@ -440,6 +457,21 @@ mod tests {
         });
         // All four workers should have participated given 32 × 2 ms of work.
         assert!(distinct.lock().unwrap().len() > 1);
+    }
+
+    #[test]
+    fn the_caller_works_as_a_worker_and_leaves_worker_mode_after() {
+        let pool = ThreadPool::with_threads(2);
+        let caller = std::thread::current().id();
+        // Each job waits for the other, so both run at once: one on the
+        // spawned worker, one on the caller.
+        let barrier = std::sync::Barrier::new(2);
+        let on_caller = pool.parallel_map(vec![0, 1], |_| {
+            barrier.wait();
+            std::thread::current().id() == caller
+        });
+        assert_eq!(on_caller.iter().filter(|c| **c).count(), 1);
+        assert!(!in_worker());
     }
 
     #[test]

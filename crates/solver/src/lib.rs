@@ -10,11 +10,16 @@
 //! * bounded integer variables,
 //! * linear `≤` / `≥` / `=` constraints,
 //! * implications `(x ≥ k) ⇒ (y ≤ m)` (constraint C1 of the paper),
-//! * a linear objective, minimised or maximised,
-//! * bounds propagation + depth-first branch & bound with a wall-clock limit,
-//!   reporting `OPTIMAL` / `FEASIBLE` / `INFEASIBLE` / `UNKNOWN` statuses like
-//!   Table 4 of the paper,
+//! * a linear objective, minimised or maximised, with an optional proven
+//!   bound that lets a solve stop as soon as it reaches it,
+//! * bounds propagation + depth-first branch & bound under an exact node
+//!   cap, reporting `OPTIMAL` / `FEASIBLE` / `INFEASIBLE` / `UNKNOWN`
+//!   statuses like Table 4 of the paper,
 //! * warm-start hints so a greedy plan can seed the exact search.
+//!
+//! No clock decides when a search stops, so every outcome apart from its
+//! measured `solve_time` is a pure function of the model, the hint and the
+//! node cap.
 //!
 //! ## Example
 //!

@@ -160,6 +160,7 @@ pub struct CpModel {
     domains: Vec<Domain>,
     constraints: Vec<Constraint>,
     objective: Option<(LinearExpr, Sense)>,
+    objective_bound: Option<i64>,
 }
 
 impl CpModel {
@@ -249,6 +250,20 @@ impl CpModel {
     /// Set a maximisation objective.
     pub fn maximize(&mut self, expr: LinearExpr) {
         self.objective = Some((expr, Sense::Maximize));
+    }
+
+    /// Record a proven bound on the objective: no feasible assignment scores
+    /// better than `bound` (below it when minimising, above it when
+    /// maximising). The solver stops with `Optimal` as soon as its incumbent
+    /// reaches the bound, so an unsound bound yields a wrong `Optimal`.
+    /// `None` removes the bound.
+    pub fn set_objective_bound(&mut self, bound: Option<i64>) {
+        self.objective_bound = bound;
+    }
+
+    /// The proven objective bound, if one was recorded.
+    pub fn objective_bound(&self) -> Option<i64> {
+        self.objective_bound
     }
 
     /// Evaluate a linear expression under a full assignment.

@@ -3,11 +3,21 @@
 //! [`CpSolver`] combines the bounds propagator with depth-first branch and
 //! bound: pick the unfixed variable with the smallest domain, try its lower
 //! half first (OPG variables prefer "load as little as possible as late as
-//! possible"), prune by the objective bound, and respect a wall-clock time
-//! limit — returning `Feasible` rather than `Optimal` when the limit is hit,
-//! exactly like the CP-SAT statuses reported in Table 4 of the paper.
+//! possible"), and prune by the objective bound. Two things end a search
+//! early, both deterministic:
+//!
+//! * an incumbent that reaches the model's proven objective bound
+//!   ([`CpModel::set_objective_bound`]) is optimal, so the solve returns
+//!   `Optimal` at once — at the root, before any node, when the warm-start
+//!   hint already meets it;
+//! * the node cap [`SolverConfig::max_nodes`], checked on every node, stops
+//!   the search with `Feasible` (or `Unknown` without a solution), like the
+//!   CP-SAT statuses reported in Table 4 of the paper.
+//!
+//! The result is therefore a pure function of the model, the hint and the
+//! cap; the clock only measures [`SolveOutcome::solve_time`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,29 +28,23 @@ use crate::solution::{Solution, SolveOutcome, SolveStatus};
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverConfig {
-    /// Wall-clock limit. The paper uses 150 s for the full LC-OPG run; the
-    /// per-window instances FlashMem solves use much smaller limits.
-    pub time_limit: Duration,
-    /// Cap on explored search nodes (safety net against degenerate models).
+    /// Cap on explored search nodes: the search visits at most this many and
+    /// reports `Feasible` rather than `Optimal` if it needed more.
     pub max_nodes: u64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            time_limit: Duration::from_secs(150),
             max_nodes: 2_000_000,
         }
     }
 }
 
 impl SolverConfig {
-    /// A configuration with the given time limit in milliseconds.
-    pub fn with_time_limit_ms(ms: u64) -> Self {
-        SolverConfig {
-            time_limit: Duration::from_millis(ms),
-            ..Default::default()
-        }
+    /// A configuration capped at `max_nodes` search nodes.
+    pub fn with_max_nodes(max_nodes: u64) -> Self {
+        SolverConfig { max_nodes }
     }
 }
 
@@ -54,10 +58,18 @@ struct SearchState<'a> {
     model: &'a CpModel,
     objective: Option<&'a (LinearExpr, Sense)>,
     best: Option<(i64, Vec<i64>)>,
-    deadline: Instant,
+    /// Proven bound on the normalised objective: an incumbent at or below it
+    /// is optimal.
+    bound: i64,
     nodes: u64,
     max_nodes: u64,
     hit_limit: bool,
+}
+
+impl SearchState<'_> {
+    fn incumbent_meets_bound(&self) -> bool {
+        matches!(self.best, Some((obj, _)) if obj <= self.bound)
+    }
 }
 
 impl CpSolver {
@@ -78,27 +90,21 @@ impl CpSolver {
 
     /// Solve `model`, optionally warm-starting from `hint` (a full assignment
     /// that, if feasible, immediately bounds the objective — this is how the
-    /// LC-OPG greedy fallback seeds the exact search).
+    /// LC-OPG greedy fallback seeds the exact search). A feasible hint that
+    /// meets the model's objective bound is returned as `Optimal` without
+    /// propagating or searching.
     pub fn solve_with_hint(&self, model: &CpModel, hint: Option<&[i64]>) -> SolveOutcome {
         let started = Instant::now();
-        let mut domains: Vec<Domain> = model.domains().to_vec();
-
-        // Root propagation.
-        if propagate(model, &mut domains) == PropagationResult::Conflict {
-            return SolveOutcome {
-                status: SolveStatus::Infeasible,
-                solution: None,
-                objective: None,
-                nodes_explored: 0,
-                solve_time: started.elapsed(),
-            };
-        }
-
+        let objective = model.objective();
+        let bound = match (objective, model.objective_bound()) {
+            (Some((_, sense)), Some(bound)) => normalise(bound, *sense),
+            _ => i64::MIN,
+        };
         let mut state = SearchState {
             model,
-            objective: model.objective(),
+            objective,
             best: None,
-            deadline: started + self.config.time_limit,
+            bound,
             nodes: 0,
             max_nodes: self.config.max_nodes,
             hit_limit: false,
@@ -115,7 +121,20 @@ impl CpSolver {
             }
         }
 
-        dfs(&mut state, domains);
+        if !state.incumbent_meets_bound() {
+            let mut domains: Vec<Domain> = model.domains().to_vec();
+            // Root propagation.
+            if propagate(model, &mut domains) == PropagationResult::Conflict {
+                return SolveOutcome {
+                    status: SolveStatus::Infeasible,
+                    solution: None,
+                    objective: None,
+                    nodes_explored: 0,
+                    solve_time: started.elapsed(),
+                };
+            }
+            dfs(&mut state, domains);
+        }
 
         let elapsed = started.elapsed();
         match state.best {
@@ -125,10 +144,7 @@ impl CpSolver {
                 } else {
                     SolveStatus::Optimal
                 };
-                let objective = state.objective.map(|(_, sense)| match sense {
-                    Sense::Minimize => obj,
-                    Sense::Maximize => -obj,
-                });
+                let objective = state.objective.map(|(_, sense)| normalise(obj, *sense));
                 // A model without an objective is a pure satisfaction problem:
                 // any solution is "optimal".
                 SolveOutcome {
@@ -159,27 +175,26 @@ impl CpSolver {
     }
 }
 
+/// Map an objective value to and from its *smaller is better* form (the map
+/// is its own inverse).
+fn normalise(value: i64, sense: Sense) -> i64 {
+    match sense {
+        Sense::Minimize => value,
+        Sense::Maximize => -value,
+    }
+}
+
 /// Objective value normalised so that *smaller is better* regardless of sense.
 fn normalised_objective(expr: &LinearExpr, sense: Sense, assignment: &[i64]) -> i64 {
-    let v = CpModel::eval_expr(expr, assignment);
-    match sense {
-        Sense::Minimize => v,
-        Sense::Maximize => -v,
-    }
+    normalise(CpModel::eval_expr(expr, assignment), sense)
 }
 
 /// Lower bound of the (normalised) objective under current domains.
 fn objective_lower_bound(expr: &LinearExpr, sense: Sense, domains: &[Domain]) -> i64 {
-    let mut bound = match sense {
-        Sense::Minimize => expr.constant,
-        Sense::Maximize => -expr.constant,
-    };
+    let mut bound = normalise(expr.constant, sense);
     for (v, c) in &expr.terms {
         let d = domains[v.0];
-        let coeff = match sense {
-            Sense::Minimize => *c,
-            Sense::Maximize => -*c,
-        };
+        let coeff = normalise(*c, sense);
         bound += if coeff >= 0 {
             coeff * d.lo
         } else {
@@ -190,15 +205,11 @@ fn objective_lower_bound(expr: &LinearExpr, sense: Sense, domains: &[Domain]) ->
 }
 
 fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
-    state.nodes += 1;
-    if state.nodes.is_multiple_of(256)
-        && (Instant::now() >= state.deadline || state.nodes >= state.max_nodes)
-    {
+    if state.nodes >= state.max_nodes {
         state.hit_limit = true;
-    }
-    if state.hit_limit {
         return;
     }
+    state.nodes += 1;
 
     if propagate(state.model, &mut domains) == PropagationResult::Conflict {
         return;
@@ -251,7 +262,7 @@ fn dfs(state: &mut SearchState<'_>, mut domains: Vec<Domain>) {
     lower[var] = Domain::new(d.lo, mid);
     dfs(state, lower);
 
-    if state.hit_limit {
+    if state.hit_limit || state.incumbent_meets_bound() {
         return;
     }
 
@@ -351,10 +362,9 @@ mod tests {
         assert_eq!(out.objective, Some(5));
     }
 
-    #[test]
-    fn time_limit_yields_feasible_not_optimal() {
-        // A knapsack-ish model large enough that a 0 ms limit cannot prove
-        // optimality but the first dive still finds something feasible.
+    /// A knapsack-ish model far too large to prove optimal in a few hundred
+    /// nodes, though the first dive finds something feasible.
+    fn wide_knapsack() -> CpModel {
         let mut m = CpModel::new();
         let vars: Vec<_> = (0..30)
             .map(|i| m.new_int_var(0, 20, &format!("v{i}")))
@@ -362,16 +372,99 @@ mod tests {
         // Σ v_i >= 100
         m.add_ge(LinearExpr::sum(&vars), 100);
         m.minimize(LinearExpr::sum(&vars));
-        let solver = CpSolver::with_config(SolverConfig {
-            time_limit: Duration::from_millis(0),
-            max_nodes: 10_000,
-        });
-        let out = solver.solve(&m);
+        m
+    }
+
+    #[test]
+    fn node_limit_yields_feasible_not_optimal() {
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(200)).solve(&wide_knapsack());
+        assert_eq!(out.status, SolveStatus::Feasible);
+        assert!(out.solution.is_some());
+    }
+
+    #[test]
+    fn node_cap_is_exact() {
+        let m = wide_knapsack();
+        for cap in [0, 1, 10, 100, 255, 256, 300, 1_000] {
+            let out = CpSolver::with_config(SolverConfig::with_max_nodes(cap)).solve(&m);
+            assert_eq!(out.nodes_explored, cap, "cap {cap}");
+            // Unknown until the first dive reaches a leaf, Feasible after.
+            assert!(
+                matches!(out.status, SolveStatus::Feasible | SolveStatus::Unknown),
+                "cap {cap}: {:?}",
+                out.status
+            );
+        }
+    }
+
+    #[test]
+    fn search_needing_exactly_the_cap_still_proves_optimality() {
+        let mut m = CpModel::new();
+        let x = m.new_int_var(0, 3, "x");
+        m.minimize(LinearExpr::var(x));
+        let needed = CpSolver::new().solve(&m).nodes_explored;
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(needed)).solve(&m);
+        assert_eq!(out.status, SolveStatus::Optimal);
+        let out = CpSolver::with_config(SolverConfig::with_max_nodes(needed - 1)).solve(&m);
+        assert_eq!(out.status, SolveStatus::Feasible);
+    }
+
+    #[test]
+    fn hint_meeting_the_bound_is_optimal_at_the_root() {
+        let mut m = wide_knapsack();
+        m.set_objective_bound(Some(100));
+        let hint: Vec<i64> = (0..30).map(|i| if i < 5 { 20 } else { 0 }).collect();
+        // Even a zero-node budget proves the hint optimal.
+        let out =
+            CpSolver::with_config(SolverConfig::with_max_nodes(0)).solve_with_hint(&m, Some(&hint));
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.objective, Some(100));
+        assert_eq!(out.nodes_explored, 0);
+        assert_eq!(out.solution.unwrap().values(), hint.as_slice());
+    }
+
+    #[test]
+    fn search_stops_once_the_incumbent_meets_the_bound() {
+        // minimise Σ v  s.t.  Σ v >= 30 over six variables in [0, 20].
+        let mut m = CpModel::new();
+        let vars: Vec<_> = (0..6)
+            .map(|i| m.new_int_var(0, 20, &format!("v{i}")))
+            .collect();
+        m.add_ge(LinearExpr::sum(&vars), 30);
+        m.minimize(LinearExpr::sum(&vars));
+        let unbounded = CpSolver::new().solve(&m);
+        m.set_objective_bound(Some(30));
+        let bounded = CpSolver::new().solve(&m);
+        assert_eq!(bounded.status, SolveStatus::Optimal);
+        assert_eq!(bounded.objective, Some(30));
+        assert_eq!(bounded.solution, unbounded.solution);
+        // Without the bound the search must exhaust the tree to prove it.
+        assert_eq!(unbounded.status, SolveStatus::Optimal);
         assert!(
-            matches!(out.status, SolveStatus::Feasible | SolveStatus::Unknown),
-            "status {:?}",
-            out.status
+            unbounded.nodes_explored > bounded.nodes_explored,
+            "{} vs {}",
+            unbounded.nodes_explored,
+            bounded.nodes_explored
         );
+    }
+
+    #[test]
+    fn maximisation_bound_is_an_upper_bound() {
+        // maximise x + y  s.t.  x + y <= 6: a bound of 6 stops the search at
+        // the first optimum, a hint scoring 6 before any node.
+        let mut m = CpModel::new();
+        let x = m.new_int_var(0, 10, "x");
+        let y = m.new_int_var(0, 10, "y");
+        m.add_le(LinearExpr::sum(&[x, y]), 6);
+        m.maximize(LinearExpr::sum(&[x, y]));
+        m.set_objective_bound(Some(6));
+        let out = CpSolver::new().solve_with_hint(&m, Some(&[2, 4]));
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.objective, Some(6));
+        assert_eq!(out.nodes_explored, 0);
+        let out = CpSolver::new().solve_with_hint(&m, Some(&[2, 3]));
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert_eq!(out.objective, Some(6));
     }
 
     #[test]
@@ -397,6 +490,6 @@ mod tests {
         m.minimize(LinearExpr::var(x));
         let out = CpSolver::new().solve(&m);
         assert!(out.nodes_explored >= 1);
-        assert!(out.solve_time <= Duration::from_secs(5));
+        assert!(out.solve_time <= std::time::Duration::from_secs(5));
     }
 }

@@ -12,12 +12,12 @@ use crate::model::VarId;
 pub enum SolveStatus {
     /// An optimal solution was found and proved optimal.
     Optimal,
-    /// A solution was found but the time/node limit prevented an optimality
-    /// proof.
+    /// A solution was found, but the node cap stopped the search before it
+    /// proved the solution optimal.
     Feasible,
     /// The model has no solution.
     Infeasible,
-    /// The limit was hit before any solution was found.
+    /// The node cap stopped the search before it found any solution.
     Unknown,
 }
 
@@ -92,7 +92,8 @@ pub struct SolveOutcome {
     pub objective: Option<i64>,
     /// Number of branch-and-bound nodes explored.
     pub nodes_explored: u64,
-    /// Wall-clock time spent solving.
+    /// Wall-clock time spent solving (a measurement only: no clock decides
+    /// when the search stops).
     pub solve_time: Duration,
 }
 

@@ -1,11 +1,18 @@
 //! Property-style tests for the CP solver: solutions must satisfy the model,
-//! optimal objective values must match brute force on small instances, and
-//! propagation must never prune feasible assignments.
+//! optimal objective values must match brute force on small instances,
+//! propagation must never prune feasible assignments, and the proven bound of
+//! an OPG weight window must equal the optimum an exhaustive search finds.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
 
-use flashmem::solver::{propagate, CpModel, CpSolver, LinearExpr, PropagationResult, SolveStatus};
+use flashmem::core::opg::{
+    build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
+};
+use flashmem::core::FlashMemConfig;
+use flashmem::solver::{
+    propagate, CpModel, CpSolver, LinearExpr, PropagationResult, SolveStatus, SolverConfig,
+};
 use flashmem_gpu_sim::rng::SplitMix64;
 
 /// A small random model over `n` variables with random linear constraints.
@@ -165,4 +172,111 @@ fn propagation_is_sound_on_small_models() {
             );
         }
     }
+}
+
+/// One random OPG weight window, shaped like the ones LC-OPG builds: the
+/// candidates are the kernels right before the consumer.
+#[derive(Debug, Clone)]
+struct RandomWindow {
+    consumer: usize,
+    total_chunks: u64,
+    slots: Vec<CandidateSlot>,
+    config: FlashMemConfig,
+}
+
+/// The corpus cycles through the three presets and λ = 0; half the windows
+/// start at kernel 0 (where λ = 0 makes preloading beat the fill), and half
+/// draw headrooms below `T(w)` so the back-to-front fill can break C2.
+fn random_windows(cases: usize) -> Vec<RandomWindow> {
+    let configs = [
+        FlashMemConfig::memory_priority(),
+        FlashMemConfig::balanced(),
+        FlashMemConfig::latency_priority(),
+        FlashMemConfig::memory_priority().with_lambda(0.0),
+    ];
+    let mut rng = SplitMix64::seed_from_u64(0xb00d);
+    (0..cases)
+        .map(|case| {
+            let len = rng.gen_range_inclusive(1, 6) as usize;
+            let start = if rng.gen_range_inclusive(0, 1) == 0 {
+                0
+            } else {
+                rng.gen_range_inclusive(1, 20) as usize
+            };
+            let total_chunks = rng.gen_range_inclusive(1, 16);
+            let tight = rng.gen_range_inclusive(0, 1) == 0;
+            let slots = (start..start + len)
+                .map(|kernel| CandidateSlot {
+                    kernel,
+                    capacity_chunks: rng.gen_range_inclusive(0, 10),
+                    memory_headroom_chunks: if tight {
+                        rng.gen_range_inclusive(0, total_chunks)
+                    } else {
+                        100
+                    },
+                })
+                .collect();
+            RandomWindow {
+                consumer: start + len,
+                total_chunks,
+                slots,
+                config: configs[case % configs.len()].clone(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn opg_window_bound_is_the_exact_optimum() {
+    let (mut short, mut breaks_c2, mut hint_misses) = (0, 0, 0);
+    for w in random_windows(1_000) {
+        let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
+        let bound = window
+            .model
+            .objective_bound()
+            .expect("LC-OPG-shaped windows carry a bound");
+        let hint = greedy_hint(&window);
+        let (objective, _) = window.model.objective().expect("windows minimise");
+        let hint_score = CpModel::eval_expr(objective, &hint);
+
+        let capacity: u64 = w
+            .slots
+            .iter()
+            .map(|s| s.capacity_chunks.min(s.memory_headroom_chunks))
+            .sum();
+        let fill_failed = hint[window.preload_var.0] == 1;
+        short += usize::from(capacity < w.total_chunks);
+        breaks_c2 += usize::from(fill_failed && capacity >= w.total_chunks);
+        hint_misses += usize::from(hint_score > bound);
+
+        // The planner's solve: hint, bound and the default window node cap.
+        let planned =
+            CpSolver::with_config(SolverConfig::with_max_nodes(w.config.solver_node_limit))
+                .solve_with_hint(&window.model, Some(&hint));
+        // The reference: the same hint, no bound, a cap it never reaches.
+        let mut unbounded = window.model.clone();
+        unbounded.set_objective_bound(None);
+        let exhaustive = CpSolver::with_config(SolverConfig::with_max_nodes(u64::MAX))
+            .solve_with_hint(&unbounded, Some(&hint));
+
+        assert_eq!(exhaustive.status, SolveStatus::Optimal, "{w:?}");
+        assert_eq!(exhaustive.objective, Some(bound), "{w:?}");
+        assert_eq!(planned.status, SolveStatus::Optimal, "{w:?}");
+        assert_eq!(planned.objective, Some(bound), "{w:?}");
+        if hint_score == bound {
+            assert_eq!(planned.nodes_explored, 0, "{w:?}");
+        }
+        assert_eq!(
+            extract_decision(&window, planned.solution.as_ref().unwrap()),
+            extract_decision(&window, exhaustive.solution.as_ref().unwrap()),
+            "{w:?}"
+        );
+    }
+    // Every case the bound distinguishes occurs in the corpus.
+    assert!(short > 0, "no window with T(w) above its capacity");
+    assert!(breaks_c2 > 0, "no window whose fill breaks C2");
+    assert!(
+        hint_misses > 0,
+        "no window where the search must beat the hint"
+    );
 }
