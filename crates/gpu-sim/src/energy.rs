@@ -93,7 +93,7 @@ mod tests {
 
     fn event(kind: EventKind, start: f64, end: f64) -> ExecutionEvent {
         ExecutionEvent {
-            label: "e".into(),
+            command: 0,
             kind,
             start_ms: start,
             end_ms: end,

@@ -9,6 +9,7 @@
 //! recorded in a [`MemoryTracker`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use flashmem_trace::{TraceKind, TraceLane, TraceRecorder};
 use serde::{Deserialize, Serialize};
@@ -88,7 +89,8 @@ pub enum CommandKind {
 /// A command plus its scheduling metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Command {
-    /// Human readable label used in the timeline.
+    /// Human readable label (kernel or weight name), used in trace spans and
+    /// allocation records; timeline events refer to it by command index.
     pub label: String,
     /// The operation.
     pub kind: CommandKind,
@@ -381,9 +383,13 @@ impl StepEvent {
 /// per-command granularity. The monolithic executor is itself implemented on
 /// top of the stepper, so stepping a stream to completion against fresh
 /// clocks is *bit-for-bit* identical to `execute_with_tracker`.
+///
+/// The stream is held behind an [`Arc`] and only read, so any number of
+/// steppers can replay one lowered stream: a serving device lowers each plan
+/// once and every request admitted with it steps the same commands.
 #[derive(Debug, Clone)]
 pub struct StreamStepper {
-    stream: CommandStream,
+    stream: Arc<CommandStream>,
     next: usize,
     finish: Vec<f64>,
     allocs: HashMap<CommandId, (MemoryTier, AllocationId)>,
@@ -393,12 +399,14 @@ pub struct StreamStepper {
 }
 
 impl StreamStepper {
-    /// Wrap a validated stream for stepping.
+    /// Wrap a validated stream for stepping: an owned [`CommandStream`], or
+    /// an `Arc` shared with other steppers.
     ///
     /// # Errors
     ///
     /// Propagates [`CommandStream::validate`] errors.
-    pub fn new(stream: CommandStream) -> SimResult<Self> {
+    pub fn new(stream: impl Into<Arc<CommandStream>>) -> SimResult<Self> {
+        let stream = stream.into();
         stream.validate()?;
         let len = stream.len();
         Ok(StreamStepper {
@@ -549,7 +557,7 @@ impl StreamStepper {
         }
         if let Some(kind) = event_kind {
             self.timeline.push(ExecutionEvent {
-                label: cmd.label.clone(),
+                command: idx,
                 kind,
                 start_ms: start,
                 end_ms: end,
@@ -1391,6 +1399,102 @@ mod tests {
         assert!(shared_makespan < 2.0 * solo.total_time_ms);
         assert!(a.makespan_ms() >= solo.total_time_ms - 1e-9);
         assert!(b.makespan_ms() >= solo.total_time_ms - 1e-9);
+    }
+
+    /// Step `a` and `b` to completion on shared clocks and one tracker,
+    /// always advancing the stepper whose next command can start earliest
+    /// (ties favour `a`), like the serve loop. Returns the tracker and which
+    /// stepper each step advanced (`true` for `a`). Checks along the way
+    /// that every timeline event names the command whose step produced it.
+    fn interleave(a: &mut StreamStepper, b: &mut StreamStepper) -> (MemoryTracker, Vec<bool>) {
+        let sim = simulator();
+        let mut tracker = MemoryTracker::for_device(sim.device());
+        let mut clocks = QueueClocks::new();
+        let mut order = Vec::new();
+        while !a.is_done() || !b.is_done() {
+            let sa = a.peek_start_ms(&clocks).unwrap_or(f64::INFINITY);
+            let sb = b.peek_start_ms(&clocks).unwrap_or(f64::INFINITY);
+            order.push(sa <= sb);
+            let stepper = if sa <= sb { &mut *a } else { &mut *b };
+            let before = stepper.timeline().len();
+            let step = stepper
+                .step(&sim, &mut clocks, &mut tracker, 0.0)
+                .unwrap()
+                .unwrap();
+            if let Some(event) = stepper.timeline().events().get(before) {
+                assert_eq!(event.command, step.command);
+                assert_eq!((event.start_ms, event.end_ms), (step.start_ms, step.end_ms));
+                let kind = match stepper.stream().commands()[event.command].kind {
+                    CommandKind::Transfer { .. } => EventKind::Transfer,
+                    CommandKind::Transform { .. } => EventKind::Transform,
+                    CommandKind::Kernel { .. } => EventKind::Kernel,
+                    _ => panic!("bookkeeping command {} pushed an event", event.command),
+                };
+                assert_eq!(event.kind, kind);
+            }
+        }
+        (tracker, order)
+    }
+
+    #[test]
+    fn steppers_sharing_one_stream_match_steppers_over_clones() {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let events = |stepper: &StreamStepper| {
+            stepper
+                .timeline()
+                .events()
+                .iter()
+                .map(|e| {
+                    (
+                        e.command,
+                        e.kind,
+                        e.start_ms.to_bits(),
+                        e.end_ms.to_bits(),
+                        e.bytes,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let samples = |tracker: &MemoryTracker| {
+            tracker
+                .trace()
+                .samples()
+                .iter()
+                .map(|s| (s.time_ms.to_bits(), s.bytes))
+                .collect::<Vec<_>>()
+        };
+
+        let stream = Arc::new(streaming_like_stream());
+        let mut a = StreamStepper::new(Arc::clone(&stream)).unwrap();
+        let mut b = StreamStepper::new(Arc::clone(&stream))
+            .unwrap()
+            .with_floor_ms(3.0);
+        assert!(std::ptr::eq(a.stream(), b.stream()));
+        assert_eq!(Arc::strong_count(&stream), 3);
+        let (shared_tracker, shared_order) = interleave(&mut a, &mut b);
+
+        let mut a_owned = StreamStepper::new(streaming_like_stream()).unwrap();
+        let mut b_owned = StreamStepper::new(streaming_like_stream())
+            .unwrap()
+            .with_floor_ms(3.0);
+        let (owned_tracker, owned_order) = interleave(&mut a_owned, &mut b_owned);
+
+        // The two streams really interleave: `b` steps before `a` is done.
+        let a_done_at = shared_order.iter().rposition(|&is_a| is_a).unwrap();
+        assert!(
+            shared_order[..a_done_at].contains(&false),
+            "{shared_order:?}"
+        );
+        assert_eq!(shared_order, owned_order);
+        for (shared, owned) in [(&a, &a_owned), (&b, &b_owned)] {
+            assert_eq!(bits(&shared.finish), bits(&owned.finish));
+            assert_eq!(events(shared), events(owned));
+            assert!(!shared.timeline().is_empty());
+        }
+        assert_eq!(samples(&shared_tracker), samples(&owned_tracker));
+        // Both steppers still read the one shared stream, unmodified.
+        assert!(std::ptr::eq(a.stream(), &*stream) && std::ptr::eq(b.stream(), &*stream));
+        assert_eq!(*stream, streaming_like_stream());
     }
 
     #[test]

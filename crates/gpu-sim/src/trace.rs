@@ -6,6 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::engine::CommandId;
+
 /// One sample of total memory usage at a simulated timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemorySample {
@@ -170,8 +172,10 @@ pub enum EventKind {
 /// One completed activity on the simulated timeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionEvent {
-    /// Label (kernel or weight name).
-    pub label: String,
+    /// Index of the command that produced the event in its
+    /// [`CommandStream`](crate::engine::CommandStream); the command carries
+    /// the kernel or weight name.
+    pub command: CommandId,
     /// Activity kind.
     pub kind: EventKind,
     /// Start time in milliseconds.
@@ -436,14 +440,14 @@ mod tests {
     fn timeline_busy_and_makespan() {
         let mut tl = Timeline::new();
         tl.push(ExecutionEvent {
-            label: "load".into(),
+            command: 0,
             kind: EventKind::Transfer,
             start_ms: 0.0,
             end_ms: 10.0,
             bytes: 100,
         });
         tl.push(ExecutionEvent {
-            label: "k0".into(),
+            command: 1,
             kind: EventKind::Kernel,
             start_ms: 5.0,
             end_ms: 15.0,
@@ -461,7 +465,7 @@ mod tests {
         let mut tl = Timeline::new();
         for (s, e) in [(0.0, 10.0), (5.0, 12.0), (20.0, 25.0)] {
             tl.push(ExecutionEvent {
-                label: "t".into(),
+                command: 0,
                 kind: EventKind::Transfer,
                 start_ms: s,
                 end_ms: e,

@@ -76,7 +76,7 @@ use crate::metrics::{
     ServeReport, SloSummary, TokenMetrics,
 };
 use crate::policy::RecoveryControl;
-use crate::request::{FailureCause, ServeRequest};
+use crate::request::{check_arrivals, FailureCause, ServeRequest};
 use crate::server::lower_artifact;
 use flashmem_gpu_sim::{FaultKind, FaultPlan};
 
@@ -477,9 +477,10 @@ impl DecodeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] for an empty fleet, a request
-    /// without decode token counts, a model without a decode spec, or a
-    /// request whose maximum context exceeds its model's context window.
+    /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
+    /// non-finite `arrival_ms`, a request without decode token counts, a
+    /// model without a decode spec, or a request whose maximum context
+    /// exceeds its model's context window.
     /// Worker panics surface as [`SimError::WorkerPanic`]; per-request
     /// failures (out-of-memory) are recorded in the outcomes instead.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
@@ -490,6 +491,7 @@ impl DecodeEngine {
                     .to_string(),
             });
         }
+        check_arrivals(requests)?;
 
         // ---- validation + placement: the sequential prologue ----
         for request in requests {
@@ -530,8 +532,7 @@ impl DecodeEngine {
         order.sort_by(|&a, &b| {
             requests[a]
                 .arrival_ms
-                .partial_cmp(&requests[b].arrival_ms)
-                .expect("arrival times are finite")
+                .total_cmp(&requests[b].arrival_ms)
                 .then(a.cmp(&b))
         });
         let mut per_device: Vec<Vec<(usize, &ServeRequest)>> = vec![Vec::new(); fleet_len];
@@ -898,8 +899,7 @@ impl DecodeEngine {
         let mut waiting = assigned;
         waiting.sort_by(|a, b| {
             a.1.arrival_ms
-                .partial_cmp(&b.1.arrival_ms)
-                .expect("arrival times are finite")
+                .total_cmp(&b.1.arrival_ms)
                 .then(a.0.cmp(&b.0))
         });
         let total = waiting.len();
@@ -1571,6 +1571,24 @@ mod tests {
         let requests = vec![ServeRequest::new(ModelZoo::vit(), "a").with_decode_tokens(8, 4)];
         let err = engine(BatchConfig::default()).run(&requests).unwrap_err();
         assert!(err.to_string().contains("no decode spec"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected_with_a_typed_error() {
+        // The fields are public, so a caller can bypass the builder's clamp.
+        // A non-finite arrival must come back as a typed error, not as a
+        // panic in the round-robin placement sort.
+        let mut requests = burst(3, 8, 4);
+        for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            requests[2].arrival_ms = arrival;
+            match engine(BatchConfig::default()).run_on(&ThreadPool::with_threads(1), &requests) {
+                Err(SimError::InvalidParameter { message }) => {
+                    assert!(message.contains("request 2"), "{message}");
+                    assert!(message.contains("finite"), "{message}");
+                }
+                other => panic!("expected a typed arrival error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

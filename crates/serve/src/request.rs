@@ -31,6 +31,7 @@
 //! a *rejected* one is excluded from SLO accounting entirely (it was never
 //! accepted into the pipeline).
 
+use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::{FaultKind, SimError};
 use flashmem_graph::ModelSpec;
 
@@ -226,6 +227,29 @@ impl ServeRequest {
     /// instant to the deadline-aware policies.
     pub fn absolute_deadline_ms(&self) -> Option<f64> {
         self.deadline_ms.map(|d| self.arrival_ms + d)
+    }
+}
+
+/// Reject a submission holding a non-finite arrival time. The fields are
+/// public, so the builder's clamp can be bypassed; both engines order work
+/// by arrival and admit from the arrived prefix, which needs real times.
+///
+/// # Errors
+///
+/// [`SimError::InvalidParameter`] naming the first offending request.
+pub(crate) fn check_arrivals(requests: &[ServeRequest]) -> SimResult<()> {
+    match requests
+        .iter()
+        .enumerate()
+        .find(|(_, request)| !request.arrival_ms.is_finite())
+    {
+        Some((seq, request)) => Err(SimError::InvalidParameter {
+            message: format!(
+                "request {seq} for {} arrives at {} ms; arrival times must be finite",
+                request.model.abbr, request.arrival_ms
+            ),
+        }),
+        None => Ok(()),
     }
 }
 

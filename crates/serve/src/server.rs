@@ -4,14 +4,21 @@
 //!
 //! ## How time advances
 //!
-//! Every admitted request owns a [`StreamStepper`] over its lowered command
-//! stream. Devices are independent timelines; on each device the loop
-//! repeatedly (1) preempts in-flight work if the policy allows and a waiting
-//! request outranks it, (2) admits arrived requests into free slots in
-//! policy order, then (3) advances whichever in-flight stepper can start its
-//! next command earliest on the shared [`QueueClocks`]. One inference's disk
-//! loads therefore fill transfer-queue gaps left by another inference's
-//! kernels — per-layer interleaving, not back-to-back replay.
+//! Every admitted request owns a [`StreamStepper`] over its plan's lowered
+//! command stream. A device run lowers each compiled plan once, on its first
+//! admission, and every later request with that plan steps the same shared
+//! stream — the plan is fixed offline, only its replay is per request.
+//! Devices are independent timelines; on each device the loop repeatedly
+//! (1) preempts in-flight work if the policy allows and a waiting request
+//! outranks it, (2) admits arrived requests into free slots in policy order,
+//! then (3) advances whichever in-flight stepper can start its next command
+//! earliest on the shared [`QueueClocks`]. One inference's disk loads
+//! therefore fill transfer-queue gaps left by another inference's kernels —
+//! per-layer interleaving, not back-to-back replay.
+//!
+//! A device's pending requests stay sorted by (arrival, seq), so phases (1)
+//! and (2) scan only the prefix that has arrived: one step costs
+//! O(waiting + in flight), however many later arrivals the device holds.
 //!
 //! ## How the fleet advances
 //!
@@ -109,7 +116,7 @@ use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
 };
-use crate::request::{FailureCause, RejectCause, ServeRequest};
+use crate::request::{check_arrivals, FailureCause, RejectCause, ServeRequest};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -118,6 +125,11 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Streaming artifacts reuse the [`StreamingExecutor`] lowering the one-shot
 /// runtime uses; preload artifacts *are* command streams; naive plans lower
 /// through the executor without kernel rewriting, as in the Figure 9 strawmen.
+///
+/// Lowering is a pure function of its inputs, which the plan cache already
+/// identifies by [`ArtifactCache::key_for`]; the serving loop therefore
+/// lowers once per key per device run and shares the stream between every
+/// request admitted with that plan.
 pub fn lower_artifact(
     artifact: &CompiledArtifact,
     model: &ModelSpec,
@@ -224,6 +236,9 @@ fn plan_resident_bytes(weights: &[flashmem_core::WeightSchedule]) -> u64 {
 /// Both the admission phase and the preemption phase rank exactly this list,
 /// so a preemption can only fire for a candidate admission would pick.
 ///
+/// `pending` is sorted by (arrival, seq), so the scan stops at the first
+/// request that has not arrived yet.
+///
 /// `gate`, when present, restricts pending candidates to requests that have
 /// already passed the bounded-queue shed check (`Some` only when a queue
 /// bound is configured): an arrival the loop has not yet observed might be
@@ -238,7 +253,8 @@ fn arrived_candidates(
 ) -> Vec<PendingEntry> {
     let mut candidates: Vec<PendingEntry> = pending
         .iter()
-        .filter(|(seq, r)| r.arrival_ms <= now && gate.is_none_or(|g| g.contains(seq)))
+        .take_while(|(_, r)| r.arrival_ms <= now)
+        .filter(|(seq, _)| gate.is_none_or(|g| g.contains(seq)))
         .map(|(seq, r)| PendingEntry {
             seq: *seq,
             priority: r.priority,
@@ -865,9 +881,10 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error for an empty fleet, for malformed command streams
-    /// (an internal invariant violation, not a modelled outcome), and for a
-    /// panic inside a device worker ([`SimError::WorkerPanic`]).
+    /// Returns [`SimError::InvalidParameter`] for an empty fleet or a
+    /// non-finite `arrival_ms`, an error for malformed command streams (an
+    /// internal invariant violation, not a modelled outcome), and
+    /// [`SimError::WorkerPanic`] for a panic inside a device worker.
     pub fn run(&self, requests: &[ServeRequest]) -> SimResult<ServeReport> {
         self.run_on(pool::global(), requests)
     }
@@ -884,6 +901,7 @@ impl ServeEngine {
                     .to_string(),
             });
         }
+        check_arrivals(requests)?;
 
         // ---- placement: the sequential prologue ----
         let mut placement: Vec<usize> = Vec::with_capacity(requests.len());
@@ -994,8 +1012,7 @@ impl ServeEngine {
                 order.sort_by(|&a, &b| {
                     requests[a]
                         .arrival_ms
-                        .partial_cmp(&requests[b].arrival_ms)
-                        .expect("arrival times are finite")
+                        .total_cmp(&requests[b].arrival_ms)
                         .then(a.cmp(&b))
                 });
                 for seq in order {
@@ -1596,11 +1613,12 @@ impl ServeEngine {
         let exclusive = slots == 1 && self.policy.preemption().is_none();
 
         let total_assigned = assigned.len() + prerejected.len() + seed_list.len();
+        // Sorted once by (arrival, seq) and afterwards only removed from:
+        // the arrived requests are always a prefix.
         let mut pending = assigned;
         pending.sort_by(|a, b| {
             a.1.arrival_ms
-                .partial_cmp(&b.1.arrival_ms)
-                .expect("arrival times are finite")
+                .total_cmp(&b.1.arrival_ms)
                 .then(a.0.cmp(&b.0))
         });
 
@@ -1669,6 +1687,9 @@ impl ServeEngine {
         // Resident-byte estimates computed by the preemption phase's
         // feasibility checks, memoized per request seq.
         let mut estimate_memo: HashMap<usize, u64> = HashMap::new();
+        // Lowered streams by plan-cache key: each plan is lowered on its
+        // first admission and shared by every later request that uses it.
+        let mut lowered: HashMap<u64, Arc<CommandStream>> = HashMap::new();
         // Bounded-queue bookkeeping: which pending requests the loop has
         // observed arriving (and not shed), the live queue depth (arrived
         // but not yet admitted), and its high-water mark.
@@ -1845,10 +1866,7 @@ impl ServeEngine {
                     // the later of "now" and the earliest pending arrival.
                     // (Never re-based while work is suspended — suspension
                     // snapshots reference the current epoch's local times.)
-                    let earliest = pending
-                        .iter()
-                        .map(|(_, r)| r.arrival_ms)
-                        .fold(f64::INFINITY, f64::min);
+                    let earliest = pending.first().map_or(f64::INFINITY, |(_, r)| r.arrival_ms);
                     epoch = (epoch + clocks.horizon_ms()).max(earliest);
                     clocks.reset();
                 }
@@ -1874,8 +1892,9 @@ impl ServeEngine {
                     // suspensions have a `NEG_INFINITY` floor and never move
                     // `now`.
                     let earliest = pending
-                        .iter()
+                        .first()
                         .map(|(_, r)| r.arrival_ms)
+                        .into_iter()
                         .chain(suspended.iter().map(|s| s.ready_ms))
                         .fold(f64::INFINITY, f64::min);
                     if earliest.is_finite() {
@@ -1993,8 +2012,8 @@ impl ServeEngine {
                     // Report warmth-at-run-start (the prologue snapshot),
                     // not `compile`'s racy mid-run flag: at pool width > 1
                     // that flag records which device won the compile race.
-                    let cache_hit =
-                        warm.contains(&ArtifactCache::key_for(&engine, &request.model, device));
+                    let key = ArtifactCache::key_for(&engine, &request.model, device);
+                    let cache_hit = warm.contains(&key);
                     let artifact = match self.cache.compile_traced(
                         &engine,
                         &request.model,
@@ -2060,7 +2079,14 @@ impl ServeEngine {
                     if enqueued.remove(&seq) {
                         queued -= 1;
                     }
-                    let stream = lower_artifact(&artifact, &request.model, device, &self.config);
+                    let stream = Arc::clone(lowered.entry(key).or_insert_with(|| {
+                        Arc::new(lower_artifact(
+                            &artifact,
+                            &request.model,
+                            device,
+                            &self.config,
+                        ))
+                    }));
                     let total_commands = stream.len();
                     let floor = (request.arrival_ms - epoch).max(0.0);
                     let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
@@ -2929,6 +2955,37 @@ mod tests {
                     assert!(message.contains("empty fleet"), "{message}");
                 }
                 other => panic!("expected an empty-fleet error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected_with_a_typed_error() {
+        // The fields are public, so a caller can bypass the builder's clamp.
+        // A non-finite arrival must come back as a typed error, not as a
+        // worker panic (FIFO) or a panic on the caller thread (the steal
+        // planner's arrival sort).
+        let fifo = ServeEngine::new(
+            vec![DeviceSpec::oneplus_12()],
+            FlashMemConfig::memory_priority(),
+        );
+        let steal = ServeEngine::new(
+            vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_policy(Box::new(PriorityPolicy::with_max_in_flight(2)))
+        .with_overload_control(OverloadControl::disabled().with_steal());
+        let mut reqs = requests(3);
+        for engine in [&fifo, &steal] {
+            for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                reqs[1].arrival_ms = arrival;
+                match engine.run_on(&ThreadPool::with_threads(1), &reqs) {
+                    Err(SimError::InvalidParameter { message }) => {
+                        assert!(message.contains("request 1"), "{message}");
+                        assert!(message.contains("finite"), "{message}");
+                    }
+                    other => panic!("expected a typed arrival error, got {other:?}"),
+                }
             }
         }
     }

@@ -1,0 +1,381 @@
+//! Serving oracle: four scenarios that between them drive every part of the
+//! serve loop must reproduce recorded fingerprints of every request outcome
+//! and device report, give identical reports at pool widths 1 and 4, and
+//! leave every submitted request in exactly one disposition.
+//!
+//! The scenarios are EDF with two requests in flight under tenant SLOs;
+//! preemptive priority with overload control and recovery against a
+//! `FaultPlan`; FIFO in exclusive mode; and continuous-batching decode.
+//!
+//! The constants were recorded with the serve loop that lowered a fresh
+//! command stream for every admitted request and scanned every pending
+//! request at each step. Matching them shows that sharing one lowered
+//! stream per plan and admitting from the arrived prefix moved no simulated
+//! result. A deliberate change to the simulation updates them.
+
+use flashmem::core::cache::Fnv1a;
+use flashmem::gpu_sim::trace::MemoryTrace;
+use flashmem::prelude::*;
+use flashmem::serve::metrics::{DeviceReport, RequestOutcome, ServeReport};
+use flashmem::serve::{
+    BatchConfig, DecodeEngine, DecodeWorkloadSpec, OverloadControl, RecoveryControl,
+};
+
+const EDF_GOLDEN: u64 = 0xd307f7b9a590da07;
+const CHAOS_GOLDEN: u64 = 0xad48d159f234861f;
+const FIFO_GOLDEN: u64 = 0x892b9730405cfccc;
+const DECODE_GOLDEN: u64 = 0xe5ad7a9f90db7e0d;
+
+fn hash_option(h: Fnv1a, value: Option<f64>) -> Fnv1a {
+    match value {
+        Some(v) => h.write_u64(1).write_f64(v),
+        None => h.write_u64(0),
+    }
+}
+
+fn hash_memory_trace(mut h: Fnv1a, trace: &MemoryTrace) -> Fnv1a {
+    h = h.write_u64(trace.len() as u64).write_u64(trace.clamped());
+    for sample in trace.samples() {
+        h = h.write_f64(sample.time_ms).write_u64(sample.bytes);
+    }
+    h
+}
+
+fn hash_outcome(mut h: Fnv1a, o: &RequestOutcome) -> Fnv1a {
+    h = h
+        .write_u64(o.seq as u64)
+        .write_str(&o.model)
+        .write_str(&o.tenant)
+        .write_u64(u64::from(o.priority))
+        .write_str(&o.device)
+        .write_u64(o.device_index as u64)
+        .write_f64(o.arrival_ms)
+        .write_f64(o.start_ms)
+        .write_f64(o.completion_ms)
+        .write_f64(o.queue_wait_ms)
+        .write_f64(o.latency_ms);
+    h = hash_option(h, o.deadline_ms);
+    h = hash_option(h, o.admission_laxity_ms);
+    h = h
+        .write_u64(o.resident_estimate_bytes)
+        .write_u64(o.preemptions as u64)
+        .write_f64(o.suspended_ms)
+        .write_f64(o.resume_penalty_ms)
+        .write_u64(u64::from(o.cache_hit))
+        .write_f64(o.peak_memory_mb);
+    let p = &o.phases;
+    h = h
+        .write_f64(p.queue_ms)
+        .write_f64(p.compile_ms)
+        .write_f64(p.transfer_ms)
+        .write_f64(p.compute_ms)
+        .write_f64(p.suspended_ms)
+        .write_f64(p.stall_ms);
+    h = h
+        .write_str(o.rejected.map_or("-", |cause| cause.label()))
+        .write_u64(o.stolen_from.map_or(u64::MAX, |d| d as u64))
+        .write_str(o.failure.map_or("-", |cause| cause.label()))
+        .write_str(&o.error.as_ref().map_or(String::new(), ToString::to_string))
+        .write_u64(u64::from(o.retries))
+        .write_u64(u64::from(o.failed_over));
+    if let Some(r) = &o.report {
+        h = h
+            .write_str(&r.framework)
+            .write_str(&r.model)
+            .write_f64(r.init_latency_ms)
+            .write_f64(r.exec_latency_ms)
+            .write_f64(r.integrated_latency_ms)
+            .write_f64(r.load_busy_ms)
+            .write_f64(r.transform_busy_ms)
+            .write_f64(r.kernel_busy_ms)
+            .write_f64(r.peak_memory_mb)
+            .write_f64(r.average_memory_mb)
+            .write_f64(r.average_power_w)
+            .write_f64(r.energy_j)
+            .write_f64(r.overlap_fraction)
+            .write_f64(r.streamed_weight_fraction);
+        h = hash_memory_trace(h, &r.memory_trace);
+    }
+    if let Some(d) = &o.decode {
+        h = h
+            .write_u64(u64::from(d.prompt_tokens))
+            .write_u64(u64::from(d.output_tokens))
+            .write_f64(d.ttft_ms)
+            .write_u64(d.itl_ms.len() as u64);
+        for itl in &d.itl_ms {
+            h = h.write_f64(*itl);
+        }
+        h = h.write_u64(d.kv_peak_bytes).write_u64(d.max_batch as u64);
+    }
+    h
+}
+
+fn hash_device(h: Fnv1a, d: &DeviceReport) -> Fnv1a {
+    let h = h
+        .write_str(&d.device)
+        .write_u64(d.requests as u64)
+        .write_u64(d.completed as u64)
+        .write_f64(d.makespan_ms)
+        .write_f64(d.transfer_busy_ms)
+        .write_f64(d.compute_busy_ms)
+        .write_f64(d.transfer_busy_fraction)
+        .write_f64(d.compute_busy_fraction)
+        .write_f64(d.peak_memory_mb)
+        .write_u64(d.queue_depth_high_water as u64);
+    hash_memory_trace(h, &d.memory_trace)
+}
+
+/// FNV-1a over every outcome in submission order, every device report in
+/// fleet order, then the run's preemption, recovery and cache counters.
+fn fingerprint(report: &ServeReport) -> u64 {
+    let mut h = Fnv1a::new().write_u64(report.outcomes.len() as u64);
+    for outcome in &report.outcomes {
+        h = hash_outcome(h, outcome);
+    }
+    h = h.write_u64(report.devices.len() as u64);
+    for device in &report.devices {
+        h = hash_device(h, device);
+    }
+    let r = &report.recovery;
+    h.write_u64(report.preemptions as u64)
+        .write_u64(r.retries as u64)
+        .write_u64(r.failovers as u64)
+        .write_u64(r.quarantines as u64)
+        .write_u64(r.probes as u64)
+        .write_u64(report.cache.hits)
+        .write_u64(report.cache.misses)
+        .finish()
+}
+
+/// Every submitted request, in submission order, is exactly one of
+/// completed, rejected (with a typed cause and no error) or failed (with an
+/// error and a typed cause).
+fn assert_partition(name: &str, report: &ServeReport, submitted: usize) {
+    assert_eq!(
+        report.outcomes.len(),
+        submitted,
+        "{name}: one outcome per request"
+    );
+    let (mut completed, mut rejected, mut failed) = (0, 0, 0);
+    for (seq, o) in report.outcomes.iter().enumerate() {
+        assert_eq!(o.seq, seq, "{name}: outcomes in submission order");
+        assert_eq!(o.failure.is_some(), o.error.is_some(), "{name} #{seq}");
+        match (o.rejected.is_some(), o.error.is_some()) {
+            (false, false) => completed += 1,
+            (true, false) => rejected += 1,
+            (false, true) => failed += 1,
+            (true, true) => panic!("{name} #{seq}: both rejected and failed"),
+        }
+        assert!(
+            (o.phases.total_ms() - o.latency_ms).abs() <= 1e-6 * o.latency_ms.max(1.0),
+            "{name} #{seq}: phases must sum to the latency"
+        );
+    }
+    assert_eq!(report.completed(), completed, "{name}");
+    assert_eq!(report.rejected(), rejected, "{name}");
+    assert_eq!(report.failed(), failed, "{name}");
+    assert_eq!(report.accepted(), completed + failed, "{name}");
+    assert_eq!(report.shed_by_cause().total(), rejected, "{name}");
+    assert_eq!(report.failed_by_cause().total(), failed, "{name}");
+}
+
+/// Run a scenario at pool widths 1 and 4, each on a freshly built engine
+/// (so both start from a cold plan cache), check that the two reports are
+/// identical and partition their requests, and compare the fingerprint with
+/// the recorded one. Returns the width-1 report.
+fn check(
+    name: &str,
+    submitted: usize,
+    golden: u64,
+    run: impl Fn(&ThreadPool) -> ServeReport,
+) -> ServeReport {
+    let serial = run(&ThreadPool::with_threads(1));
+    let wide = run(&ThreadPool::with_threads(4));
+    assert_partition(name, &serial, submitted);
+    assert!(
+        serial.outcomes == wide.outcomes,
+        "{name}: outcomes differ between widths 1 and 4"
+    );
+    assert!(
+        serial.devices == wide.devices,
+        "{name}: device reports differ between widths 1 and 4"
+    );
+    let hash = fingerprint(&serial);
+    assert_eq!(hash, fingerprint(&wide), "{name}");
+    assert_eq!(
+        hash, golden,
+        "{name}: serving fingerprint {hash:#018x} differs from the recorded {golden:#018x}"
+    );
+    serial
+}
+
+fn one_shot_models() -> Vec<flashmem::graph::ModelSpec> {
+    vec![
+        ModelZoo::gptneo_small(),
+        ModelZoo::vit(),
+        ModelZoo::resnet50(),
+    ]
+}
+
+#[test]
+fn edf_with_tenant_slos_matches_its_fingerprint() {
+    const SLO_MS: [f64; 4] = [300.0, 600.0, 1_200.0, 3_000.0];
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 70.0,
+        },
+        requests: 48,
+        tenants: SLO_MS.len(),
+        priority_levels: 2,
+        seed: 11,
+    }
+    .generate(&one_shot_models());
+    let report = check("edf", requests.len(), EDF_GOLDEN, |pool| {
+        SLO_MS
+            .iter()
+            .enumerate()
+            .fold(
+                ServeEngine::new(
+                    vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                    FlashMemConfig::memory_priority(),
+                )
+                .with_policy(Box::new(EdfPolicy::with_max_in_flight(2))),
+                |engine, (tenant, slo)| engine.with_tenant_slo(format!("tenant-{tenant}"), *slo),
+            )
+            .run_on(pool, &requests)
+            .expect("edf run")
+    });
+    // The scenario queues: requests wait, and some miss their SLO.
+    assert_eq!(report.completed(), requests.len());
+    assert!(report.outcomes.iter().any(|o| o.queue_wait_ms > 0.0));
+    assert!(
+        report.slo.missed() > 0 && report.slo.met > 0,
+        "{:?}",
+        report.slo
+    );
+}
+
+#[test]
+fn preemptive_overload_recovery_matches_its_fingerprint() {
+    let fleet = vec![
+        DeviceSpec::oneplus_12(),
+        DeviceSpec::pixel_8(),
+        DeviceSpec::oneplus_12(),
+        DeviceSpec::pixel_8(),
+    ];
+    let mut requests = WorkloadSpec {
+        pattern: ArrivalPattern::FlashCrowd {
+            base_interval_ms: 60.0,
+            crowd_index: 16,
+            crowd_size: 16,
+        },
+        requests: 48,
+        tenants: 4,
+        priority_levels: 3,
+        seed: 23,
+    }
+    .generate(&one_shot_models());
+    // Every eighth deadline is provably unmeetable; the rest are budgets a
+    // device can meet when it is not backed up.
+    for (i, request) in requests.iter_mut().enumerate() {
+        request.deadline_ms = Some(if i % 8 == 7 {
+            1.0
+        } else {
+            1_500.0 + 150.0 * (i % 10) as f64
+        });
+    }
+    let report = check("chaos", requests.len(), CHAOS_GOLDEN, |pool| {
+        ServeEngine::new(fleet.clone(), FlashMemConfig::memory_priority())
+            .with_policy(Box::new(PreemptivePriorityPolicy::with_max_in_flight(2)))
+            .with_overload_control(
+                OverloadControl::disabled()
+                    .with_queue_bound(3)
+                    .with_admission_control()
+                    .with_steal(),
+            )
+            .with_recovery_control(
+                RecoveryControl::disabled()
+                    .with_retry_budget(2)
+                    .with_backoff_ms(25.0)
+                    .with_failover()
+                    .with_quarantine(2, 0.0),
+            )
+            .with_fault_plan(
+                FaultPlan::seeded(0x5EED)
+                    .with_device_loss(0, 900.0)
+                    .with_flaky_device(3, 0.0006)
+                    .with_oom_spikes(1, 0.0004),
+            )
+            .run_on(pool, &requests)
+            .expect("chaos run")
+    });
+    // Every mechanism the scenario names fires at least once.
+    assert!(report.preemptions > 0);
+    assert!(report.stolen() > 0);
+    let shed = report.shed_by_cause();
+    assert!(
+        shed.deadline_unmeetable > 0 && shed.queue_full > 0,
+        "{shed:?}"
+    );
+    assert!(report.recovery.retries > 0 && report.recovery.failovers > 0);
+    assert!(report.recovery.quarantines > 0);
+}
+
+#[test]
+fn exclusive_fifo_matches_its_fingerprint() {
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Bursty {
+            burst_size: 4,
+            gap_ms: 400.0,
+        },
+        requests: 16,
+        tenants: 2,
+        priority_levels: 1,
+        seed: 5,
+    }
+    .generate(&one_shot_models());
+    let report = check("fifo", requests.len(), FIFO_GOLDEN, |pool| {
+        ServeEngine::new(
+            vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+            FlashMemConfig::memory_priority(),
+        )
+        .run_on(pool, &requests)
+        .expect("fifo run")
+    });
+    // Exclusive mode: every request owns its device and reports a full
+    // execution report.
+    assert_eq!(report.completed(), requests.len());
+    assert!(report.outcomes.iter().all(|o| o.report.is_some()));
+}
+
+#[test]
+fn continuous_batching_decode_matches_its_fingerprint() {
+    let requests = DecodeWorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 40.0,
+        },
+        requests: 12,
+        tenants: 2,
+        prompt_tokens: (8, 24),
+        output_tokens: (6, 16),
+        seed: 3,
+    }
+    .generate(&[ModelZoo::gptneo_small()]);
+    let report = check("decode", requests.len(), DECODE_GOLDEN, |pool| {
+        DecodeEngine::new(
+            vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_batching(BatchConfig {
+            max_batch: 4,
+            ..BatchConfig::default()
+        })
+        .run_on(pool, &requests)
+        .expect("decode run")
+    });
+    assert_eq!(report.completed(), requests.len());
+    assert!(report
+        .outcomes
+        .iter()
+        .any(|o| o.decode.as_ref().is_some_and(|d| d.max_batch > 1)));
+}
