@@ -1063,7 +1063,14 @@ impl ServeEngine {
         // chaos layer.
         if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
             drop(engines);
-            return self.run_chaos(pool, requests, per_device, prerejected, &stolen_from);
+            return self.run_chaos(
+                pool,
+                requests,
+                per_device,
+                prerejected,
+                &stolen_from,
+                warm_snapshot,
+            );
         }
 
         let jobs: Vec<DeviceJob<'_>> = engines
@@ -1217,6 +1224,7 @@ impl ServeEngine {
         per_device: Vec<Vec<(usize, &ServeRequest)>>,
         mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>>,
         stolen_from: &HashMap<usize, usize>,
+        mut warm_snapshot: Option<Vec<HashSet<u64>>>,
     ) -> SimResult<ServeReport> {
         let fleet_len = self.fleet.len();
         let mut masters: Vec<TraceRecorder> = (0..fleet_len)
@@ -1274,12 +1282,19 @@ impl ServeEngine {
                     // Warmth is snapshotted sequentially here, per round, so
                     // `cache_hit` stays schedule-independent (re-dispatched
                     // models were compiled in an earlier round and report a
-                    // hit on every width).
-                    let warm: HashSet<u64> = assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect();
+                    // hit on every width). Round 0 takes the run-start
+                    // snapshot when the overload prologue has compiled plans
+                    // since, exactly like the fault-free path.
+                    let warm: HashSet<u64> = match &mut warm_snapshot {
+                        Some(sets) if first_round => std::mem::take(&mut sets[index]),
+                        _ => assigned
+                            .iter()
+                            .map(|(_, request)| {
+                                ArtifactCache::key_for(&engine, &request.model, device)
+                            })
+                            .filter(|&key| self.cache.is_warm(key))
+                            .collect(),
+                    };
                     let stolen: HashMap<usize, usize> = assigned
                         .iter()
                         .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))

@@ -11,7 +11,13 @@
 //! command stream for every admitted request and scanned every pending
 //! request at each step. Matching them shows that sharing one lowered
 //! stream per plan and admitting from the arrived prefix moved no simulated
-//! result. A deliberate change to the simulation updates them.
+//! result. A deliberate change to the simulation updates them:
+//! `CHAOS_GOLDEN` was re-recorded when the recovery pipeline's first round
+//! began reporting `cache_hit` from the run-start warmth snapshot; with
+//! `cache_hit` left out of the hash, the old and new code agree.
+//!
+//! A fifth test pins that a fault-free run is the same run with or without
+//! recovery armed.
 
 use flashmem::core::cache::Fnv1a;
 use flashmem::gpu_sim::trace::MemoryTrace;
@@ -22,7 +28,7 @@ use flashmem::serve::{
 };
 
 const EDF_GOLDEN: u64 = 0xd307f7b9a590da07;
-const CHAOS_GOLDEN: u64 = 0xad48d159f234861f;
+const CHAOS_GOLDEN: u64 = 0x9bf3a998ad9a6392;
 const FIFO_GOLDEN: u64 = 0x892b9730405cfccc;
 const DECODE_GOLDEN: u64 = 0xe5ad7a9f90db7e0d;
 
@@ -255,8 +261,8 @@ fn edf_with_tenant_slos_matches_its_fingerprint() {
     );
 }
 
-#[test]
-fn preemptive_overload_recovery_matches_its_fingerprint() {
+/// The flash crowd of the preemptive scenario on its four-phone fleet.
+fn flash_crowd() -> (Vec<DeviceSpec>, Vec<ServeRequest>) {
     let fleet = vec![
         DeviceSpec::oneplus_12(),
         DeviceSpec::pixel_8(),
@@ -284,22 +290,38 @@ fn preemptive_overload_recovery_matches_its_fingerprint() {
             1_500.0 + 150.0 * (i % 10) as f64
         });
     }
+    (fleet, requests)
+}
+
+/// Preemptive priority with bounded queues, admission control and steal:
+/// the overload prologue predicts service times, so it compiles every plan
+/// before any device runs.
+fn preemptive_overload_engine(fleet: &[DeviceSpec]) -> ServeEngine {
+    ServeEngine::new(fleet.to_vec(), FlashMemConfig::memory_priority())
+        .with_policy(Box::new(PreemptivePriorityPolicy::with_max_in_flight(2)))
+        .with_overload_control(
+            OverloadControl::disabled()
+                .with_queue_bound(3)
+                .with_admission_control()
+                .with_steal(),
+        )
+}
+
+/// Retry, backoff, failover and a quarantine breaker.
+fn recovery_kit() -> RecoveryControl {
+    RecoveryControl::disabled()
+        .with_retry_budget(2)
+        .with_backoff_ms(25.0)
+        .with_failover()
+        .with_quarantine(2, 0.0)
+}
+
+#[test]
+fn preemptive_overload_recovery_matches_its_fingerprint() {
+    let (fleet, requests) = flash_crowd();
     let report = check("chaos", requests.len(), CHAOS_GOLDEN, |pool| {
-        ServeEngine::new(fleet.clone(), FlashMemConfig::memory_priority())
-            .with_policy(Box::new(PreemptivePriorityPolicy::with_max_in_flight(2)))
-            .with_overload_control(
-                OverloadControl::disabled()
-                    .with_queue_bound(3)
-                    .with_admission_control()
-                    .with_steal(),
-            )
-            .with_recovery_control(
-                RecoveryControl::disabled()
-                    .with_retry_budget(2)
-                    .with_backoff_ms(25.0)
-                    .with_failover()
-                    .with_quarantine(2, 0.0),
-            )
+        preemptive_overload_engine(&fleet)
+            .with_recovery_control(recovery_kit())
             .with_fault_plan(
                 FaultPlan::seeded(0x5EED)
                     .with_device_loss(0, 900.0)
@@ -319,6 +341,42 @@ fn preemptive_overload_recovery_matches_its_fingerprint() {
     );
     assert!(report.recovery.retries > 0 && report.recovery.failovers > 0);
     assert!(report.recovery.quarantines > 0);
+}
+
+#[test]
+fn arming_recovery_without_faults_changes_nothing() {
+    // With an empty fault plan nothing can fail, so recovery has nothing to
+    // decide: a run with the recovery kit armed must equal the same run
+    // without it, outcome for outcome, including `cache_hit` (warm when the
+    // run began, before the overload prologue compiled anything) and every
+    // trace event. Each run starts from a cold plan cache.
+    let (fleet, requests) = flash_crowd();
+    let run = |pool: &ThreadPool, recovery: RecoveryControl| {
+        preemptive_overload_engine(&fleet)
+            .with_recovery_control(recovery)
+            .with_trace(TraceConfig::enabled())
+            .run_on(pool, &requests)
+            .expect("fault-free run")
+    };
+    for threads in [1, 4] {
+        let pool = ThreadPool::with_threads(threads);
+        let plain = run(&pool, RecoveryControl::disabled());
+        let armed = run(&pool, recovery_kit());
+        assert!(
+            plain.outcomes == armed.outcomes,
+            "width {threads}: arming recovery changed the outcomes"
+        );
+        assert!(
+            plain.devices == armed.devices,
+            "width {threads}: arming recovery changed the device reports"
+        );
+        assert!(
+            plain.trace == armed.trace,
+            "width {threads}: arming recovery changed the trace"
+        );
+        assert_eq!(plain.recovery, armed.recovery, "width {threads}");
+        assert!(plain.outcomes.iter().any(|o| !o.cache_hit));
+    }
 }
 
 #[test]
