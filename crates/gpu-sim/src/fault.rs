@@ -119,8 +119,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing at all — harnesses skip their
-    /// chaos path entirely, keeping fault-free runs byte-identical to a
+    /// True when the plan injects nothing at all — harnesses skip every
+    /// per-command fault draw, keeping fault-free runs byte-identical to a
     /// plan-less build.
     pub fn is_empty(&self) -> bool {
         self.device_loss.is_empty()

@@ -37,12 +37,15 @@
 //! ## Determinism
 //!
 //! Placement is decided in the sequential prologue (round-robin over
-//! arrival order); after that each device's step loop is a pure function of
-//! its assigned request list, stepped single-threaded inside one pool job.
-//! Outcomes merge sorted by submission `seq` and trace buffers merge in
-//! fleet order — the same commit-point discipline as
-//! [`ServeEngine::run_on`](crate::ServeEngine::run_on) — so the report is
-//! byte-identical at every pool width.
+//! arrival order). The rest is the fleet runner
+//! [`ServeEngine`](crate::ServeEngine) runs on: each device's step loop is
+//! a pure function of its assigned request list, stepped single-threaded
+//! inside one pool job; outcomes merge sorted by submission `seq` and trace
+//! buffers merge in fleet order, so the report is byte-identical at every
+//! pool width. A fault-free run is one round. Under a [`FaultPlan`] the
+//! runner's sequential planner retries, fails over and quarantines exactly
+//! as for one-shot serving; a re-dispatched generative request re-prefills
+//! from the tokens it had emitted.
 //!
 //! ## Cost memoization
 //!
@@ -55,30 +58,29 @@
 //! the token without re-stepping the stream. Prefill costs are memoized per
 //! model the same way.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use flashmem_core::cache::ArtifactCache;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{
-    FleetTrace, PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder,
-};
+use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::decode::replay_stream;
-use flashmem_gpu_sim::engine::{CommandStream, GpuSimulator, SimConfig};
+use flashmem_gpu_sim::engine::CommandStream;
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::memory::MemoryTracker;
-use flashmem_gpu_sim::{DecodeSession, DecodeStepPlan, DeviceSpec, SimError, StepCost};
-
-use crate::metrics::{
-    DecodeOutcome, DeviceReport, LatencySummary, PriorityLatency, RecoveryTallies, RequestOutcome,
-    ServeReport, SloSummary, TokenMetrics,
+use flashmem_gpu_sim::{
+    DecodeSession, DecodeStepPlan, DeviceSpec, FaultKind, FaultPlan, SimError, StepCost,
 };
+
+use crate::fleet::{
+    Carry, DeviceJob, DeviceLoop, DeviceRun, Fleet, NextAttempt, Orphan, Redispatch,
+};
+use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
-use crate::request::{check_arrivals, FailureCause, ServeRequest};
+use crate::request::{DecodeParams, FailureCause, ServeRequest};
 use crate::server::lower_artifact;
-use flashmem_gpu_sim::{FaultKind, FaultPlan};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -238,96 +240,13 @@ impl ActiveDecode {
     }
 }
 
-/// One device timeline's unit of parallel work, assembled by the sequential
-/// placement prologue.
-struct DecodeJob<'a> {
-    index: usize,
-    device: &'a DeviceSpec,
-    engine: FlashMem,
-    sim: GpuSimulator,
-    /// `(seq, request)` pairs placed here, sorted by `(arrival, seq)`.
-    assigned: Vec<(usize, &'a ServeRequest)>,
-    /// Plan-cache keys warm when the run began (prologue snapshot, so
-    /// `cache_hit` is identical at every pool width).
-    warm: HashSet<u64>,
-}
-
-/// Attempt state a re-dispatched decode request carries between rounds.
-#[derive(Debug, Clone)]
-struct DecodeCarry {
-    /// The submission's true arrival (the per-round request clone's
-    /// `arrival_ms` is the re-dispatch ready floor, not the arrival).
-    original_arrival_ms: f64,
-    /// Tokens emitted by earlier attempts: the re-prefill resume position.
-    resumed_tokens: u32,
-    /// Same-fault retry redispatches consumed.
-    retries: u32,
-    /// Device-loss failover hops consumed.
-    hops: u32,
-    /// Whether any earlier attempt ran on a different device.
-    failed_over: bool,
-}
-
-impl DecodeCarry {
-    fn fresh(request: &ServeRequest) -> Self {
-        DecodeCarry {
-            original_arrival_ms: request.arrival_ms,
-            resumed_tokens: 0,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
-        }
-    }
-}
-
-/// Per-round chaos state handed to `run_device` alongside its job.
-struct DecodeChaosJob {
-    carry: HashMap<usize, DecodeCarry>,
-}
-
-impl DecodeChaosJob {
-    /// Stamp a freshly admitted entry with its carried attempt state.
-    fn apply(&self, seq: usize, entry: &mut ActiveDecode) {
-        if let Some(carry) = self.carry.get(&seq) {
-            entry.arrival_ms = carry.original_arrival_ms;
-            entry.resumed_tokens = carry.resumed_tokens;
-            entry.retries = carry.retries;
-            entry.hops = carry.hops;
-            entry.failed_over = carry.failed_over;
-        }
-    }
-}
-
-/// A request attempt an injected fault killed, surfaced to the sequential
-/// re-dispatch planner. Carries the fully built typed-failed outcome so the
-/// planner can commit it unchanged when no recovery budget remains.
-struct DecodeOrphan {
-    outcome: RequestOutcome,
-    /// Cumulative tokens emitted across all attempts (the resume position).
-    emitted: u32,
-    retries: u32,
-    hops: u32,
-    kind: FaultKind,
-}
-
-/// Everything one device's round produces.
-struct DecodeRun {
-    outcomes: Vec<RequestOutcome>,
-    report: DeviceReport,
-    trace: TraceRecorder,
-    orphans: Vec<DecodeOrphan>,
-    /// The device was lost (injected device-loss) during this round.
-    lost: bool,
-}
-
 /// Route a finished (or fault-killed) entry: injected faults become orphans
-/// for the planner; everything else commits its outcome row here.
-#[allow(clippy::too_many_arguments)]
+/// for the recovery planner, carrying the request's cumulative emitted
+/// tokens; everything else commits its outcome row here.
 fn push_entry(
     entry: ActiveDecode,
     outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<DecodeOrphan>,
-    chaos: bool,
+    orphans: &mut Vec<Orphan<u32>>,
     device: &DeviceSpec,
     device_index: usize,
     completion_ms: f64,
@@ -342,25 +261,14 @@ fn push_entry(
     let hops = entry.hops;
     let outcome = entry.into_outcome(&device.name, device_index, completion_ms, peak_memory_mb);
     match fault {
-        Some(kind) if chaos => orphans.push(DecodeOrphan {
+        Some(kind) => orphans.push(Orphan {
             outcome,
-            emitted,
+            kind,
             retries,
             hops,
-            kind,
+            resume: emitted,
         }),
-        _ => outcomes.push(outcome),
-    }
-}
-
-/// Render a caught panic payload for [`SimError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
+        None => outcomes.push(outcome),
     }
 }
 
@@ -372,13 +280,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// is an [`SimError::InvalidParameter`] — serve those through
 /// [`ServeEngine`](crate::ServeEngine).
 pub struct DecodeEngine {
-    fleet: Vec<DeviceSpec>,
-    config: FlashMemConfig,
+    fleet: Fleet,
     batch: BatchConfig,
-    cache: Arc<ArtifactCache>,
-    trace: TraceConfig,
-    fault_plan: FaultPlan,
-    recovery: RecoveryControl,
 }
 
 impl DecodeEngine {
@@ -386,35 +289,30 @@ impl DecodeEngine {
     /// [`BatchConfig`] knobs.
     pub fn new(fleet: Vec<DeviceSpec>, config: FlashMemConfig) -> Self {
         DecodeEngine {
-            fleet,
-            config,
+            fleet: Fleet::new(fleet, config),
             batch: BatchConfig::default(),
-            cache: Arc::new(ArtifactCache::new()),
-            trace: TraceConfig::disabled(),
-            fault_plan: FaultPlan::default(),
-            recovery: RecoveryControl::disabled(),
         }
     }
 
     /// Arm a deterministic [`FaultPlan`] (builder style). Empty by default;
-    /// with an empty plan and recovery disabled the engine takes the exact
-    /// legacy single-round path, byte for byte.
+    /// with an empty plan nothing can fault, so the run is a single round
+    /// and the step loops skip every per-command fault draw.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+        self.fleet.fault_plan = plan;
         self
     }
 
-    /// Configure failure recovery (builder style). The decode path supports
-    /// retry budgets, simulated-time backoff and device-loss failover; a
-    /// redispatched request **re-prefills from its token position** (tokens
-    /// already streamed to the client are not re-generated: the retry's
-    /// prompt absorbs them, preserving the `prompt + output − 1` context
-    /// invariant). Quarantine/probe knobs are ignored here — the decode
-    /// placement has no policy hook to confine, so the circuit breaker lives
-    /// only in [`ServeEngine`](crate::ServeEngine). A retried request's
-    /// [`DecodeOutcome`] reports the *final* attempt's token telemetry.
+    /// Configure failure recovery (builder style): the same retry budgets,
+    /// simulated-time backoff, device-loss failover and quarantine circuit
+    /// breaker with probes as [`ServeEngine`](crate::ServeEngine), planned
+    /// by the same sequential planner. A redispatched request
+    /// **re-prefills from its token position** (tokens already streamed to
+    /// the client are not re-generated: the retry's prompt absorbs them,
+    /// preserving the `prompt + output − 1` context invariant). A retried
+    /// request's [`DecodeOutcome`] reports the *final* attempt's token
+    /// telemetry.
     pub fn with_recovery_control(mut self, recovery: RecoveryControl) -> Self {
-        self.recovery = recovery;
+        self.fleet.recovery = recovery;
         self
     }
 
@@ -432,7 +330,7 @@ impl DecodeEngine {
 
     /// Share an existing plan cache instead of a private one.
     pub fn with_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
-        self.cache = cache;
+        self.fleet.cache = cache;
         self
     }
 
@@ -442,18 +340,18 @@ impl DecodeEngine {
     /// request's lane, plus [`TraceKind::DecodeStep`] spans on the compute
     /// lane.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
+        self.fleet.trace = trace;
         self
     }
 
     /// The fleet being served.
     pub fn fleet(&self) -> &[DeviceSpec] {
-        &self.fleet
+        &self.fleet.devices
     }
 
     /// The shared plan cache.
     pub fn cache(&self) -> &ArtifactCache {
-        &self.cache
+        &self.fleet.cache
     }
 
     /// The active batching knobs.
@@ -478,20 +376,13 @@ impl DecodeEngine {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
-    /// non-finite `arrival_ms`, a request without decode token counts, a
-    /// model without a decode spec, or a request whose maximum context
-    /// exceeds its model's context window.
+    /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a request
+    /// without decode token counts, a model without a decode spec, or a
+    /// request whose maximum context exceeds its model's context window.
     /// Worker panics surface as [`SimError::WorkerPanic`]; per-request
     /// failures (out-of-memory) are recorded in the outcomes instead.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        if fleet_len == 0 {
-            return Err(SimError::InvalidParameter {
-                message: "cannot serve on an empty fleet: DecodeEngine needs at least one device"
-                    .to_string(),
-            });
-        }
-        check_arrivals(requests)?;
+        self.fleet.check("DecodeEngine", requests)?;
 
         // ---- validation + placement: the sequential prologue ----
         for request in requests {
@@ -525,9 +416,10 @@ impl DecodeEngine {
             }
         }
 
-        // Round-robin placement over (arrival, seq) order: the decode path
-        // has no policy hook yet, and round-robin keeps per-device batches
-        // balanced, which is what batching throughput wants.
+        // Round-robin placement over (arrival, seq) order: round-robin keeps
+        // per-device batches balanced, which is what batching throughput
+        // wants.
+        let fleet_len = self.fleet.devices.len();
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by(|&a, &b| {
             requests[a]
@@ -539,362 +431,75 @@ impl DecodeEngine {
         for (i, &seq) in order.iter().enumerate() {
             per_device[i % fleet_len].push((seq, &requests[seq]));
         }
-
-        if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
-            return self.run_chaos(pool, requests, per_device);
-        }
-
-        let jobs: Vec<DecodeJob<'_>> = self
-            .fleet
-            .iter()
-            .enumerate()
-            .map(|(index, device)| {
-                let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                let assigned = std::mem::take(&mut per_device[index]);
-                let warm: HashSet<u64> = assigned
-                    .iter()
-                    .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                    .filter(|&key| self.cache.is_warm(key))
-                    .collect();
-                DecodeJob {
-                    index,
-                    device,
-                    engine,
-                    sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                    assigned,
-                    warm,
-                }
-            })
-            .collect();
-
-        // ---- parallel device stepping ----
-        let device_results = pool.try_parallel_map(jobs, |job| {
-            catch_unwind(AssertUnwindSafe(|| self.run_device(job, None))).unwrap_or_else(
-                |payload| {
-                    Err(SimError::WorkerPanic {
-                        message: panic_message(payload),
-                    })
-                },
-            )
-        })?;
-
-        // ---- ordered merge: the commit point ----
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices = Vec::with_capacity(fleet_len);
-        let mut recorders = Vec::with_capacity(fleet_len);
-        for run in device_results {
-            let DecodeRun {
-                outcomes: mut device_outcomes,
-                report,
-                trace,
-                ..
-            } = run;
-            outcomes.append(&mut device_outcomes);
-            devices.push(report);
-            recorders.push(trace);
-        }
-        outcomes.sort_by_key(|o| o.seq);
-        Ok(self.assemble_report(outcomes, devices, recorders, RecoveryTallies::default()))
+        let warm = self.fleet.warm_keys(requests);
+        self.fleet
+            .run(self, pool, requests, per_device, vec![(); fleet_len], warm)
     }
+}
 
-    /// The multi-round chaos driver: round 0 is the normal placement; every
-    /// later round re-dispatches the previous round's fault orphans (retry
-    /// with backoff on the same device, or failover onto a surviving one,
-    /// re-prefilling from the orphan's token position). All re-dispatch
-    /// decisions are taken here, sequentially, between rounds — the same
-    /// commit-point discipline as placement — so the report stays
-    /// byte-identical at every pool width.
-    fn run_chaos(
-        &self,
-        pool: &ThreadPool,
-        requests: &[ServeRequest],
-        per_device: Vec<Vec<(usize, &ServeRequest)>>,
-    ) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices: Vec<Option<DeviceReport>> = vec![None; fleet_len];
-        let mut masters: Vec<TraceRecorder> = (0..fleet_len)
-            .map(|_| TraceRecorder::new(self.trace))
-            .collect();
-        let mut tallies = RecoveryTallies::default();
-        let mut alive: Vec<bool> = vec![true; fleet_len];
-        let mut cum_makespan: Vec<f64> = vec![0.0; fleet_len];
+impl DeviceLoop for DecodeEngine {
+    type Prologue = ();
+    /// Tokens the killed attempt's request had emitted over all attempts.
+    type Resume = u32;
+    type Seed = Infallible;
 
-        // Owned per-round work units (re-dispatched attempts carry adjusted
-        // decode params and an arrival floor).
-        let mut work: Vec<Vec<(usize, ServeRequest, DecodeCarry)>> = per_device
-            .into_iter()
-            .map(|assigned| {
-                assigned
-                    .into_iter()
-                    .map(|(seq, request)| (seq, request.clone(), DecodeCarry::fresh(request)))
-                    .collect()
-            })
-            .collect();
-        let mut first_round = true;
-
-        while first_round || work.iter().any(|w| !w.is_empty()) {
-            // Round 0 runs every device (so the fleet report covers idle
-            // devices exactly like the legacy path); later rounds only the
-            // devices with re-dispatched work.
-            let included: Vec<usize> = (0..fleet_len)
-                .filter(|&d| first_round || !work[d].is_empty())
-                .collect();
-            let round_work = std::mem::replace(&mut work, vec![Vec::new(); fleet_len]);
-            let jobs: Vec<(DecodeJob<'_>, DecodeChaosJob)> = included
-                .iter()
-                .map(|&index| {
-                    let device = &self.fleet[index];
-                    let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                    let assigned: Vec<(usize, &ServeRequest)> = round_work[index]
-                        .iter()
-                        .map(|(seq, request, _)| (*seq, request))
-                        .collect();
-                    let warm: HashSet<u64> = assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect();
-                    let carry: HashMap<usize, DecodeCarry> = round_work[index]
-                        .iter()
-                        .map(|(seq, _, carry)| (*seq, carry.clone()))
-                        .collect();
-                    (
-                        DecodeJob {
-                            index,
-                            device,
-                            engine,
-                            sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                            assigned,
-                            warm,
-                        },
-                        DecodeChaosJob { carry },
-                    )
-                })
-                .collect();
-
-            let device_results = pool.try_parallel_map(jobs, |(job, chaos)| {
-                catch_unwind(AssertUnwindSafe(|| self.run_device(job, Some(&chaos))))
-                    .unwrap_or_else(|payload| {
-                        Err(SimError::WorkerPanic {
-                            message: panic_message(payload),
-                        })
-                    })
-            })?;
-
-            // ---- ordered merge + sequential re-dispatch planning ----
-            let mut orphans: Vec<DecodeOrphan> = Vec::new();
-            for (&index, run) in included.iter().zip(device_results) {
-                let DecodeRun {
-                    outcomes: mut device_outcomes,
-                    report,
-                    trace,
-                    orphans: mut device_orphans,
-                    lost,
-                } = run;
-                outcomes.append(&mut device_outcomes);
-                cum_makespan[index] = cum_makespan[index].max(report.makespan_ms);
-                match &mut devices[index] {
-                    Some(existing) => existing.absorb_round(report),
-                    slot => *slot = Some(report),
-                }
-                masters[index].absorb(trace);
-                if lost {
-                    // A lost device is permanently out of rotation; when
-                    // recovery is armed, count it as a quarantine decision
-                    // like the serve engine does.
-                    if alive[index] && self.recovery.any_enabled() {
-                        tallies.quarantines += 1;
-                    }
-                    alive[index] = false;
-                }
-                orphans.append(&mut device_orphans);
-            }
-            orphans.sort_by_key(|o| o.outcome.seq);
-
-            for orphan in orphans {
-                let seq = orphan.outcome.seq;
-                let from = orphan.outcome.device_index;
-                let failed_at = orphan.outcome.completion_ms;
-                let can_retry = orphan.kind != FaultKind::DeviceLoss
-                    && orphan.retries < self.recovery.retry_budget;
-                let healthiest =
-                    (0..fleet_len)
-                        .filter(|&d| alive[d] && d != from)
-                        .min_by(|&a, &b| {
-                            cum_makespan[a]
-                                .partial_cmp(&cum_makespan[b])
-                                .expect("makespans are finite")
-                                .then(a.cmp(&b))
-                        });
-                let (dest, carry) = if can_retry {
-                    // Same-device retry (unless the device died under it).
-                    let dest = if alive[from] { Some(from) } else { healthiest };
-                    (
-                        dest,
-                        DecodeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            resumed_tokens: orphan.emitted,
-                            retries: orphan.retries + 1,
-                            hops: orphan.hops,
-                            failed_over: orphan.outcome.failed_over
-                                || dest.is_some_and(|d| d != from),
-                        },
-                    )
-                } else if self.recovery.failover && orphan.hops < fleet_len as u32 {
-                    (
-                        healthiest,
-                        DecodeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            resumed_tokens: orphan.emitted,
-                            retries: orphan.retries,
-                            hops: orphan.hops + 1,
-                            failed_over: true,
-                        },
-                    )
-                } else {
-                    (None, DecodeCarry::fresh(&requests[seq]))
-                };
-                let Some(dest) = dest else {
-                    // No budget left or no surviving device: the typed-failed
-                    // outcome the device already built is final.
-                    outcomes.push(orphan.outcome);
-                    continue;
-                };
-                let attempts = carry.retries + carry.hops;
-                let ready = (failed_at + self.recovery.backoff_ms * f64::from(attempts))
-                    .max(cum_makespan[dest]);
-                let mut request = requests[seq].clone();
-                let params = request.decode.expect("validated in the prologue");
-                request.decode = Some(crate::request::DecodeParams {
-                    prompt_tokens: params.prompt_tokens + carry.resumed_tokens,
-                    output_tokens: params.output_tokens - carry.resumed_tokens,
-                });
-                request.arrival_ms = ready;
-                if masters[dest].enabled() {
-                    let (kind, verb) = if can_retry {
-                        (TraceKind::Retry, "retry")
-                    } else {
-                        (TraceKind::Failover, "failover")
-                    };
-                    masters[dest].instant(
-                        kind,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "{verb} {} attempt {} from device #{from}",
-                            request.model.abbr,
-                            attempts + 1
-                        ),
-                        ready,
-                    );
-                }
-                if can_retry {
-                    tallies.retries += 1;
-                } else {
-                    tallies.failovers += 1;
-                }
-                work[dest].push((seq, request, carry));
-            }
-            first_round = false;
-        }
-
-        outcomes.sort_by_key(|o| o.seq);
-        let devices: Vec<DeviceReport> = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| {
-                report.unwrap_or_else(|| DeviceReport::empty(&self.fleet[index].name))
-            })
-            .collect();
-        let report = self.assemble_report(outcomes, devices, masters, tallies);
-        report.assert_disposition();
-        Ok(report)
-    }
-
-    /// Assemble the final [`ServeReport`] from merged outcomes, per-device
-    /// reports and trace recorders — shared by the legacy and chaos paths.
-    fn assemble_report(
-        &self,
-        outcomes: Vec<RequestOutcome>,
-        devices: Vec<DeviceReport>,
-        recorders: Vec<TraceRecorder>,
-        recovery: RecoveryTallies,
-    ) -> ServeReport {
-        let trace = if self.trace.enabled {
-            Some(FleetTrace {
-                processes: self
-                    .fleet
-                    .iter()
-                    .zip(recorders)
-                    .enumerate()
-                    .map(|(index, (device, recorder))| {
-                        recorder.into_process_trace(&format!("{} #{index}", device.name))
-                    })
-                    .collect(),
-            })
+    fn policy_name(&self) -> String {
+        if self.batch.max_batch == 1 {
+            "decode-one-shot".to_string()
         } else {
-            None
-        };
-
-        let latencies: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.succeeded())
-            .map(|o| o.latency_ms)
-            .collect();
-        let makespan = devices
-            .iter()
-            .map(|d| d.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let throughput_rps = if makespan > 0.0 {
-            latencies.len() as f64 * 1000.0 / makespan
-        } else {
-            0.0
-        };
-        let tokens = TokenMetrics::from_outcomes(&outcomes, makespan);
-        let latency = LatencySummary::from_latencies(&latencies);
-        let per_priority = PriorityLatency::from_outcomes(&outcomes);
-        let slo = SloSummary::from_outcomes(&outcomes);
-        ServeReport {
-            policy: if self.batch.max_batch == 1 {
-                "decode-one-shot".to_string()
-            } else {
-                format!("decode-continuous(b={})", self.batch.max_batch)
-            },
-            outcomes,
-            devices,
-            latency,
-            per_priority,
-            slo,
-            preemptions: 0,
-            throughput_rps,
-            ttft: tokens.ttft,
-            itl: tokens.itl,
-            decode_tokens: tokens.decode_tokens,
-            tokens_per_s: tokens.tokens_per_s,
-            cache: self.cache.stats(),
-            recovery,
-            trace,
+            format!("decode-continuous(b={})", self.batch.max_batch)
         }
     }
 
-    /// Run one device's step loop to completion. Single-threaded per device;
-    /// a pure function of the assigned request list (plus the per-round
-    /// chaos state), so the result is identical at every pool width.
+    fn allowed_devices(&self, _tenant: &str) -> Option<Vec<usize>> {
+        None
+    }
+
+    /// Run one device's step loop to completion for one round.
+    /// Single-threaded per device; a pure function of the assigned request
+    /// list and the carried attempt state, so the result is identical at
+    /// every pool width.
     #[allow(clippy::too_many_lines)]
-    fn run_device(
-        &self,
-        job: DecodeJob<'_>,
-        chaos: Option<&DecodeChaosJob>,
-    ) -> SimResult<DecodeRun> {
-        let DecodeJob {
+    fn run_device(&self, job: DeviceJob<'_, Self>) -> SimResult<DeviceRun<u32>> {
+        let DeviceJob {
             index: device_index,
             device,
             engine,
             sim,
             assigned,
             warm,
+            carry,
+            ..
         } = job;
-        let mut trace = TraceRecorder::new(self.trace);
+        // A fresh entry for an admitted request, stamped with its carried
+        // attempt state (the session is replaced once the model's KV stride
+        // is known).
+        let admit = |seq: usize, request: &ServeRequest, start_ms: f64| -> ActiveDecode {
+            let params = request.decode.expect("validated in the prologue");
+            let carry = carry.get(&seq);
+            ActiveDecode {
+                seq,
+                abbr: request.model.abbr.clone(),
+                tenant: request.tenant.clone(),
+                priority: request.priority,
+                arrival_ms: carry.map_or(request.arrival_ms, |c| c.original_arrival_ms),
+                deadline_ms: request.deadline_ms,
+                start_ms,
+                cache_hit: warm.contains(&ArtifactCache::key_for(&engine, &request.model, device)),
+                session: DecodeSession::new(params.prompt_tokens, params.output_tokens, 0),
+                max_batch_seen: 1,
+                transfer_intervals: Vec::new(),
+                compute_intervals: Vec::new(),
+                error: None,
+                resumed_tokens: carry.map_or(0, |c| c.resumed_tokens),
+                retries: carry.map_or(0, |c| c.retries),
+                hops: carry.map_or(0, |c| c.hops),
+                failed_over: carry.is_some_and(|c| c.failed_over),
+            }
+        };
+        let faults_armed = !self.fleet.fault_plan.is_empty();
+        let mut faults = 0_u32;
+        let mut trace = TraceRecorder::new(self.fleet.trace);
         let mut tracker = MemoryTracker::for_device(device);
         let mut waiting = assigned;
         waiting.sort_by(|a, b| {
@@ -910,12 +515,8 @@ impl DecodeEngine {
 
         let mut active: Vec<ActiveDecode> = Vec::new();
         let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut orphans: Vec<DecodeOrphan> = Vec::new();
-        let lost_at = if chaos.is_some() {
-            self.fault_plan.device_loss_ms(device_index)
-        } else {
-            None
-        };
+        let mut orphans: Vec<Orphan<u32>> = Vec::new();
+        let lost_at = self.fleet.fault_plan.device_loss_ms(device_index);
         let mut lost = false;
         let mut widx = 0usize;
         let mut now = 0.0_f64;
@@ -957,7 +558,6 @@ impl DecodeEngine {
                             entry,
                             &mut outcomes,
                             &mut orphans,
-                            true,
                             device,
                             device_index,
                             now,
@@ -968,10 +568,7 @@ impl DecodeEngine {
                         let (seq, request) = waiting[widx];
                         widx += 1;
                         let at = now.max(request.arrival_ms);
-                        let mut entry = self.admit_entry(seq, request, &warm, &engine, device, at);
-                        if let Some(cj) = chaos {
-                            cj.apply(seq, &mut entry);
-                        }
+                        let mut entry = admit(seq, request, at);
                         entry.error = Some(SimError::Fault {
                             kind: FaultKind::DeviceLoss,
                             at_ms: at,
@@ -981,7 +578,6 @@ impl DecodeEngine {
                             entry,
                             &mut outcomes,
                             &mut orphans,
-                            true,
                             device,
                             device_index,
                             at,
@@ -1031,10 +627,7 @@ impl DecodeEngine {
                     widx += 1;
                     let abbr = request.model.abbr.clone();
                     if let Err(error) = self.ensure_plans(&mut plans, &engine, request, device) {
-                        let mut entry = self.admit_entry(seq, request, &warm, &engine, device, now);
-                        if let Some(cj) = chaos {
-                            cj.apply(seq, &mut entry);
-                        }
+                        let mut entry = admit(seq, request, now);
                         entry.error = Some(error);
                         outcomes.push(entry.into_outcome(
                             &device.name,
@@ -1062,11 +655,7 @@ impl DecodeEngine {
                                     cost
                                 }
                                 Err(error) => {
-                                    let mut entry =
-                                        self.admit_entry(seq, request, &warm, &engine, device, now);
-                                    if let Some(cj) = chaos {
-                                        cj.apply(seq, &mut entry);
-                                    }
+                                    let mut entry = admit(seq, request, now);
                                     entry.error = Some(error);
                                     outcomes.push(entry.into_outcome(
                                         &device.name,
@@ -1083,23 +672,23 @@ impl DecodeEngine {
                     let end = start + cost.makespan_ms;
                     transfer_busy += cost.transfer_busy_ms;
                     compute_busy += cost.compute_busy_ms;
-                    let mut entry = self.admit_entry(seq, request, &warm, &engine, device, start);
+                    let mut entry = admit(seq, request, start);
                     entry.session = DecodeSession::new(
                         params.prompt_tokens,
                         params.output_tokens,
                         model_plans.kv_bytes_per_token,
                     );
-                    if let Some(cj) = chaos {
-                        cj.apply(seq, &mut entry);
+                    if faults_armed {
                         // The prefill pass itself may take an injected fault,
                         // keyed by the resume position so a retry redraws.
                         let attempt = entry.retries + entry.hops;
-                        if let Some(kind) = self.fault_plan.command_fault(
+                        if let Some(kind) = self.fleet.fault_plan.command_fault(
                             device_index,
                             seq,
                             entry.resumed_tokens as usize,
                             attempt,
                         ) {
+                            faults += 1;
                             entry.error = Some(SimError::Fault { kind, at_ms: end });
                             if trace.enabled() {
                                 trace.instant(
@@ -1160,7 +749,6 @@ impl DecodeEngine {
                 &mut active,
                 &mut outcomes,
                 &mut orphans,
-                chaos.is_some(),
                 &mut tracker,
                 &mut trace,
                 device,
@@ -1220,19 +808,20 @@ impl DecodeEngine {
                 let share = 1.0 / batch_size as f64;
                 for &i in &members {
                     let entry = &mut active[i];
-                    if chaos.is_some() {
+                    if faults_armed {
                         // The step's kernel may take an injected fault for
                         // this sequence, keyed by its global token position
                         // so firing is schedule- and batch-independent.
                         let attempt = entry.retries + entry.hops;
                         let position =
                             (entry.resumed_tokens + entry.session.emitted_tokens()) as usize;
-                        if let Some(kind) = self.fault_plan.command_fault(
+                        if let Some(kind) = self.fleet.fault_plan.command_fault(
                             device_index,
                             entry.seq,
                             position,
                             attempt,
                         ) {
+                            faults += 1;
                             entry.error = Some(SimError::Fault { kind, at_ms: end });
                             if trace.enabled() {
                                 trace.instant(
@@ -1265,7 +854,6 @@ impl DecodeEngine {
                 &mut active,
                 &mut outcomes,
                 &mut orphans,
-                chaos.is_some(),
                 &mut tracker,
                 &mut trace,
                 device,
@@ -1297,15 +885,42 @@ impl DecodeEngine {
             queue_depth_high_water: high_water,
             memory_trace: tracker.trace().clone(),
         };
-        Ok(DecodeRun {
+        Ok(DeviceRun {
             outcomes,
             report,
             trace,
             orphans,
             lost,
+            faults,
         })
     }
 
+    /// Re-prefill from the emitted-token position: the new attempt's prompt
+    /// absorbs the tokens already streamed, and it generates the rest.
+    fn redispatch(
+        &self,
+        request: &ServeRequest,
+        plan: &Redispatch,
+        emitted: u32,
+    ) -> NextAttempt<Infallible> {
+        let mut request = Box::new(request.clone());
+        let params = request.decode.expect("validated in the prologue");
+        request.decode = Some(DecodeParams {
+            prompt_tokens: params.prompt_tokens + emitted,
+            output_tokens: params.output_tokens - emitted,
+        });
+        request.arrival_ms = plan.ready_ms;
+        NextAttempt::Restart(
+            request,
+            Carry {
+                resumed_tokens: emitted,
+                ..plan.carry
+            },
+        )
+    }
+}
+
+impl DecodeEngine {
     /// Compile (through the shared cache) and lower the prefill and step
     /// streams of `request`'s model, if this device has not seen it yet.
     fn ensure_plans(
@@ -1320,10 +935,10 @@ impl DecodeEngine {
             return Ok(());
         }
         let spec = request.model.decode().expect("validated in the prologue");
-        let (full, _) = self.cache.compile(engine, &request.model, device)?;
-        let prefill_stream = lower_artifact(&full, &request.model, device, &self.config);
-        let (step, _) = self.cache.compile(engine, &spec.step, device)?;
-        let step_stream = lower_artifact(&step, &spec.step, device, &self.config);
+        let (full, _) = self.fleet.cache.compile(engine, &request.model, device)?;
+        let prefill_stream = lower_artifact(&full, &request.model, device, &self.fleet.config);
+        let (step, _) = self.fleet.cache.compile(engine, &spec.step, device)?;
+        let step_stream = lower_artifact(&step, &spec.step, device, &self.fleet.config);
         plans.insert(
             abbr.clone(),
             ModelPlans {
@@ -1334,51 +949,17 @@ impl DecodeEngine {
         );
         Ok(())
     }
-
-    /// A fresh [`ActiveDecode`] entry for an admitted request (the session
-    /// is replaced by the caller once the model's KV stride is known).
-    fn admit_entry(
-        &self,
-        seq: usize,
-        request: &ServeRequest,
-        warm: &HashSet<u64>,
-        engine: &FlashMem,
-        device: &DeviceSpec,
-        start_ms: f64,
-    ) -> ActiveDecode {
-        let params = request.decode.expect("validated in the prologue");
-        ActiveDecode {
-            seq,
-            abbr: request.model.abbr.clone(),
-            tenant: request.tenant.clone(),
-            priority: request.priority,
-            arrival_ms: request.arrival_ms,
-            deadline_ms: request.deadline_ms,
-            start_ms,
-            cache_hit: warm.contains(&ArtifactCache::key_for(engine, &request.model, device)),
-            session: DecodeSession::new(params.prompt_tokens, params.output_tokens, 0),
-            max_batch_seen: 1,
-            transfer_intervals: Vec::new(),
-            compute_intervals: Vec::new(),
-            error: None,
-            resumed_tokens: 0,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
-        }
-    }
 }
 
 /// Remove finished (or failed) sessions from the batch at boundary `now`,
-/// releasing their KV residency and emitting their outcome rows. With
-/// `chaos` set, fault-killed entries go to `orphans` for the re-dispatch
-/// planner instead of committing a final outcome.
+/// releasing their KV residency and emitting their outcome rows.
+/// Fault-killed entries go to `orphans` for the recovery planner instead of
+/// committing a final outcome.
 #[allow(clippy::too_many_arguments)]
 fn retire_finished(
     active: &mut Vec<ActiveDecode>,
     outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<DecodeOrphan>,
-    chaos: bool,
+    orphans: &mut Vec<Orphan<u32>>,
     tracker: &mut MemoryTracker,
     trace: &mut TraceRecorder,
     device: &DeviceSpec,
@@ -1403,16 +984,7 @@ fn retire_finished(
                 );
             }
             let peak = tracker.peak_bytes() as f64 / MIB;
-            push_entry(
-                entry,
-                outcomes,
-                orphans,
-                chaos,
-                device,
-                device_index,
-                now,
-                peak,
-            );
+            push_entry(entry, outcomes, orphans, device, device_index, now, peak);
         } else {
             i += 1;
         }
@@ -1575,18 +1147,30 @@ mod tests {
 
     #[test]
     fn non_finite_arrivals_are_rejected_with_a_typed_error() {
-        // The fields are public, so a caller can bypass the builder's clamp.
+        // The fields are public, so a caller can bypass the builders' clamps.
         // A non-finite arrival must come back as a typed error, not as a
-        // panic in the round-robin placement sort.
+        // panic in the round-robin placement sort; a NaN or negative
+        // deadline must not be counted as a missed SLO.
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let cases = [
+            (nan, None, "finite"),
+            (inf, None, "finite"),
+            (-inf, None, "finite"),
+            (0.0, Some(nan), "deadline"),
+            (0.0, Some(-1.0), "deadline"),
+            (0.0, Some(-inf), "deadline"),
+        ];
         let mut requests = burst(3, 8, 4);
-        for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for (arrival, deadline, word) in cases {
             requests[2].arrival_ms = arrival;
+            requests[2].deadline_ms = deadline;
             match engine(BatchConfig::default()).run_on(&ThreadPool::with_threads(1), &requests) {
                 Err(SimError::InvalidParameter { message }) => {
                     assert!(message.contains("request 2"), "{message}");
-                    assert!(message.contains("finite"), "{message}");
+                    assert!(message.contains(word), "{message}");
                 }
-                other => panic!("expected a typed arrival error, got {other:?}"),
+                other => panic!("expected a typed {word} error, got {other:?}"),
             }
         }
     }

@@ -22,7 +22,8 @@
 //! order — byte-identical to the serial loop, which
 //! [`ServeEngine::run_on`] with a width-1 pool still provides for
 //! bisection. This is what makes 100–1000-device fleet scenarios affordable
-//! in one run (see the `fleet_scale` bench).
+//! in one run (see the `fleet_scale` bench). [`DecodeEngine`] runs on the
+//! same fleet runner; only the per-device loop differs.
 //!
 //! * [`request`] — [`ServeRequest`], the unit of admission (model, tenant,
 //!   priority, arrival time, optional SLO deadline).
@@ -142,10 +143,11 @@
 //! spurious OOM spikes into a run; firing is keyed by
 //! `(device, seq, command, attempt)` so the same faults hit at every pool
 //! width and scheduling order. Unprotected, each fault becomes a typed
-//! failure ([`FailureCause`]) on the request's outcome. Arming
+//! failure ([`FailureCause`]) on the request's outcome. A run is a
+//! sequence of rounds (a fault-free run is just the first), and arming
 //! [`ServeEngine::with_recovery_control`](server::ServeEngine::with_recovery_control)
-//! (or the decode-side equivalent) turns the run into rounds with a
-//! **sequential recovery planner** between them: per-request retries under a
+//! (or the decode-side equivalent) lets the **sequential recovery planner**
+//! between rounds re-dispatch faulted work: per-request retries under a
 //! budget with simulated-time backoff, failover of in-flight work onto the
 //! least-loaded survivor (resuming a
 //! [`Suspension`](flashmem_gpu_sim::engine::Suspension) on a same-spec
@@ -163,6 +165,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod decode;
+mod fleet;
 pub mod metrics;
 pub mod multi_model;
 pub mod policy;

@@ -263,25 +263,7 @@ pub struct DeviceReport {
 }
 
 impl DeviceReport {
-    /// An all-zero report for a device that never ran any work (a chaos
-    /// round that excluded it, or a fleet slot that stayed idle).
-    pub(crate) fn empty(device: &str) -> Self {
-        DeviceReport {
-            device: device.to_string(),
-            requests: 0,
-            completed: 0,
-            makespan_ms: 0.0,
-            transfer_busy_ms: 0.0,
-            compute_busy_ms: 0.0,
-            transfer_busy_fraction: 0.0,
-            compute_busy_fraction: 0.0,
-            peak_memory_mb: 0.0,
-            queue_depth_high_water: 0,
-            memory_trace: MemoryTrace::new(),
-        }
-    }
-
-    /// Fold one chaos round's report into this accumulated one: counts and
+    /// Fold one recovery round's report into this accumulated one: counts and
     /// busy time sum, high-water marks take the max, busy fractions are
     /// recomputed against the merged makespan, and the memory traces stitch
     /// (round timelines never overlap — a re-dispatch ready floor is never

@@ -270,8 +270,9 @@ impl RecoveryControl {
         self
     }
 
-    /// True when any knob is on — the engine skips the whole recovery
-    /// pipeline otherwise.
+    /// True when any knob is on. A device loss counts as a quarantine in
+    /// [`RecoveryTallies`](crate::RecoveryTallies) only then, so an
+    /// unprotected run reports no recovery decisions.
     pub fn any_enabled(&self) -> bool {
         self.retry_budget > 0 || self.failover || self.quarantine_threshold.is_some()
     }

@@ -230,27 +230,36 @@ impl ServeRequest {
     }
 }
 
-/// Reject a submission holding a non-finite arrival time. The fields are
-/// public, so the builder's clamp can be bypassed; both engines order work
-/// by arrival and admit from the arrived prefix, which needs real times.
+/// Reject a submission holding a non-finite arrival time or a NaN or
+/// negative deadline — the values the builders clamp away, which the public
+/// fields let a caller bypass. Both engines order work by arrival and admit
+/// from the arrived prefix, which needs real times, and a NaN deadline
+/// would silently count as a missed SLO.
 ///
 /// # Errors
 ///
 /// [`SimError::InvalidParameter`] naming the first offending request.
 pub(crate) fn check_arrivals(requests: &[ServeRequest]) -> SimResult<()> {
-    match requests
-        .iter()
-        .enumerate()
-        .find(|(_, request)| !request.arrival_ms.is_finite())
-    {
-        Some((seq, request)) => Err(SimError::InvalidParameter {
-            message: format!(
-                "request {seq} for {} arrives at {} ms; arrival times must be finite",
-                request.model.abbr, request.arrival_ms
-            ),
-        }),
-        None => Ok(()),
+    for (seq, request) in requests.iter().enumerate() {
+        let abbr = &request.model.abbr;
+        if !request.arrival_ms.is_finite() {
+            return Err(SimError::InvalidParameter {
+                message: format!(
+                    "request {seq} for {abbr} arrives at {} ms; arrival times must be finite",
+                    request.arrival_ms
+                ),
+            });
+        }
+        if let Some(deadline) = request.deadline_ms.filter(|d| d.is_nan() || *d < 0.0) {
+            return Err(SimError::InvalidParameter {
+                message: format!(
+                    "request {seq} for {abbr} has a {deadline} ms deadline; deadlines must be \
+                     non-negative numbers"
+                ),
+            });
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -23,27 +23,36 @@
 //! ## How the fleet advances
 //!
 //! Device timelines share nothing but the plan cache, so
-//! [`ServeEngine::run`] fans them out on the process-wide work-stealing
-//! [`ThreadPool`] in three strictly ordered
-//! stages:
+//! [`ServeEngine::run`] hands them to the crate's fleet runner (shared with
+//! [`DecodeEngine`](crate::DecodeEngine)), which steps them on the
+//! process-wide work-stealing [`ThreadPool`] in strictly ordered stages:
 //!
-//! 1. **Placement prologue (sequential).** [`SchedulePolicy::place`] assigns
-//!    every request to a device on the caller thread, in submission order —
+//! 1. **Prologue (sequential).** [`SchedulePolicy::place`] assigns every
+//!    request to a device on the caller thread, in submission order —
 //!    placement may depend on global request order, so it never races.
-//!    Each device's assignment becomes one `DeviceJob` (private) with its runtime
-//!    ([`FlashMem`]) and simulator ([`GpuSimulator`]) constructed once here,
-//!    not once per request.
-//! 2. **Parallel device stepping.** Each `DeviceJob` runs `run_device` as
-//!    one pool job. Workers share the engine's [`ArtifactCache`], whose
-//!    in-flight compile dedup guarantees N devices serving one tenant config
-//!    solve LC-OPG exactly once with schedule-independent hit/miss counters.
-//!    A job that panics (a buggy policy) is caught on its worker and
-//!    surfaced as [`SimError::WorkerPanic`]; errors propagate by device
+//!    Plan-cache warmth is snapshotted next, before [`OverloadControl`]'s
+//!    admission control and steal planning compile anything, so each
+//!    outcome's `cache_hit` means "warm when the run began".
+//! 2. **Parallel device stepping.** Each device's assignment becomes one
+//!    job running `run_device`, with its runtime ([`FlashMem`]) and
+//!    simulator ([`GpuSimulator`]) constructed once per device, not once
+//!    per request. Workers share the engine's [`ArtifactCache`], whose
+//!    in-flight compile dedup guarantees N devices serving one tenant
+//!    config solve LC-OPG exactly once with schedule-independent hit/miss
+//!    counters. A job that panics (a buggy policy) is caught on its worker
+//!    and surfaced as [`SimError::WorkerPanic`]; errors propagate by device
 //!    index, so failure behaviour matches `--threads 1` exactly.
 //! 3. **Ordered merge (the commit point).** Device reports land in
 //!    fleet-index slots and per-request outcomes are re-sorted by submission
 //!    `seq`, so the merged [`ServeReport`] is byte-identical to the serial
 //!    loop's no matter how the workers interleaved.
+//!
+//! A fault-free run ends there: it is round 0 of the runner's recovery
+//! loop. When a [`FaultPlan`] knocks requests out of a round, the runner
+//! plans their retries, failovers, quarantines and probes sequentially and
+//! runs another round on the devices that received work; a request
+//! stranded in flight by a device loss resumes its [`Suspension`] on a
+//! same-spec sibling.
 //!
 //! `run` uses [`pool::global`] (width from `--threads N` /
 //! `FLASHMEM_THREADS`); [`ServeEngine::run_on`] takes an explicit pool for
@@ -86,16 +95,13 @@
 //! streams are an accepted modelling artifact.
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use flashmem_core::cache::{ArtifactCache, Fnv1a};
 use flashmem_core::engine::CompiledArtifact;
 use flashmem_core::executor::RUNTIME_OVERHEAD_BYTES;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{
-    FleetTrace, PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder,
-};
+use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig, KernelRewriter, StreamingExecutor};
 use flashmem_gpu_sim::engine::{
     CommandStream, GpuSimulator, PreemptionCost, QueueClocks, QueueKind, SimConfig, StreamStepper,
@@ -108,15 +114,15 @@ use flashmem_gpu_sim::{DeviceSpec, FaultKind, FaultPlan, SimError};
 use flashmem_graph::ModelSpec;
 use flashmem_profiler::LoweringOptions;
 
-use crate::metrics::{
-    DeviceReport, LatencySummary, PriorityLatency, RecoveryTallies, RequestOutcome, ServeReport,
-    SloSummary, TokenMetrics,
+use crate::fleet::{
+    Carry, DeviceJob, DeviceLoop, DeviceRun, Fleet, NextAttempt, Orphan, Redispatch,
 };
+use crate::metrics::{DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
 };
-use crate::request::{check_arrivals, FailureCause, RejectCause, ServeRequest};
+use crate::request::{FailureCause, RejectCause, ServeRequest};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -280,11 +286,11 @@ fn arrived_candidates(
 
 /// Everything the loop knows about an admitted request except its execution
 /// state — shared between the in-flight and suspended representations.
-/// `Clone` exists for the chaos path, which snapshots the meta of work
-/// stranded by a device loss so the recovery planner can either resume it
+/// `Clone` exists for device loss, which snapshots the meta of work
+/// stranded on the lost device so the recovery planner can either resume it
 /// elsewhere or finalize its typed-failure outcome.
 #[derive(Clone)]
-struct FlightMeta {
+pub(crate) struct FlightMeta {
     seq: usize,
     abbr: String,
     tenant: String,
@@ -306,10 +312,10 @@ struct FlightMeta {
     /// Home device index when the steal planner re-placed this request.
     stolen_from: Option<usize>,
     /// Injected-fault retries this request has already consumed (carried
-    /// across chaos rounds; 0 outside the chaos path).
+    /// across recovery rounds; 0 on a first attempt).
     retries: u32,
     /// True when the recovery planner re-placed this request off a lost or
-    /// quarantined device (false outside the chaos path).
+    /// quarantined device.
     failed_over: bool,
     trace_start: usize,
     order: usize,
@@ -420,84 +426,22 @@ struct Suspended {
     ready_ms: f64,
 }
 
-/// One device timeline's unit of parallel work: everything `run_device`
-/// needs, assembled by the sequential placement prologue so the hot loop on
-/// the worker never constructs per-device state. The runtime and simulator
-/// are built once per device here and reused across all of the device's
-/// requests (and every command boundary of the preemption phase).
-struct DeviceJob<'a> {
-    /// Index of the device in the fleet (also the report's slot).
-    index: usize,
-    device: &'a DeviceSpec,
-    /// The FlashMem runtime the device's compiles go through.
-    engine: FlashMem,
-    /// The cost model the device's command streams are stepped against.
-    sim: GpuSimulator,
-    /// `(seq, request)` pairs placed on this device, in submission order.
-    assigned: Vec<(usize, &'a ServeRequest)>,
-    /// Requests admission control rejected in the sequential prologue, with
-    /// their (provably negative) best-case laxity. Their outcomes and trace
-    /// instants are emitted by this device so the ordered merge stays the
-    /// only commit point.
-    prerejected: Vec<(usize, &'a ServeRequest, f64)>,
+/// What the overload prologue decided for one device, handed to its round-0
+/// job.
+#[derive(Default)]
+pub(crate) struct Admission {
+    /// Requests admission control rejected, with their (provably negative)
+    /// best-case laxity. Their outcomes and trace instants are emitted by
+    /// this device so the ordered merge stays the only commit point.
+    rejected: Vec<(usize, f64)>,
     /// For requests the steal planner re-placed here: `seq → home device`.
     stolen: HashMap<usize, usize>,
-    /// Plan-cache keys (of this device's assigned models) that were already
-    /// compiled when the run began. Snapshotted in the sequential prologue so
-    /// each outcome's `cache_hit` flag is identical at every pool width —
-    /// the racy alternative, reporting whether `ArtifactCache::compile`
-    /// happened to find the key warm mid-run, would record which worker won
-    /// the compile race rather than anything about the workload.
-    warm: HashSet<u64>,
-}
-
-/// Render a caught panic payload for [`SimError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Per-request state the chaos driver carries across re-dispatch rounds.
-/// Re-dispatched requests are cloned with their arrival bumped to the
-/// recovery planner's ready floor; the carry remembers the *original*
-/// arrival (so latency and SLO accounting measure from true submission) and
-/// the recovery counters consumed so far.
-#[derive(Clone, Copy)]
-struct ServeCarry {
-    original_arrival_ms: f64,
-    retries: u32,
-    hops: u32,
-    failed_over: bool,
-    stolen_from: Option<usize>,
-}
-
-impl ServeCarry {
-    fn fresh(request: &ServeRequest, stolen_from: Option<usize>) -> Self {
-        ServeCarry {
-            original_arrival_ms: request.arrival_ms,
-            retries: 0,
-            hops: 0,
-            failed_over: false,
-            stolen_from,
-        }
-    }
-
-    /// Attempt ordinal fed into the fault plan's per-command draw key, so a
-    /// retried command is re-drawn instead of deterministically re-faulting.
-    fn attempt(&self) -> u32 {
-        self.retries + self.hops
-    }
 }
 
 /// A suspension the recovery planner failed over onto this device: seeded
 /// into the device loop's `suspended` list at round start so the ordinary
 /// resume path re-acquires its residency (and pays the reload penalty).
-struct SeededSuspension {
+pub(crate) struct SeededSuspension {
     meta: FlightMeta,
     suspension: Suspension,
     /// Global time the work was stranded (the device-loss instant) — the
@@ -507,56 +451,9 @@ struct SeededSuspension {
     ready_ms: f64,
 }
 
-/// The chaos side-channel of one `DeviceJob`: per-request carries and
-/// failed-over suspensions, assembled sequentially by the round planner.
-struct ServeChaosJob {
-    carry: HashMap<usize, ServeCarry>,
-    seeds: Vec<SeededSuspension>,
-}
-
-/// A request an injected fault knocked out of a chaos round, awaiting a
-/// sequential recovery decision (retry, failover, or final typed failure).
-struct ServeOrphan {
-    /// The typed-failure outcome of this attempt — final if the planner
-    /// gives up, discarded if the request is re-dispatched.
-    outcome: RequestOutcome,
-    /// What fired.
-    kind: FaultKind,
-    /// Recovery counters *before* this round's decision.
-    retries: u32,
-    hops: u32,
-    /// In-flight state snapshotted at a device loss, resumable on a
-    /// same-spec sibling.
-    resume: Option<(FlightMeta, Suspension)>,
-}
-
-/// Everything one `run_device` round hands back to the merge point.
-struct DeviceRun {
-    outcomes: Vec<RequestOutcome>,
-    report: DeviceReport,
-    trace: TraceRecorder,
-    orphans: Vec<ServeOrphan>,
-    /// True when the fault plan's device loss fired this round: the device
-    /// is gone for every later round.
-    lost: bool,
-    /// Transient injected faults (kernel + OOM-spike) this round, for the
-    /// quarantine circuit breaker.
-    faults: u32,
-}
-
-/// Per-device health as tracked by the sequential recovery planner.
-#[derive(Clone, Copy, PartialEq)]
-enum Health {
-    Healthy,
-    /// Device loss fired: permanent.
-    Lost,
-    /// Circuit breaker open since `since_ms`; `probing` marks the round a
-    /// probe placement is in flight.
-    Quarantined {
-        since_ms: f64,
-        probing: bool,
-    },
-}
+/// In-flight state snapshotted at a device loss, resumable on a same-spec
+/// sibling.
+type Stranded = Option<(FlightMeta, Suspension)>;
 
 /// A fleet-wide tenant cap: `bytes` of estimated resident memory across the
 /// whole fleet, enforced without cross-device shared state by confining the
@@ -569,17 +466,12 @@ struct FleetTenantCap {
 
 /// The multi-tenant serving engine over a fleet of simulated devices.
 pub struct ServeEngine {
-    fleet: Vec<DeviceSpec>,
-    config: FlashMemConfig,
+    fleet: Fleet,
     policy: Box<dyn SchedulePolicy>,
-    cache: Arc<ArtifactCache>,
     tenant_caps: HashMap<String, u64>,
     fleet_tenant_caps: HashMap<String, FleetTenantCap>,
     tenant_slos: HashMap<String, f64>,
     overload: OverloadControl,
-    recovery: RecoveryControl,
-    fault_plan: FaultPlan,
-    trace: TraceConfig,
 }
 
 impl ServeEngine {
@@ -590,28 +482,23 @@ impl ServeEngine {
     /// (and historically let `place(..).min(fleet_len - 1)` underflow).
     pub fn new(fleet: Vec<DeviceSpec>, config: FlashMemConfig) -> Self {
         ServeEngine {
-            fleet,
-            config,
+            fleet: Fleet::new(fleet, config),
             policy: Box::new(FifoPolicy),
-            cache: Arc::new(ArtifactCache::new()),
             tenant_caps: HashMap::new(),
             fleet_tenant_caps: HashMap::new(),
             tenant_slos: HashMap::new(),
             overload: OverloadControl::disabled(),
-            recovery: RecoveryControl::disabled(),
-            fault_plan: FaultPlan::default(),
-            trace: TraceConfig::disabled(),
         }
     }
 
     /// Inject deterministic faults from a seeded [`FaultPlan`] (builder
     /// style). The plan keys every per-command draw by `(device, seq,
     /// command, attempt)`, so which commands fault is independent of the
-    /// scheduling policy, pool width and retry timing. An empty plan (the
-    /// default) keeps the engine on the fault-free fast path, byte-identical
-    /// to a build without fault injection.
+    /// scheduling policy, pool width and retry timing. With an empty plan
+    /// (the default) nothing can fault, so the run is a single round and
+    /// the device loops skip every per-command fault draw.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+        self.fleet.fault_plan = plan;
         self
     }
 
@@ -622,15 +509,16 @@ impl ServeEngine {
     /// exists, paying the re-residency penalty; otherwise it restarts from
     /// scratch), and circuit-breaker quarantine with probe-based
     /// reinstatement. Everything is off by default
-    /// ([`RecoveryControl::disabled`]), in which case the engine's behaviour
-    /// is bit-identical to one without recovery.
+    /// ([`RecoveryControl::disabled`]). Recovery only acts on injected
+    /// faults: without a [`FaultPlan`] a run is the same with or without
+    /// it.
     ///
     /// All recovery decisions are planned sequentially at round boundaries
-    /// of the fan-out pipeline, so reports stay byte-identical at any pool
+    /// of the fleet runner, so reports stay byte-identical at any pool
     /// width — including which requests retried, where failovers landed and
     /// when devices were quarantined or probed.
     pub fn with_recovery_control(mut self, recovery: RecoveryControl) -> Self {
-        self.recovery = recovery;
+        self.fleet.recovery = recovery;
         self
     }
 
@@ -641,7 +529,7 @@ impl ServeEngine {
     /// traced report minus its `trace` field is byte-identical to an
     /// untraced run.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
+        self.fleet.trace = trace;
         self
     }
 
@@ -654,7 +542,7 @@ impl ServeEngine {
     /// Share an existing plan cache (e.g. the benchmark harness's) instead of
     /// a private one.
     pub fn with_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
-        self.cache = cache;
+        self.fleet.cache = cache;
         self
     }
 
@@ -705,7 +593,7 @@ impl ServeEngine {
     /// Give every request of `tenant` a default SLO deadline: a relative
     /// latency budget in milliseconds, used when the request does not carry
     /// its own [`deadline_ms`](ServeRequest::deadline_ms). Deadline-carrying
-    /// requests feed the report's [`SloSummary`].
+    /// requests feed the report's [`SloSummary`](crate::SloSummary).
     pub fn with_tenant_slo(mut self, tenant: impl Into<String>, deadline_ms: f64) -> Self {
         self.tenant_slos.insert(tenant.into(), deadline_ms.max(0.0));
         self
@@ -713,12 +601,12 @@ impl ServeEngine {
 
     /// The fleet being served.
     pub fn fleet(&self) -> &[DeviceSpec] {
-        &self.fleet
+        &self.fleet.devices
     }
 
     /// The shared plan cache.
     pub fn cache(&self) -> &ArtifactCache {
-        &self.cache
+        &self.fleet.cache
     }
 
     /// The deadline a request must meet, if any: its own, else its tenant's
@@ -745,7 +633,7 @@ impl ServeEngine {
     /// slice.
     fn effective_tenant_cap(&self, tenant: &str) -> Option<u64> {
         let per_device = self.tenant_caps.get(tenant).copied();
-        let fleet_len = self.fleet.len().max(1);
+        let fleet_len = self.fleet.devices.len().max(1);
         let per_shard = self.fleet_tenant_caps.get(tenant).map(|cap| {
             let k = cap.shards.clamp(1, fleet_len) as u64;
             cap.bytes / k
@@ -881,10 +769,11 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] for an empty fleet or a
-    /// non-finite `arrival_ms`, an error for malformed command streams (an
-    /// internal invariant violation, not a modelled outcome), and
-    /// [`SimError::WorkerPanic`] for a panic inside a device worker.
+    /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
+    /// non-finite `arrival_ms` or a NaN or negative `deadline_ms`, an error
+    /// for malformed command streams (an internal invariant violation, not
+    /// a modelled outcome), and [`SimError::WorkerPanic`] for a panic inside
+    /// a device worker.
     pub fn run(&self, requests: &[ServeRequest]) -> SimResult<ServeReport> {
         self.run_on(pool::global(), requests)
     }
@@ -894,14 +783,12 @@ impl ServeEngine {
     /// exact serial loop, kept as the byte-identity oracle and the
     /// `--threads 1` bisection path.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        if fleet_len == 0 {
-            return Err(SimError::InvalidParameter {
-                message: "cannot serve on an empty fleet: ServeEngine needs at least one device"
-                    .to_string(),
-            });
-        }
-        check_arrivals(requests)?;
+        self.fleet.check("ServeEngine", requests)?;
+        // Warmth is snapshotted *before* the overload prologue compiles
+        // anything, so `cache_hit` keeps meaning "warm when the run began"
+        // even when admission control / steal planning populate the cache.
+        let warm = self.fleet.warm_keys(requests);
+        let fleet_len = self.fleet.devices.len();
 
         // ---- placement: the sequential prologue ----
         let mut placement: Vec<usize> = Vec::with_capacity(requests.len());
@@ -919,31 +806,6 @@ impl ServeEngine {
             };
             placement.push(device);
         }
-        let engines: Vec<FlashMem> = self
-            .fleet
-            .iter()
-            .map(|device| FlashMem::new(device.clone()).with_config(self.config.clone()))
-            .collect();
-        // Warmth is snapshotted *before* the overload prologue compiles
-        // anything, so `cache_hit` keeps meaning "warm when the run began"
-        // even when admission control / steal planning populate the cache.
-        let warm_snapshot: Option<Vec<HashSet<u64>>> = if self.overload.uses_estimates() {
-            Some(
-                engines
-                    .iter()
-                    .zip(&self.fleet)
-                    .map(|(engine, device)| {
-                        requests
-                            .iter()
-                            .map(|request| ArtifactCache::key_for(engine, &request.model, device))
-                            .filter(|&key| self.cache.is_warm(key))
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
 
         // ---- overload pipeline (sequential): admission control + steal ----
         // Both stages run on the caller thread in submission order — the
@@ -952,16 +814,22 @@ impl ServeEngine {
         // Service-time predictions are memoized per (model, device) and
         // compile through the shared cache, sequentially, so the cache
         // hit/miss counters stay schedule-independent too.
+        let mut admission: Vec<Admission> = (0..fleet_len).map(|_| Admission::default()).collect();
         let mut rejected: HashSet<usize> = HashSet::new();
-        let mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>> = vec![Vec::new(); fleet_len];
-        let mut stolen_from: HashMap<usize, usize> = HashMap::new();
         if self.overload.uses_estimates() {
+            let engines: Vec<FlashMem> = self
+                .fleet
+                .devices
+                .iter()
+                .map(|device| self.fleet.runtime(device))
+                .collect();
             let mut memo: HashMap<(String, usize), f64> = HashMap::new();
             let mut predict = |model: &ModelSpec, d: usize| -> f64 {
                 *memo.entry((model.abbr.clone(), d)).or_insert_with(|| {
-                    match self.cache.compile(&engines[d], model, &self.fleet[d]) {
+                    let device = &self.fleet.devices[d];
+                    match self.fleet.cache.compile(&engines[d], model, device) {
                         Ok((artifact, _)) => {
-                            predicted_service_ms(&artifact, model, &self.fleet[d], &self.config)
+                            predicted_service_ms(&artifact, model, device, &self.fleet.config)
                         }
                         // Compilation failures surface at admission.
                         Err(_) => 0.0,
@@ -987,7 +855,9 @@ impl ServeEngine {
                     // on every shard before any queueing.
                     if best.is_finite() && best > budget + 1e-9 {
                         rejected.insert(seq);
-                        prerejected[placement[seq]].push((seq, request, budget - best));
+                        admission[placement[seq]]
+                            .rejected
+                            .push((seq, budget - best));
                     }
                 }
             }
@@ -1033,7 +903,7 @@ impl ServeEngine {
                         }
                     }
                     if dest != home {
-                        stolen_from.insert(seq, home);
+                        admission[dest].stolen.insert(seq, home);
                         placement[seq] = dest;
                     }
                     let start = start_at(&free, dest, request.arrival_ms);
@@ -1055,574 +925,64 @@ impl ServeEngine {
                 per_device[placement[seq]].push((seq, request));
             }
         }
+        self.fleet
+            .run(self, pool, requests, per_device, admission, warm)
+    }
+}
 
-        // A non-empty fault plan or any recovery knob routes through the
-        // chaos pipeline (rounds of fan-out with sequential recovery
-        // planning in between). Fault-free, recovery-off runs never reach
-        // it, keeping the fast path byte-identical to a build without the
-        // chaos layer.
-        if !self.fault_plan.is_empty() || self.recovery.any_enabled() {
-            drop(engines);
-            return self.run_chaos(
-                pool,
-                requests,
-                per_device,
-                prerejected,
-                &stolen_from,
-                warm_snapshot,
-            );
-        }
+impl DeviceLoop for ServeEngine {
+    type Prologue = Admission;
+    type Resume = Stranded;
+    type Seed = SeededSuspension;
 
-        let jobs: Vec<DeviceJob<'_>> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(index, engine)| {
-                let device = &self.fleet[index];
-                let assigned = std::mem::take(&mut per_device[index]);
-                let stolen: HashMap<usize, usize> = assigned
-                    .iter()
-                    .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))
-                    .collect();
-                let warm = match &warm_snapshot {
-                    Some(sets) => sets[index].clone(),
-                    None => assigned
-                        .iter()
-                        .map(|(_, request)| ArtifactCache::key_for(&engine, &request.model, device))
-                        .filter(|&key| self.cache.is_warm(key))
-                        .collect(),
-                };
-                DeviceJob {
-                    index,
-                    device,
-                    engine,
-                    sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                    assigned,
-                    prerejected: std::mem::take(&mut prerejected[index]),
-                    stolen,
-                    warm,
-                }
-            })
-            .collect();
-
-        // ---- parallel device stepping ----
-        let device_results = pool.try_parallel_map(jobs, |job| {
-            catch_unwind(AssertUnwindSafe(|| self.run_device(job, None))).unwrap_or_else(
-                |payload| {
-                    Err(SimError::WorkerPanic {
-                        message: panic_message(payload),
-                    })
-                },
-            )
-        })?;
-
-        // ---- ordered merge: the commit point ----
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut devices = Vec::with_capacity(fleet_len);
-        let mut recorders = Vec::with_capacity(fleet_len);
-        for run in device_results {
-            let mut run = run;
-            outcomes.append(&mut run.outcomes);
-            devices.push(run.report);
-            recorders.push(run.trace);
-        }
-        outcomes.sort_by_key(|o| o.seq);
-        Ok(self.assemble_report(outcomes, devices, recorders, RecoveryTallies::default()))
+    fn policy_name(&self) -> String {
+        self.policy.name().to_string()
     }
 
-    /// Assemble the final [`ServeReport`] from merged outcomes, per-device
-    /// reports and trace recorders (in fleet order) — shared by the fast
-    /// path and the chaos pipeline.
-    fn assemble_report(
-        &self,
-        outcomes: Vec<RequestOutcome>,
-        devices: Vec<DeviceReport>,
-        recorders: Vec<TraceRecorder>,
-        recovery: RecoveryTallies,
-    ) -> ServeReport {
-        // Trace buffers merge in fleet order — the same deterministic commit
-        // discipline as the outcome sort, so the trace is byte-identical at
-        // every pool width.
-        let trace = if self.trace.enabled {
-            Some(FleetTrace {
-                processes: self
-                    .fleet
-                    .iter()
-                    .zip(recorders)
-                    .enumerate()
-                    .map(|(index, (device, recorder))| {
-                        recorder.into_process_trace(&format!("{} #{index}", device.name))
-                    })
-                    .collect(),
-            })
-        } else {
-            None
-        };
-
-        let latencies: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.succeeded())
-            .map(|o| o.latency_ms)
-            .collect();
-        let latency = LatencySummary::from_latencies(&latencies);
-        let per_priority = PriorityLatency::from_outcomes(&outcomes);
-        let slo = SloSummary::from_outcomes(&outcomes);
-        let preemptions = outcomes.iter().map(|o| o.preemptions).sum();
-        let makespan = devices
-            .iter()
-            .map(|d| d.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let throughput_rps = if makespan > 0.0 {
-            latencies.len() as f64 * 1000.0 / makespan
-        } else {
-            0.0
-        };
-        let tokens = TokenMetrics::from_outcomes(&outcomes, makespan);
-        ServeReport {
-            policy: self.policy.name().to_string(),
-            outcomes,
-            devices,
-            latency,
-            per_priority,
-            slo,
-            preemptions,
-            throughput_rps,
-            ttft: tokens.ttft,
-            itl: tokens.itl,
-            decode_tokens: tokens.decode_tokens,
-            tokens_per_s: tokens.tokens_per_s,
-            recovery,
-            cache: self.cache.stats(),
-            trace,
-        }
+    fn allowed_devices(&self, tenant: &str) -> Option<Vec<usize>> {
+        self.shard_set(tenant, self.fleet.devices.len())
     }
 
-    /// The chaos pipeline: rounds of the ordinary parallel fan-out with a
-    /// **sequential recovery planner** between rounds.
+    /// Run one device's timeline to completion for one round. Called once
+    /// per [`DeviceJob`], usually from a pool worker: everything it touches
+    /// is either owned by the job, local to this call, or a thread-safe
+    /// shared structure (the plan cache). The returned [`TraceRecorder`] is
+    /// this device's private event buffer, filled single-threaded here and
+    /// merged (deterministically, in fleet order) at the run's commit point.
     ///
-    /// Each round steps the devices that have work (in parallel, exactly
-    /// like the fast path); injected faults knock requests out of their
-    /// round as [`ServeOrphan`]s instead of final outcomes. At the round's
-    /// ordered merge the planner — on the caller thread, in submission
-    /// order — decides each orphan's fate: same-device **retry** while the
-    /// retry budget lasts, **failover** onto the least-loaded surviving
-    /// device (resuming a carried [`Suspension`] when a same-spec sibling
-    /// exists, restarting from scratch otherwise), or a final typed
-    /// failure. It also drives the circuit breaker: devices crossing the
-    /// fault threshold are **quarantined** (no placements), and after the
-    /// probe delay a single **probe** request tests the water — a clean
-    /// probe reinstates the device, a faulting one re-quarantines it.
-    ///
-    /// Rounds are barriers and every decision is planned sequentially, so
-    /// the report is byte-identical at any pool width. Termination is
-    /// structural: retries are bounded per request by the budget, failovers
-    /// by the fleet size, and probes only move work that already exists.
+    /// Re-dispatched work carries its recovery state in `job.carry` and
+    /// failed-over suspensions in `job.seeds`; both are empty in round 0.
+    /// Per-command fault draws happen only when the [`FaultPlan`] can fire.
     #[allow(clippy::too_many_lines)]
-    fn run_chaos(
-        &self,
-        pool: &ThreadPool,
-        requests: &[ServeRequest],
-        per_device: Vec<Vec<(usize, &ServeRequest)>>,
-        mut prerejected: Vec<Vec<(usize, &ServeRequest, f64)>>,
-        stolen_from: &HashMap<usize, usize>,
-        mut warm_snapshot: Option<Vec<HashSet<u64>>>,
-    ) -> SimResult<ServeReport> {
-        let fleet_len = self.fleet.len();
-        let mut masters: Vec<TraceRecorder> = (0..fleet_len)
-            .map(|_| TraceRecorder::new(self.trace))
-            .collect();
-        let mut devices: Vec<Option<DeviceReport>> = (0..fleet_len).map(|_| None).collect();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut tallies = RecoveryTallies::default();
-        let mut cum_makespan = vec![0.0_f64; fleet_len];
-        let mut health = vec![Health::Healthy; fleet_len];
-        let mut fault_counts = vec![0_u32; fleet_len];
-
-        // Round-0 work is the prologue's placement, as owned request clones
-        // (later rounds re-clone with arrivals bumped to the backoff floor).
-        let mut work: Vec<Vec<(usize, ServeRequest, ServeCarry)>> = per_device
-            .into_iter()
-            .map(|assigned| {
-                assigned
-                    .into_iter()
-                    .map(|(seq, request)| {
-                        let carry = ServeCarry::fresh(request, stolen_from.get(&seq).copied());
-                        (seq, request.clone(), carry)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut seeds: Vec<Vec<SeededSuspension>> = (0..fleet_len).map(|_| Vec::new()).collect();
-        let mut first_round = true;
-
-        while first_round
-            || work.iter().any(|w| !w.is_empty())
-            || seeds.iter().any(|s| !s.is_empty())
-        {
-            let included: Vec<usize> = if first_round {
-                (0..fleet_len).collect()
-            } else {
-                (0..fleet_len)
-                    .filter(|&d| !work[d].is_empty() || !seeds[d].is_empty())
-                    .collect()
-            };
-            let round_work =
-                std::mem::replace(&mut work, (0..fleet_len).map(|_| Vec::new()).collect());
-            let mut round_seeds =
-                std::mem::replace(&mut seeds, (0..fleet_len).map(|_| Vec::new()).collect());
-
-            let jobs: Vec<(DeviceJob<'_>, ServeChaosJob)> = included
-                .iter()
-                .map(|&index| {
-                    let device = &self.fleet[index];
-                    let engine = FlashMem::new(device.clone()).with_config(self.config.clone());
-                    let assigned: Vec<(usize, &ServeRequest)> = round_work[index]
-                        .iter()
-                        .map(|(seq, request, _)| (*seq, request))
-                        .collect();
-                    // Warmth is snapshotted sequentially here, per round, so
-                    // `cache_hit` stays schedule-independent (re-dispatched
-                    // models were compiled in an earlier round and report a
-                    // hit on every width). Round 0 takes the run-start
-                    // snapshot when the overload prologue has compiled plans
-                    // since, exactly like the fault-free path.
-                    let warm: HashSet<u64> = match &mut warm_snapshot {
-                        Some(sets) if first_round => std::mem::take(&mut sets[index]),
-                        _ => assigned
-                            .iter()
-                            .map(|(_, request)| {
-                                ArtifactCache::key_for(&engine, &request.model, device)
-                            })
-                            .filter(|&key| self.cache.is_warm(key))
-                            .collect(),
-                    };
-                    let stolen: HashMap<usize, usize> = assigned
-                        .iter()
-                        .filter_map(|(seq, _)| stolen_from.get(seq).map(|&home| (*seq, home)))
-                        .collect();
-                    let carry: HashMap<usize, ServeCarry> = round_work[index]
-                        .iter()
-                        .map(|(seq, _, carry)| (*seq, *carry))
-                        .collect();
-                    (
-                        DeviceJob {
-                            index,
-                            device,
-                            engine,
-                            sim: GpuSimulator::new(device.clone(), SimConfig::default()),
-                            assigned,
-                            prerejected: std::mem::take(&mut prerejected[index]),
-                            stolen,
-                            warm,
-                        },
-                        ServeChaosJob {
-                            carry,
-                            seeds: std::mem::take(&mut round_seeds[index]),
-                        },
-                    )
-                })
-                .collect();
-
-            let device_results = pool.try_parallel_map(jobs, |(job, chaos)| {
-                catch_unwind(AssertUnwindSafe(|| self.run_device(job, Some(chaos)))).unwrap_or_else(
-                    |payload| {
-                        Err(SimError::WorkerPanic {
-                            message: panic_message(payload),
-                        })
-                    },
-                )
-            })?;
-
-            // ---- ordered merge ----
-            let mut orphans: Vec<ServeOrphan> = Vec::new();
-            let mut round_faults = vec![0_u32; fleet_len];
-            for (&index, run) in included.iter().zip(device_results) {
-                let DeviceRun {
-                    outcomes: mut device_outcomes,
-                    report,
-                    trace,
-                    orphans: mut device_orphans,
-                    lost,
-                    faults,
-                } = run;
-                outcomes.append(&mut device_outcomes);
-                cum_makespan[index] = cum_makespan[index].max(report.makespan_ms);
-                match &mut devices[index] {
-                    Some(existing) => existing.absorb_round(report),
-                    slot => *slot = Some(report),
-                }
-                masters[index].absorb(trace);
-                round_faults[index] = faults;
-                fault_counts[index] += faults;
-                if lost && health[index] != Health::Lost {
-                    // A lost device is permanently quarantined — but the
-                    // tally records recovery *decisions*, so an unprotected
-                    // run (fault plan only, recovery off) reports all zeros.
-                    health[index] = Health::Lost;
-                    if self.recovery.any_enabled() {
-                        tallies.quarantines += 1;
-                    }
-                }
-                orphans.append(&mut device_orphans);
-            }
-
-            // ---- sequential recovery planning ----
-            // Probe verdicts first: a clean probe closes the breaker, a
-            // faulting one re-opens it.
-            for &index in &included {
-                if let Health::Quarantined { probing: true, .. } = health[index] {
-                    if round_faults[index] == 0 {
-                        health[index] = Health::Healthy;
-                        fault_counts[index] = 0;
-                    } else {
-                        health[index] = Health::Quarantined {
-                            since_ms: cum_makespan[index],
-                            probing: false,
-                        };
-                        tallies.quarantines += 1;
-                        if masters[index].enabled() {
-                            masters[index].instant(
-                                TraceKind::Quarantine,
-                                TraceLane::Host,
-                                &format!("quarantine {} (probe failed)", self.fleet[index].name),
-                                cum_makespan[index],
-                            );
-                        }
-                    }
-                }
-            }
-            // Trip the breaker on devices crossing the fault threshold.
-            if let Some(threshold) = self.recovery.quarantine_threshold {
-                for &index in &included {
-                    if health[index] == Health::Healthy && fault_counts[index] >= threshold {
-                        health[index] = Health::Quarantined {
-                            since_ms: cum_makespan[index],
-                            probing: false,
-                        };
-                        tallies.quarantines += 1;
-                        if masters[index].enabled() {
-                            masters[index].instant(
-                                TraceKind::Quarantine,
-                                TraceLane::Host,
-                                &format!(
-                                    "quarantine {} after {} faults",
-                                    self.fleet[index].name, fault_counts[index]
-                                ),
-                                cum_makespan[index],
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Plan every orphan's fate, in submission order.
-            orphans.sort_by_key(|o| o.outcome.seq);
-            for orphan in orphans {
-                let seq = orphan.outcome.seq;
-                let from = orphan.outcome.device_index;
-                let failed_at = orphan.outcome.completion_ms;
-                let can_retry = orphan.kind != FaultKind::DeviceLoss
-                    && orphan.retries < self.recovery.retry_budget;
-                let next_attempts = orphan.retries + orphan.hops + 1;
-                let backoff = self.recovery.backoff_ms * f64::from(next_attempts);
-                let allowed: Vec<usize> = self
-                    .shard_set(&requests[seq].tenant, fleet_len)
-                    .unwrap_or_else(|| (0..fleet_len).collect());
-                // A destination is usable if it is healthy, inside the
-                // tenant's shard set, and will not itself be lost before the
-                // re-dispatch could start.
-                let available = |d: usize| -> bool {
-                    health[d] == Health::Healthy
-                        && allowed.contains(&d)
-                        && self
-                            .fault_plan
-                            .device_loss_ms(d)
-                            .is_none_or(|t| (failed_at + backoff).max(cum_makespan[d]) < t)
-                };
-                let healthiest = (0..fleet_len)
-                    .filter(|&d| d != from && available(d))
-                    .min_by(|&a, &b| {
-                        cum_makespan[a]
-                            .partial_cmp(&cum_makespan[b])
-                            .expect("makespans are finite")
-                            .then(a.cmp(&b))
-                    });
-                let (dest, retries, hops) = if can_retry {
-                    // Same-device retry; a dead or quarantined home falls
-                    // back to the least-loaded survivor.
-                    let dest = if available(from) {
-                        Some(from)
-                    } else {
-                        healthiest
-                    };
-                    (dest, orphan.retries + 1, orphan.hops)
-                } else if self.recovery.failover && orphan.hops < fleet_len as u32 {
-                    (healthiest, orphan.retries, orphan.hops + 1)
-                } else {
-                    (None, orphan.retries, orphan.hops)
-                };
-                let Some(dest) = dest else {
-                    // Budget exhausted or nowhere left to run: this attempt's
-                    // typed failure is the final outcome.
-                    outcomes.push(orphan.outcome);
-                    continue;
-                };
-                let ready = (failed_at + backoff).max(cum_makespan[dest]);
-                let failed_over = orphan.outcome.failed_over || dest != from;
-                if masters[dest].enabled() {
-                    let (kind, verb) = if can_retry {
-                        (TraceKind::Retry, "retry")
-                    } else {
-                        (TraceKind::Failover, "failover")
-                    };
-                    masters[dest].instant(
-                        kind,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "{verb} {} attempt {} from device #{from}",
-                            orphan.outcome.model,
-                            retries + hops + 1
-                        ),
-                        ready,
-                    );
-                }
-                if can_retry {
-                    tallies.retries += 1;
-                } else {
-                    tallies.failovers += 1;
-                }
-                match orphan.resume {
-                    // In-flight state resumes only on a same-spec sibling —
-                    // the suspension snapshot is meaningful against the same
-                    // cost model. Anywhere else restarts from scratch.
-                    Some((mut meta, suspension))
-                        if self.fleet[dest].name == self.fleet[from].name =>
-                    {
-                        meta.retries = retries;
-                        meta.failed_over = failed_over;
-                        seeds[dest].push(SeededSuspension {
-                            meta,
-                            suspension,
-                            suspended_at_ms: failed_at,
-                            ready_ms: ready,
-                        });
-                    }
-                    _ => {
-                        let mut request = requests[seq].clone();
-                        request.arrival_ms = ready;
-                        let carry = ServeCarry {
-                            original_arrival_ms: orphan.outcome.arrival_ms,
-                            retries,
-                            hops,
-                            failed_over,
-                            stolen_from: orphan.outcome.stolen_from,
-                        };
-                        work[dest].push((seq, request, carry));
-                    }
-                }
-            }
-
-            // Probe dispatch: a quarantined (not lost) device past its probe
-            // delay gets exactly one queued restart item re-routed to it.
-            let horizon = cum_makespan.iter().copied().fold(0.0_f64, f64::max);
-            for probe_dev in 0..fleet_len {
-                let Health::Quarantined {
-                    since_ms,
-                    probing: false,
-                } = health[probe_dev]
-                else {
-                    continue;
-                };
-                if horizon - since_ms < self.recovery.probe_after_ms {
-                    continue;
-                }
-                let candidate = (0..fleet_len)
-                    .filter(|&d| d != probe_dev)
-                    .flat_map(|d| work[d].iter().map(move |(seq, ..)| (*seq, d)))
-                    .filter(|&(seq, _)| {
-                        self.shard_set(&requests[seq].tenant, fleet_len)
-                            .is_none_or(|allowed| allowed.contains(&probe_dev))
-                    })
-                    .min();
-                let Some((seq, d)) = candidate else { continue };
-                let pos = work[d]
-                    .iter()
-                    .position(|(s, ..)| *s == seq)
-                    .expect("candidate was just found in this queue");
-                let (seq, mut request, carry) = work[d].remove(pos);
-                request.arrival_ms = request.arrival_ms.max(cum_makespan[probe_dev]);
-                tallies.probes += 1;
-                health[probe_dev] = Health::Quarantined {
-                    since_ms,
-                    probing: true,
-                };
-                if masters[probe_dev].enabled() {
-                    masters[probe_dev].instant(
-                        TraceKind::Probe,
-                        TraceLane::Request(seq),
-                        &format!(
-                            "probe {} with {}",
-                            self.fleet[probe_dev].name, request.model.abbr
-                        ),
-                        request.arrival_ms,
-                    );
-                }
-                work[probe_dev].push((seq, request, carry));
-            }
-
-            first_round = false;
-        }
-
-        outcomes.sort_by_key(|o| o.seq);
-        let devices: Vec<DeviceReport> = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, report)| {
-                report.unwrap_or_else(|| DeviceReport::empty(&self.fleet[index].name))
-            })
-            .collect();
-        let report = self.assemble_report(outcomes, devices, masters, tallies);
-        report.assert_disposition();
-        Ok(report)
-    }
-
-    /// Run one device's timeline to completion. Called once per
-    /// [`DeviceJob`], usually from a pool worker: everything it touches is
-    /// either owned by the job, local to this call, or a thread-safe shared
-    /// structure (the plan cache). The returned [`TraceRecorder`] is this
-    /// device's private event buffer, filled single-threaded here and merged
-    /// (deterministically, in fleet order) at the run's commit point.
-    ///
-    /// `chaos` is `Some` only on the chaos pipeline: it carries per-request
-    /// recovery state and failed-over suspensions, and switches on fault
-    /// injection from the engine's [`FaultPlan`]. With `None` every chaos
-    /// branch is skipped and the float arithmetic is exactly the fault-free
-    /// engine's.
-    #[allow(clippy::too_many_lines)]
-    fn run_device(&self, job: DeviceJob<'_>, chaos: Option<ServeChaosJob>) -> SimResult<DeviceRun> {
+    fn run_device(&self, job: DeviceJob<'_, Self>) -> SimResult<DeviceRun<Stranded>> {
         let DeviceJob {
             index: device_index,
             device,
             engine,
             sim,
+            requests,
             assigned,
-            prerejected,
-            stolen,
             warm,
+            carry: carry_map,
+            seeds: seed_list,
+            prologue:
+                Admission {
+                    rejected: prerejected,
+                    mut stolen,
+                },
         } = job;
-        let chaos_active = chaos.is_some();
-        let (carry_map, seed_list) = match chaos {
-            Some(c) => (c.carry, c.seeds),
-            None => (HashMap::new(), Vec::new()),
-        };
-        let lost_at_ms = if chaos_active {
-            self.fault_plan.device_loss_ms(device_index)
-        } else {
-            None
-        };
-        let mut orphans: Vec<ServeOrphan> = Vec::new();
+        stolen.extend(
+            carry_map
+                .iter()
+                .filter_map(|(seq, carry)| carry.stolen_from.map(|home| (*seq, home))),
+        );
+        let fault_plan = &self.fleet.fault_plan;
+        let faults_armed = !fault_plan.is_empty();
+        let lost_at_ms = fault_plan.device_loss_ms(device_index);
+        let mut orphans: Vec<Orphan<Stranded>> = Vec::new();
         let mut lost = false;
         let mut faults = 0_u32;
-        let mut trace = TraceRecorder::new(self.trace);
+        let mut trace = TraceRecorder::new(self.fleet.trace);
         let mut tracker = MemoryTracker::for_device(device);
         let slots = self.policy.max_in_flight().max(1);
         let exclusive = slots == 1 && self.policy.preemption().is_none();
@@ -1655,28 +1015,20 @@ impl ServeEngine {
         for (seq, request) in &pending {
             // Re-dispatched requests arrive at the recovery planner's ready
             // floor, but their deadline clock started at true submission.
-            let deadline = match carry_map.get(seq) {
-                Some(carry) => request
-                    .deadline_ms
-                    .or_else(|| self.tenant_slos.get(&request.tenant).copied())
-                    .map(|d| carry.original_arrival_ms + d),
-                None => request.absolute_deadline_ms().or_else(|| {
-                    self.tenant_slos
-                        .get(&request.tenant)
-                        .map(|d| request.arrival_ms + d)
-                }),
-            };
-            deadlines.insert(*seq, deadline);
+            let arrival = carry_map
+                .get(seq)
+                .map_or(request.arrival_ms, |c| c.original_arrival_ms);
+            deadlines.insert(*seq, self.effective_deadline(request).map(|d| arrival + d));
             let estimate = if uses_estimates {
                 *service_memo
                     .entry(request.model.abbr.clone())
                     .or_insert_with(|| {
-                        match self.cache.compile(&engine, &request.model, device) {
+                        match self.fleet.cache.compile(&engine, &request.model, device) {
                             Ok((artifact, _)) => predicted_service_ms(
                                 &artifact,
                                 &request.model,
                                 device,
-                                &self.config,
+                                &self.fleet.config,
                             ),
                             // Compilation failures surface at admission.
                             Err(_) => 0.0,
@@ -1739,20 +1091,21 @@ impl ServeEngine {
         // outcomes and trace instants are emitted here so each lands on its
         // placed device's private buffers and flows through the ordered
         // merge like everything else.
-        for (seq, request, laxity) in &prerejected {
+        for &(seq, laxity) in &prerejected {
+            let request = &requests[seq];
             outcomes.push(self.rejected_outcome(
-                *seq,
+                seq,
                 request,
                 device,
                 device_index,
                 RejectCause::DeadlineUnmeetable,
-                Some(*laxity),
+                Some(laxity),
                 None,
             ));
             if trace.enabled() {
                 trace.instant(
                     TraceKind::Reject,
-                    TraceLane::Request(*seq),
+                    TraceLane::Request(seq),
                     &format!("reject {} (deadline-unmeetable)", request.model.abbr),
                     request.arrival_ms,
                 );
@@ -1805,9 +1158,7 @@ impl ServeEngine {
                 peak_memory_mb: 0.0,
                 phases: PhaseBreakdown::attribute(wait_ms, wait_ms, 0.0, 0.0, &[], &[]),
                 rejected: None,
-                stolen_from: carry
-                    .and_then(|c| c.stolen_from)
-                    .or_else(|| stolen.get(&seq).copied()),
+                stolen_from: stolen.get(&seq).copied(),
                 failure: Some(FailureCause::from_error(&error)),
                 retries: carry.map_or(0, |c| c.retries),
                 failed_over: carry.is_some_and(|c| c.failed_over),
@@ -1899,13 +1250,15 @@ impl ServeEngine {
                             .filter_map(|f| f.stepper.peek_start_ms(&clocks))
                             .fold(f64::INFINITY, f64::min)
                 };
-                if chaos_active && in_flight.is_empty() {
+                if in_flight.is_empty() {
                     // Re-dispatched work carries a backoff floor its original
                     // arrival does not reflect; with nothing running, jump to
                     // the earliest floor so the loop cannot spin on a queue
-                    // whose every candidate is still backing off. Ordinary
-                    // suspensions have a `NEG_INFINITY` floor and never move
-                    // `now`.
+                    // whose every candidate is still backing off. A first
+                    // attempt's floor is its arrival, which the idle re-base
+                    // above has already passed, and ordinary suspensions have
+                    // a `NEG_INFINITY` floor, so only re-dispatched work ever
+                    // moves `now` here.
                     let earliest = pending
                         .first()
                         .map(|(_, r)| r.arrival_ms)
@@ -2029,7 +1382,7 @@ impl ServeEngine {
                     // that flag records which device won the compile race.
                     let key = ArtifactCache::key_for(&engine, &request.model, device);
                     let cache_hit = warm.contains(&key);
-                    let artifact = match self.cache.compile_traced(
+                    let artifact = match self.fleet.cache.compile_traced(
                         &engine,
                         &request.model,
                         device,
@@ -2099,7 +1452,7 @@ impl ServeEngine {
                             &artifact,
                             &request.model,
                             device,
-                            &self.config,
+                            &self.fleet.config,
                         ))
                     }));
                     let total_commands = stream.len();
@@ -2151,9 +1504,7 @@ impl ServeEngine {
                             predicted_ms,
                             total_commands,
                             admission_laxity_ms,
-                            stolen_from: carry
-                                .and_then(|c| c.stolen_from)
-                                .or_else(|| stolen.get(&seq).copied()),
+                            stolen_from: stolen.get(&seq).copied(),
                             retries: carry.map_or(0, |c| c.retries),
                             failed_over: carry.is_some_and(|c| c.failed_over),
                             trace_start: tracker.trace().len(),
@@ -2202,7 +1553,7 @@ impl ServeEngine {
             let base = if exclusive { 0.0 } else { epoch };
 
             // ---------------- fault injection ----------------
-            if chaos_active && chosen_start.is_finite() {
+            if faults_armed && chosen_start.is_finite() {
                 let would_start = epoch + chosen_start;
                 if lost_at_ms.is_some_and(|t| would_start + 1e-9 >= t) {
                     // The device dies before this command starts: everything
@@ -2220,7 +1571,7 @@ impl ServeEngine {
                             loss_ms,
                         );
                     }
-                    let carry_over = self.recovery.failover;
+                    let carry_over = self.fleet.recovery.failover;
                     for flight in in_flight.drain(..) {
                         let seq = flight.meta.seq;
                         let local_now =
@@ -2273,7 +1624,7 @@ impl ServeEngine {
                             }),
                             None,
                         );
-                        orphans.push(ServeOrphan {
+                        orphans.push(Orphan {
                             outcome,
                             kind: FaultKind::DeviceLoss,
                             retries,
@@ -2315,7 +1666,7 @@ impl ServeEngine {
                             }),
                             None,
                         );
-                        orphans.push(ServeOrphan {
+                        orphans.push(Orphan {
                             outcome,
                             kind: FaultKind::DeviceLoss,
                             retries,
@@ -2346,7 +1697,7 @@ impl ServeEngine {
                                 at_ms: loss_ms,
                             },
                         );
-                        orphans.push(ServeOrphan {
+                        orphans.push(Orphan {
                             outcome,
                             kind: FaultKind::DeviceLoss,
                             retries,
@@ -2364,12 +1715,9 @@ impl ServeEngine {
                     .meta
                     .total_commands
                     .saturating_sub(flight.stepper.remaining());
-                let attempt = carry_map
-                    .get(&flight.meta.seq)
-                    .map_or(0, ServeCarry::attempt);
+                let attempt = carry_map.get(&flight.meta.seq).map_or(0, Carry::attempt);
                 if let Some(kind) =
-                    self.fault_plan
-                        .command_fault(device_index, flight.meta.seq, executed, attempt)
+                    fault_plan.command_fault(device_index, flight.meta.seq, executed, attempt)
                 {
                     // A transient injected fault: fail this attempt exactly
                     // like a modelled mid-run error, but channel it to the
@@ -2423,7 +1771,7 @@ impl ServeEngine {
                         }),
                         None,
                     );
-                    orphans.push(ServeOrphan {
+                    orphans.push(Orphan {
                         outcome,
                         kind,
                         retries,
@@ -2608,6 +1956,37 @@ impl ServeEngine {
         })
     }
 
+    /// In-flight state resumes only on a same-spec sibling — the suspension
+    /// snapshot is meaningful against the same cost model. Anywhere else the
+    /// request restarts from scratch.
+    fn redispatch(
+        &self,
+        request: &ServeRequest,
+        plan: &Redispatch,
+        resume: Stranded,
+    ) -> NextAttempt<SeededSuspension> {
+        let devices = &self.fleet.devices;
+        match resume {
+            Some((mut meta, suspension)) if devices[plan.dest].name == devices[plan.from].name => {
+                meta.retries = plan.carry.retries;
+                meta.failed_over = plan.carry.failed_over;
+                NextAttempt::Resume(SeededSuspension {
+                    meta,
+                    suspension,
+                    suspended_at_ms: plan.failed_at_ms,
+                    ready_ms: plan.ready_ms,
+                })
+            }
+            _ => {
+                let mut request = request.clone();
+                request.arrival_ms = plan.ready_ms;
+                NextAttempt::Restart(Box::new(request), plan.carry)
+            }
+        }
+    }
+}
+
+impl ServeEngine {
     /// Preemption phase of the device loop: while every slot is busy and an
     /// arrived (or previously suspended) request
     /// [`outranks`](SchedulePolicy::outranks) the policy's chosen
@@ -2710,20 +2089,22 @@ impl ServeEngine {
                         // inflate the plan-cache hit counters.
                         let estimate = match estimate_memo.get(&cand.seq) {
                             Some(&estimate) => estimate,
-                            None => match self.cache.compile(engine, &request.model, device) {
-                                Ok((artifact, _)) => {
-                                    let estimate =
-                                        estimate_resident_bytes(&artifact, &request.model);
-                                    estimate_memo.insert(cand.seq, estimate);
-                                    estimate
+                            None => {
+                                match self.fleet.cache.compile(engine, &request.model, device) {
+                                    Ok((artifact, _)) => {
+                                        let estimate =
+                                            estimate_resident_bytes(&artifact, &request.model);
+                                        estimate_memo.insert(cand.seq, estimate);
+                                        estimate
+                                    }
+                                    Err(_) => {
+                                        // Compilation failures surface at
+                                        // admission.
+                                        candidates.remove(choice);
+                                        continue;
+                                    }
                                 }
-                                Err(_) => {
-                                    // Compilation failures surface at
-                                    // admission.
-                                    candidates.remove(choice);
-                                    continue;
-                                }
-                            },
+                            }
                         };
                         let used = tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
                         if used.saturating_add(estimate) > cap {
@@ -2842,7 +2223,12 @@ impl std::fmt::Debug for ServeEngine {
         f.debug_struct("ServeEngine")
             .field(
                 "fleet",
-                &self.fleet.iter().map(|d| &d.name).collect::<Vec<_>>(),
+                &self
+                    .fleet
+                    .devices
+                    .iter()
+                    .map(|d| &d.name)
+                    .collect::<Vec<_>>(),
             )
             .field("policy", &self.policy.name())
             .field("tenant_caps", &self.tenant_caps)
@@ -2976,10 +2362,10 @@ mod tests {
 
     #[test]
     fn non_finite_arrivals_are_rejected_with_a_typed_error() {
-        // The fields are public, so a caller can bypass the builder's clamp.
+        // The fields are public, so a caller can bypass the builders' clamps.
         // A non-finite arrival must come back as a typed error, not as a
         // worker panic (FIFO) or a panic on the caller thread (the steal
-        // planner's arrival sort).
+        // planner's arrival sort); so must a NaN or negative deadline.
         let fifo = ServeEngine::new(
             vec![DeviceSpec::oneplus_12()],
             FlashMemConfig::memory_priority(),
@@ -2990,16 +2376,27 @@ mod tests {
         )
         .with_policy(Box::new(PriorityPolicy::with_max_in_flight(2)))
         .with_overload_control(OverloadControl::disabled().with_steal());
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let cases = [
+            (nan, None, "finite"),
+            (inf, None, "finite"),
+            (-inf, None, "finite"),
+            (0.0, Some(nan), "deadline"),
+            (0.0, Some(-1.0), "deadline"),
+            (0.0, Some(-inf), "deadline"),
+        ];
         let mut reqs = requests(3);
         for engine in [&fifo, &steal] {
-            for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (arrival, deadline, word) in cases {
                 reqs[1].arrival_ms = arrival;
+                reqs[1].deadline_ms = deadline;
                 match engine.run_on(&ThreadPool::with_threads(1), &reqs) {
                     Err(SimError::InvalidParameter { message }) => {
                         assert!(message.contains("request 1"), "{message}");
-                        assert!(message.contains("finite"), "{message}");
+                        assert!(message.contains(word), "{message}");
                     }
-                    other => panic!("expected a typed arrival error, got {other:?}"),
+                    other => panic!("expected a typed {word} error, got {other:?}"),
                 }
             }
         }

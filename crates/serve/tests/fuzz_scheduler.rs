@@ -1278,3 +1278,57 @@ fn decode_requests_re_prefill_after_device_loss() {
         "decode chaos diverged between pool widths 1 and 4"
     );
 }
+
+#[test]
+fn decode_engine_quarantines_a_flaky_device() {
+    // Both engines share one recovery planner, so the circuit breaker
+    // covers generative requests too: a device whose prefills and decode
+    // steps keep faulting is quarantined, its faulted requests retry
+    // elsewhere, and a probe later tests it again.
+    let spec = DecodeWorkloadSpec {
+        pattern: ArrivalPattern::Steady { interval_ms: 60.0 },
+        requests: 8,
+        tenants: 2,
+        prompt_tokens: (8, 24),
+        output_tokens: (4, 12),
+        seed: 0xDECA_F002,
+    };
+    let requests = spec.generate(&[ModelZoo::gptneo_small()]);
+    let run = |pool: &ThreadPool| {
+        DecodeEngine::new(
+            vec![DeviceSpec::oneplus_12(), DeviceSpec::oneplus_12()],
+            FlashMemConfig::memory_priority(),
+        )
+        .with_cache(shared_cache())
+        .with_fault_plan(FaultPlan::seeded(11).with_flaky_device(1, 0.2))
+        .with_recovery_control(
+            RecoveryControl::disabled()
+                .with_retry_budget(2)
+                .with_backoff_ms(10.0)
+                .with_quarantine(1, 100.0),
+        )
+        .run_on(pool, &requests)
+        .expect("protected decode run succeeds")
+    };
+    let report = run(&ThreadPool::with_threads(1));
+    assert_eq!(report.outcomes.len(), requests.len());
+    assert!(
+        report.recovery.quarantines > 0,
+        "the flaky device was never quarantined\n{report}"
+    );
+    assert!(report.recovery.retries > 0, "no faulted request retried");
+    for o in &report.outcomes {
+        assert!(
+            o.succeeded() || o.failure.is_some(),
+            "decode request {} neither completed nor failed with a typed cause: {:?}",
+            o.seq,
+            o.error
+        );
+    }
+    let wide = run(&ThreadPool::with_threads(4));
+    assert_eq!(
+        format!("{}|{:?}", comparable(&report), report.recovery),
+        format!("{}|{:?}", comparable(&wide), wide.recovery),
+        "decode quarantine diverged between pool widths 1 and 4"
+    );
+}

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Write every bench oracle of one checkout into one flat directory:
+#
+#   - the `bin/all --quick` JSON documents (table4.json, ..., serve.json);
+#   - bench-<name>.json and bench-<name>.trace.json (the `--trace-out`
+#     Chrome trace) of the serve, fleet_scale, overload, decode and chaos
+#     `--quick` runs. The `bench-` prefix keeps them apart from bin/all's
+#     own serve.json.
+#
+# Every run uses a pool of THREADS workers. Comparing a change with its
+# parent is then two snapshots and one diff:
+#
+#   (cd parent && scripts/oracle-snapshot.sh /tmp/parent-1 1)
+#   (cd change && scripts/oracle-snapshot.sh /tmp/change-1 1)
+#   scripts/diff-bench-json.sh /tmp/parent-1 /tmp/change-1
+#
+# diff-bench-json.sh strips the wall-clock fields from the JSON and
+# requires the traces to be byte-identical.
+#
+# Run it from the root of a checkout. It builds `flashmem-bench` in release
+# mode first (honouring CARGO_TARGET_DIR).
+#
+# Usage: scripts/oracle-snapshot.sh OUT_DIR THREADS
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 OUT_DIR THREADS" >&2
+    exit 2
+fi
+
+out="$1"
+threads="$2"
+mkdir -p "$out"
+
+cargo build --release --offline -q -p flashmem-bench
+
+bench() {
+    cargo run --release --offline -q -p flashmem-bench --bin "$1" -- "${@:2}" \
+        --quick --threads "$threads" >/dev/null
+}
+
+bench all --json-dir "$out"
+for name in serve fleet_scale overload decode chaos; do
+    bench "$name" --json "$out/bench-$name.json" --trace-out "$out/bench-$name.trace.json"
+done
+
+echo "oracle-snapshot: $(ls "$out"/*.json | wc -l) JSON documents in $out (threads $threads)"
