@@ -16,6 +16,14 @@
 //! began reporting `cache_hit` from the run-start warmth snapshot; with
 //! `cache_hit` left out of the hash, the old and new code agree.
 //!
+//! Each scenario also runs with tracing enabled at both widths: the traced
+//! reports must equal the untraced ones, the two Chrome trace exports must be
+//! byte-identical, and an FNV fingerprint of the export must match a second
+//! recorded constant. The trace constants were recorded while the gpu-sim
+//! stepper and the plan cache still recorded their own trace events, so
+//! matching them shows that moving that recording into the serve loop kept
+//! every event, label and order.
+//!
 //! A fifth test pins that a fault-free run is the same run with or without
 //! recovery armed.
 
@@ -24,13 +32,18 @@ use flashmem::gpu_sim::trace::MemoryTrace;
 use flashmem::prelude::*;
 use flashmem::serve::metrics::{DeviceReport, RequestOutcome, ServeReport};
 use flashmem::serve::{
-    BatchConfig, DecodeEngine, DecodeWorkloadSpec, OverloadControl, RecoveryControl,
+    BatchConfig, DecodeEngine, DecodeWorkloadSpec, OverloadControl, RecoveryControl, TraceKind,
 };
 
 const EDF_GOLDEN: u64 = 0xd307f7b9a590da07;
 const CHAOS_GOLDEN: u64 = 0x9bf3a998ad9a6392;
 const FIFO_GOLDEN: u64 = 0x892b9730405cfccc;
 const DECODE_GOLDEN: u64 = 0xe5ad7a9f90db7e0d;
+
+const EDF_TRACE_GOLDEN: u64 = 0x8875702842690219;
+const CHAOS_TRACE_GOLDEN: u64 = 0x8046c5a46bcb79b7;
+const FIFO_TRACE_GOLDEN: u64 = 0x0a97def83da335e8;
+const DECODE_TRACE_GOLDEN: u64 = 0xc304345be61177d1;
 
 fn hash_option(h: Fnv1a, value: Option<f64>) -> Fnv1a {
     match value {
@@ -188,15 +201,19 @@ fn assert_partition(name: &str, report: &ServeReport, submitted: usize) {
 /// Run a scenario at pool widths 1 and 4, each on a freshly built engine
 /// (so both start from a cold plan cache), check that the two reports are
 /// identical and partition their requests, and compare the fingerprint with
-/// the recorded one. Returns the width-1 report.
+/// the recorded one. Then run it traced at both widths: the reports must not
+/// move, the two Chrome exports must be byte-identical, and their
+/// fingerprint must match `trace_golden`. Returns the width-1 report and the
+/// width-1 trace.
 fn check(
     name: &str,
     submitted: usize,
     golden: u64,
-    run: impl Fn(&ThreadPool) -> ServeReport,
-) -> ServeReport {
-    let serial = run(&ThreadPool::with_threads(1));
-    let wide = run(&ThreadPool::with_threads(4));
+    trace_golden: u64,
+    run: impl Fn(&ThreadPool, TraceConfig) -> ServeReport,
+) -> (ServeReport, FleetTrace) {
+    let serial = run(&ThreadPool::with_threads(1), TraceConfig::disabled());
+    let wide = run(&ThreadPool::with_threads(4), TraceConfig::disabled());
     assert_partition(name, &serial, submitted);
     assert!(
         serial.outcomes == wide.outcomes,
@@ -212,7 +229,26 @@ fn check(
         hash, golden,
         "{name}: serving fingerprint {hash:#018x} differs from the recorded {golden:#018x}"
     );
-    serial
+
+    let [serial_trace, wide_trace] = [1, 4].map(|threads| {
+        let traced = run(&ThreadPool::with_threads(threads), TraceConfig::enabled());
+        assert!(
+            traced.outcomes == serial.outcomes && traced.devices == serial.devices,
+            "{name}: tracing changed the report at width {threads}"
+        );
+        traced.trace.expect("a traced run carries its trace")
+    });
+    let export = chrome_trace(&serial_trace);
+    assert!(
+        export == chrome_trace(&wide_trace),
+        "{name}: traces differ between widths 1 and 4"
+    );
+    let trace_hash = Fnv1a::new().write(export.as_bytes()).finish();
+    assert_eq!(
+        trace_hash, trace_golden,
+        "{name}: trace fingerprint {trace_hash:#018x} differs from the recorded {trace_golden:#018x}"
+    );
+    (serial, serial_trace)
 }
 
 fn one_shot_models() -> Vec<flashmem::graph::ModelSpec> {
@@ -236,21 +272,30 @@ fn edf_with_tenant_slos_matches_its_fingerprint() {
         seed: 11,
     }
     .generate(&one_shot_models());
-    let report = check("edf", requests.len(), EDF_GOLDEN, |pool| {
-        SLO_MS
-            .iter()
-            .enumerate()
-            .fold(
-                ServeEngine::new(
-                    vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
-                    FlashMemConfig::memory_priority(),
+    let (report, _) = check(
+        "edf",
+        requests.len(),
+        EDF_GOLDEN,
+        EDF_TRACE_GOLDEN,
+        |pool, trace| {
+            SLO_MS
+                .iter()
+                .enumerate()
+                .fold(
+                    ServeEngine::new(
+                        vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                        FlashMemConfig::memory_priority(),
+                    )
+                    .with_policy(Box::new(EdfPolicy::with_max_in_flight(2))),
+                    |engine, (tenant, slo)| {
+                        engine.with_tenant_slo(format!("tenant-{tenant}"), *slo)
+                    },
                 )
-                .with_policy(Box::new(EdfPolicy::with_max_in_flight(2))),
-                |engine, (tenant, slo)| engine.with_tenant_slo(format!("tenant-{tenant}"), *slo),
-            )
-            .run_on(pool, &requests)
-            .expect("edf run")
-    });
+                .with_trace(trace)
+                .run_on(pool, &requests)
+                .expect("edf run")
+        },
+    );
     // The scenario queues: requests wait, and some miss their SLO.
     assert_eq!(report.completed(), requests.len());
     assert!(report.outcomes.iter().any(|o| o.queue_wait_ms > 0.0));
@@ -319,18 +364,25 @@ fn recovery_kit() -> RecoveryControl {
 #[test]
 fn preemptive_overload_recovery_matches_its_fingerprint() {
     let (fleet, requests) = flash_crowd();
-    let report = check("chaos", requests.len(), CHAOS_GOLDEN, |pool| {
-        preemptive_overload_engine(&fleet)
-            .with_recovery_control(recovery_kit())
-            .with_fault_plan(
-                FaultPlan::seeded(0x5EED)
-                    .with_device_loss(0, 900.0)
-                    .with_flaky_device(3, 0.0006)
-                    .with_oom_spikes(1, 0.0004),
-            )
-            .run_on(pool, &requests)
-            .expect("chaos run")
-    });
+    let (report, trace) = check(
+        "chaos",
+        requests.len(),
+        CHAOS_GOLDEN,
+        CHAOS_TRACE_GOLDEN,
+        |pool, trace| {
+            preemptive_overload_engine(&fleet)
+                .with_recovery_control(recovery_kit())
+                .with_trace(trace)
+                .with_fault_plan(
+                    FaultPlan::seeded(0x5EED)
+                        .with_device_loss(0, 900.0)
+                        .with_flaky_device(3, 0.0006)
+                        .with_oom_spikes(1, 0.0004),
+                )
+                .run_on(pool, &requests)
+                .expect("chaos run")
+        },
+    );
     // Every mechanism the scenario names fires at least once.
     assert!(report.preemptions > 0);
     assert!(report.stolen() > 0);
@@ -341,6 +393,25 @@ fn preemptive_overload_recovery_matches_its_fingerprint() {
     );
     assert!(report.recovery.retries > 0 && report.recovery.failovers > 0);
     assert!(report.recovery.quarantines > 0);
+    // The traced run records every event the serve loop draws for stepping,
+    // preemption and the plan cache.
+    let count = |kind: TraceKind| {
+        trace
+            .processes
+            .iter()
+            .flat_map(|p| &p.events)
+            .filter(|e| e.kind == kind)
+            .count()
+    };
+    for kind in [
+        TraceKind::Preempt,
+        TraceKind::Resume,
+        TraceKind::Suspended,
+        TraceKind::Command,
+    ] {
+        assert!(count(kind) > 0, "chaos trace holds no {kind:?} event");
+    }
+    assert!(count(TraceKind::CacheHit) + count(TraceKind::CacheMiss) > 0);
 }
 
 #[test]
@@ -392,14 +463,21 @@ fn exclusive_fifo_matches_its_fingerprint() {
         seed: 5,
     }
     .generate(&one_shot_models());
-    let report = check("fifo", requests.len(), FIFO_GOLDEN, |pool| {
-        ServeEngine::new(
-            vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
-            FlashMemConfig::memory_priority(),
-        )
-        .run_on(pool, &requests)
-        .expect("fifo run")
-    });
+    let (report, _) = check(
+        "fifo",
+        requests.len(),
+        FIFO_GOLDEN,
+        FIFO_TRACE_GOLDEN,
+        |pool, trace| {
+            ServeEngine::new(
+                vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                FlashMemConfig::memory_priority(),
+            )
+            .with_trace(trace)
+            .run_on(pool, &requests)
+            .expect("fifo run")
+        },
+    );
     // Exclusive mode: every request owns its device and reports a full
     // execution report.
     assert_eq!(report.completed(), requests.len());
@@ -419,18 +497,25 @@ fn continuous_batching_decode_matches_its_fingerprint() {
         seed: 3,
     }
     .generate(&[ModelZoo::gptneo_small()]);
-    let report = check("decode", requests.len(), DECODE_GOLDEN, |pool| {
-        DecodeEngine::new(
-            vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
-            FlashMemConfig::memory_priority(),
-        )
-        .with_batching(BatchConfig {
-            max_batch: 4,
-            ..BatchConfig::default()
-        })
-        .run_on(pool, &requests)
-        .expect("decode run")
-    });
+    let (report, _) = check(
+        "decode",
+        requests.len(),
+        DECODE_GOLDEN,
+        DECODE_TRACE_GOLDEN,
+        |pool, trace| {
+            DecodeEngine::new(
+                vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                FlashMemConfig::memory_priority(),
+            )
+            .with_batching(BatchConfig {
+                max_batch: 4,
+                ..BatchConfig::default()
+            })
+            .with_trace(trace)
+            .run_on(pool, &requests)
+            .expect("decode run")
+        },
+    );
     assert_eq!(report.completed(), requests.len());
     assert!(report
         .outcomes
