@@ -7,7 +7,7 @@
 //! emits it so results can be diffed across PRs.
 //!
 //! The independent experiments run **concurrently** on the process-wide
-//! work-stealing pool (width from `--threads N`, else `FLASHMEM_THREADS`,
+//! thread pool (width from `--threads N`, else `FLASHMEM_THREADS`,
 //! else the machine), and each experiment's internal sweep runs serially
 //! inside its job (nested pool calls are inline by design — the outer
 //! fan-out already owns the hardware). Output is printed in the fixed
@@ -101,7 +101,7 @@ fn main() {
     ];
 
     let start = Instant::now();
-    let outputs = pool.run_jobs(jobs);
+    let outputs = pool.parallel_map(jobs, |job| job());
     let total_ms = start.elapsed().as_secs_f64() * 1e3;
 
     for output in &outputs {

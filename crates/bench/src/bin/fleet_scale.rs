@@ -1,7 +1,7 @@
 //! The fleet-scale serving benchmark: ramp a flash-crowd workload over
 //! 8 → 64 → 256 → 1024 simulated devices, stepping the fleet once on the
 //! exact serial loop (`--threads 1` reference) and once fanned out on the
-//! work-stealing pool, and report per-device step wall-clock, fleet-parallel
+//! thread pool, and report per-device step wall-clock, fleet-parallel
 //! speedup and byte-identity of the two reports.
 //!
 //! Usage: `cargo run --release -p flashmem-bench --bin fleet_scale [-- --quick] [--threads N] [--json PATH] [--trace-out PATH]`

@@ -1,6 +1,6 @@
 //! Fleet-scale serving benchmark — beyond the paper: how far one
 //! `ServeEngine::run` can ramp a simulated device fleet now that independent
-//! device timelines advance concurrently on the work-stealing pool.
+//! device timelines advance concurrently on the thread pool.
 //!
 //! Each cell serves a flash-crowd workload (tight bursts of arrivals, two
 //! requests per device) on a fleet of 8 → 64 → 256 → 1024 devices, **twice**:

@@ -30,7 +30,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::ModelSpec;
-use flashmem_trace::{TraceKind, TraceLane, TraceRecorder};
 
 use crate::engine::{CompiledArtifact, InferenceEngine};
 use crate::metrics::ExecutionReport;
@@ -347,61 +346,6 @@ impl ArtifactCache {
         }
         guard.flight.finish();
         Ok((artifact, false))
-    }
-
-    /// [`compile`](Self::compile) that additionally records the cache probe
-    /// and any compile into `trace` at sim time `now_ms` on `lane`.
-    ///
-    /// The recorded hit/miss comes from `warm_hint` — the caller's
-    /// schedule-independent [`is_warm`](Self::is_warm) snapshot — not from
-    /// the returned flag, which at pool width > 1 records whichever worker
-    /// won an intra-run compile race and would make traces
-    /// schedule-dependent. Counters are untouched by tracing.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`compile`](Self::compile)'s errors; nothing is recorded on
-    /// the failure path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compile_traced(
-        &self,
-        engine: &dyn InferenceEngine,
-        model: &ModelSpec,
-        device: &DeviceSpec,
-        now_ms: f64,
-        warm_hint: bool,
-        lane: TraceLane,
-        trace: &mut TraceRecorder,
-    ) -> SimResult<(CompiledArtifact, bool)> {
-        let result = self.compile(engine, model, device)?;
-        if trace.enabled() {
-            if warm_hint {
-                trace.instant(
-                    TraceKind::CacheHit,
-                    lane,
-                    &format!("cache hit {}", model.abbr),
-                    now_ms,
-                );
-            } else {
-                trace.instant(
-                    TraceKind::CacheMiss,
-                    lane,
-                    &format!("cache miss {}", model.abbr),
-                    now_ms,
-                );
-                // Plan compilation (the LC-OPG solve) is instantaneous on
-                // the simulated clock — the cost model charges it to host
-                // wall time, not device time — so the solve lands as an
-                // instant, not a span.
-                trace.instant(
-                    TraceKind::Compile,
-                    lane,
-                    &format!("compile {}", model.abbr),
-                    now_ms,
-                );
-            }
-        }
-        Ok(result)
     }
 
     /// Counter snapshot, summed over the shards.

@@ -27,10 +27,10 @@
 //!   [`InferenceEngine::compile`] so sweeps and servers skip redundant
 //!   LC-OPG solves; sharded locks plus per-key in-flight compile
 //!   deduplication make it safe (and profitable) to share across threads.
-//! * [`pool`] — a std-only work-stealing [`ThreadPool`] with a scoped-join
-//!   API; every embarrassingly parallel sweep above the simulator (the bench
-//!   matrix, the serving sweep, the fuzz harness) fans out through it with
-//!   deterministic, input-ordered results.
+//! * [`pool`] — a std-only [`ThreadPool`]: one ordered, self-scheduling map
+//!   over scoped threads. Every embarrassingly parallel sweep above the
+//!   simulator (the bench matrix, the serving sweep, the fuzz harness) fans
+//!   out through it with deterministic, input-ordered results.
 //! * [`telemetry`] — the deterministic sim-clock event tracer (re-exported
 //!   `flashmem-trace` crate): per-device ring-buffered recorders, the merged
 //!   [`telemetry::FleetTrace`], Chrome trace-event export and per-request

@@ -1,5 +1,4 @@
-//! Concurrency oracles for the sharded [`ArtifactCache`] and the
-//! work-stealing [`ThreadPool`].
+//! Concurrency oracles for the sharded [`ArtifactCache`] and the [`ThreadPool`].
 //!
 //! The bar the parallel sweeps are held to: N threads racing on one
 //! uncompiled key must run **exactly one** compile (no double LC-OPG solve,

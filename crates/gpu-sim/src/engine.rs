@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use flashmem_trace::{TraceKind, TraceLane, TraceRecorder};
 use serde::{Deserialize, Serialize};
 
 use crate::bandwidth::{BandwidthModel, MemoryTier};
@@ -364,6 +363,9 @@ pub struct StepEvent {
     pub start_ms: f64,
     /// End time in (stream-local) milliseconds.
     pub end_ms: f64,
+    /// Bytes the command moved: transfers, transforms and kernels carry
+    /// their byte count, bookkeeping commands (alloc, free, barrier) 0.
+    pub bytes: u64,
 }
 
 impl StepEvent {
@@ -495,7 +497,7 @@ impl StreamStepper {
             CommandKind::Alloc { tier, bytes } => {
                 let id = tracker.allocate(*tier, *bytes, &cmd.label, time_base_ms + start)?;
                 self.allocs.insert(idx, (*tier, id));
-                (0.0, *bytes, None)
+                (0.0, 0, None)
             }
             CommandKind::Free { alloc } => {
                 let (tier, id) = self
@@ -569,54 +571,8 @@ impl StreamStepper {
             queue,
             start_ms: start,
             end_ms: end,
+            bytes,
         }))
-    }
-
-    /// [`step`](Self::step) that additionally records the executed command
-    /// as a queue-occupancy span in `trace`, stamped at
-    /// `trace_base_ms + start` (the global fleet clock). Host-queue
-    /// bookkeeping commands are not traced — they occupy no hardware queue.
-    /// A single branch when the recorder is disabled.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`step`](Self::step)'s errors; tracing never fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_traced(
-        &mut self,
-        sim: &GpuSimulator,
-        clocks: &mut QueueClocks,
-        tracker: &mut MemoryTracker,
-        time_base_ms: f64,
-        trace_base_ms: f64,
-        trace: &mut TraceRecorder,
-    ) -> SimResult<Option<StepEvent>> {
-        let timeline_before = self.timeline.len();
-        let event = self.step(sim, clocks, tracker, time_base_ms)?;
-        if let Some(ev) = &event {
-            if trace.enabled() && ev.queue != QueueKind::Host {
-                // Commands that moved data pushed a timeline event carrying
-                // their byte count; bookkeeping ones did not.
-                let bytes = if self.timeline.len() > timeline_before {
-                    self.timeline.events()[timeline_before].bytes
-                } else {
-                    0
-                };
-                let lane = match ev.queue {
-                    QueueKind::Transfer => TraceLane::TransferQueue,
-                    _ => TraceLane::ComputeQueue,
-                };
-                trace.span_bytes(
-                    TraceKind::Command,
-                    lane,
-                    &self.stream.commands()[ev.command].label,
-                    trace_base_ms + ev.start_ms,
-                    trace_base_ms + ev.end_ms,
-                    bytes,
-                );
-            }
-        }
-        Ok(event)
     }
 
     /// The per-event timeline accumulated so far (stream-local times).
@@ -713,37 +669,6 @@ impl StreamStepper {
             suspended_at_ms: now_ms,
             evicted,
         })
-    }
-
-    /// [`suspend_evicting`](Self::suspend_evicting) that additionally
-    /// records a preemption instant (tagged with the evicted byte count) on
-    /// `lane` in `trace`, stamped at `time_base_ms + now_ms`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`suspend_evicting`](Self::suspend_evicting)'s errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn suspend_evicting_traced(
-        self,
-        clocks: &QueueClocks,
-        tracker: &mut MemoryTracker,
-        now_ms: f64,
-        time_base_ms: f64,
-        trace: &mut TraceRecorder,
-        lane: TraceLane,
-        label: &str,
-    ) -> SimResult<Suspension> {
-        let suspension = self.suspend_evicting(clocks, tracker, now_ms, time_base_ms)?;
-        if trace.enabled() {
-            trace.instant_bytes(
-                TraceKind::Preempt,
-                lane,
-                &format!("preempt {label}"),
-                time_base_ms + now_ms,
-                suspension.evicted_bytes(),
-            );
-        }
-        Ok(suspension)
     }
 
     /// Bytes this stream currently holds in the tracker, split as
@@ -1007,43 +932,6 @@ impl Suspension {
             .floor_ms
             .max(self.suspended_at_ms)
             .max(resume_at_ms + penalty);
-        Ok((stepper, penalty))
-    }
-
-    /// [`resume_into`](Self::resume_into) that additionally records the
-    /// resume (and its reload penalty, as a span when non-zero) on `lane`
-    /// in `trace`, stamped at `time_base_ms + resume_at_ms`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`resume_into`](Self::resume_into)'s errors; nothing is
-    /// recorded on the failure path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume_into_traced(
-        self,
-        sim: &GpuSimulator,
-        tracker: &mut MemoryTracker,
-        resume_at_ms: f64,
-        time_base_ms: f64,
-        cost: &PreemptionCost,
-        trace: &mut TraceRecorder,
-        lane: TraceLane,
-        label: &str,
-    ) -> SimResult<(StreamStepper, f64)> {
-        let evicted = self.evicted_bytes();
-        let (stepper, penalty) =
-            self.resume_into(sim, tracker, resume_at_ms, time_base_ms, cost)?;
-        if trace.enabled() {
-            let start = time_base_ms + resume_at_ms;
-            trace.span_bytes(
-                TraceKind::Resume,
-                lane,
-                &format!("resume {label}"),
-                start,
-                start + penalty,
-                evicted,
-            );
-        }
         Ok((stepper, penalty))
     }
 }

@@ -376,7 +376,8 @@ impl DecodeEngine {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
-    /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a request
+    /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a
+    /// non-finite or negative [`RecoveryControl`] time, a request
     /// without decode token counts, a model without a decode spec, or a
     /// request whose maximum context exceeds its model's context window.
     /// Worker panics surface as [`SimError::WorkerPanic`]; per-request
@@ -1161,17 +1162,43 @@ mod tests {
             (0.0, Some(-1.0), "deadline"),
             (0.0, Some(-inf), "deadline"),
         ];
+        fn rejects(recovery: RecoveryControl, requests: &[ServeRequest], words: [&str; 2]) {
+            let engine = engine(BatchConfig::default()).with_recovery_control(recovery);
+            match engine.run_on(&ThreadPool::with_threads(1), requests) {
+                Err(SimError::InvalidParameter { message }) => {
+                    assert!(words.iter().all(|w| message.contains(w)), "{message}");
+                }
+                other => panic!("expected a typed {words:?} error, got {other:?}"),
+            }
+        }
+        let off = RecoveryControl::disabled;
         let mut requests = burst(3, 8, 4);
         for (arrival, deadline, word) in cases {
             requests[2].arrival_ms = arrival;
             requests[2].deadline_ms = deadline;
-            match engine(BatchConfig::default()).run_on(&ThreadPool::with_threads(1), &requests) {
-                Err(SimError::InvalidParameter { message }) => {
-                    assert!(message.contains("request 2"), "{message}");
-                    assert!(message.contains(word), "{message}");
-                }
-                other => panic!("expected a typed {word} error, got {other:?}"),
-            }
+            rejects(off(), &requests, ["request 2", word]);
+        }
+        // A NaN passed to a builder meets the same check as one set on the
+        // field: the builders clamp negatives but keep NaN.
+        requests[2] = burst(3, 8, 4)[2].clone().with_arrival_ms(nan);
+        rejects(off(), &requests, ["request 2", "finite"]);
+        requests[2] = burst(3, 8, 4)[2].clone().with_deadline_ms(nan);
+        rejects(off(), &requests, ["request 2", "deadline"]);
+        // So do the recovery knobs.
+        let set = |backoff_ms, probe_after_ms| RecoveryControl {
+            backoff_ms,
+            probe_after_ms,
+            ..off()
+        };
+        for (recovery, word) in [
+            (off().with_backoff_ms(nan), "backoff_ms"),
+            (off().with_backoff_ms(inf), "backoff_ms"),
+            (set(-1.0, 0.0), "backoff_ms"),
+            (off().with_quarantine(1, nan), "probe_after_ms"),
+            (off().with_quarantine(1, inf), "probe_after_ms"),
+            (set(0.0, -1.0), "probe_after_ms"),
+        ] {
+            rejects(recovery, &burst(3, 8, 4), ["RecoveryControl", word]);
         }
     }
 

@@ -249,7 +249,8 @@ impl Fleet {
     /// # Errors
     ///
     /// [`SimError::InvalidParameter`] for an empty fleet (naming `engine`),
-    /// a non-finite arrival or a NaN or negative deadline.
+    /// a non-finite or negative recovery backoff or probe delay, a
+    /// non-finite arrival or a NaN or negative deadline.
     pub(crate) fn check(&self, engine: &str, requests: &[ServeRequest]) -> SimResult<()> {
         if self.devices.is_empty() {
             return Err(SimError::InvalidParameter {
@@ -257,6 +258,20 @@ impl Fleet {
                     "cannot serve on an empty fleet: {engine} needs at least one device"
                 ),
             });
+        }
+        let recovery = &self.recovery;
+        for (knob, ms) in [
+            ("backoff_ms", recovery.backoff_ms),
+            ("probe_after_ms", recovery.probe_after_ms),
+        ] {
+            if !ms.is_finite() || ms < 0.0 {
+                return Err(SimError::InvalidParameter {
+                    message: format!(
+                        "RecoveryControl::{knob} is {ms}; it must be a finite, non-negative \
+                         number of milliseconds"
+                    ),
+                });
+            }
         }
         check_arrivals(requests)
     }

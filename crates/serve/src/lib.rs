@@ -16,7 +16,7 @@
 //!
 //! Device timelines are independent after placement, so one
 //! [`ServeEngine::run`] steps its whole fleet **in parallel** on the
-//! process-wide work-stealing pool (`flashmem_core::pool`): placement is a
+//! process-wide thread pool (`flashmem_core::pool`): placement is a
 //! sequential prologue, per-device stepping fans out as pool jobs sharing
 //! one plan cache, and the merged report is re-assembled in deterministic
 //! order — byte-identical to the serial loop, which

@@ -30,7 +30,7 @@
 use flashmem_core::cache::Fnv1a;
 use flashmem_gpu_sim::engine::PreemptionCost;
 
-use crate::request::ServeRequest;
+use crate::request::{clamp_non_negative, ServeRequest};
 
 /// The time-varying state a policy decision is made against.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -249,9 +249,10 @@ impl RecoveryControl {
     }
 
     /// Set the simulated-time backoff unit between recovery attempts
-    /// (builder style, clamped to non-negative).
+    /// (builder style, clamped to non-negative; a NaN or infinite value is
+    /// kept, and the run rejects it).
     pub fn with_backoff_ms(mut self, backoff_ms: f64) -> Self {
-        self.backoff_ms = backoff_ms.max(0.0);
+        self.backoff_ms = clamp_non_negative(backoff_ms);
         self
     }
 
@@ -263,10 +264,11 @@ impl RecoveryControl {
 
     /// Quarantine a device after `threshold` injected faults in one round
     /// (clamped to at least 1) and allow a probe after `probe_after_ms` of
-    /// simulated time (builder style).
+    /// simulated time (builder style, clamped to non-negative; a NaN or
+    /// infinite value is kept, and the run rejects it).
     pub fn with_quarantine(mut self, threshold: u32, probe_after_ms: f64) -> Self {
         self.quarantine_threshold = Some(threshold.max(1));
-        self.probe_after_ms = probe_after_ms.max(0.0);
+        self.probe_after_ms = clamp_non_negative(probe_after_ms);
         self
     }
 

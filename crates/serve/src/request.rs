@@ -206,16 +206,17 @@ impl ServeRequest {
         self
     }
 
-    /// Set the arrival time (builder style, clamped to non-negative).
+    /// Set the arrival time (builder style, clamped to non-negative; a NaN
+    /// is kept, and the run rejects it).
     pub fn with_arrival_ms(mut self, arrival_ms: f64) -> Self {
-        self.arrival_ms = arrival_ms.max(0.0);
+        self.arrival_ms = clamp_non_negative(arrival_ms);
         self
     }
 
     /// Set the relative SLO deadline (builder style, clamped to
-    /// non-negative).
+    /// non-negative; a NaN is kept, and the run rejects it).
     pub fn with_deadline_ms(mut self, deadline_ms: f64) -> Self {
-        self.deadline_ms = Some(deadline_ms.max(0.0));
+        self.deadline_ms = Some(clamp_non_negative(deadline_ms));
         self
     }
 
@@ -230,9 +231,20 @@ impl ServeRequest {
     }
 }
 
+/// Clamp a negative time to 0 but keep a NaN for the entry checks to
+/// reject: `f64::max` returns its non-NaN operand, so `ms.max(0.0)` alone
+/// would turn a NaN into 0.
+pub(crate) fn clamp_non_negative(ms: f64) -> f64 {
+    if ms.is_nan() {
+        ms
+    } else {
+        ms.max(0.0)
+    }
+}
+
 /// Reject a submission holding a non-finite arrival time or a NaN or
-/// negative deadline — the values the builders clamp away, which the public
-/// fields let a caller bypass. Both engines order work by arrival and admit
+/// negative deadline, whether set on the public fields or, for a NaN,
+/// passed through a builder. Both engines order work by arrival and admit
 /// from the arrived prefix, which needs real times, and a NaN deadline
 /// would silently count as a missed SLO.
 ///

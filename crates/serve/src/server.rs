@@ -25,7 +25,7 @@
 //! Device timelines share nothing but the plan cache, so
 //! [`ServeEngine::run`] hands them to the crate's fleet runner (shared with
 //! [`DecodeEngine`](crate::DecodeEngine)), which steps them on the
-//! process-wide work-stealing [`ThreadPool`] in strictly ordered stages:
+//! process-wide [`ThreadPool`] in strictly ordered stages:
 //!
 //! 1. **Prologue (sequential).** [`SchedulePolicy::place`] assigns every
 //!    request to a device on the caller thread, in submission order —
@@ -122,7 +122,7 @@ use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
 };
-use crate::request::{FailureCause, RejectCause, ServeRequest};
+use crate::request::{clamp_non_negative, FailureCause, RejectCause, ServeRequest};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -594,8 +594,10 @@ impl ServeEngine {
     /// latency budget in milliseconds, used when the request does not carry
     /// its own [`deadline_ms`](ServeRequest::deadline_ms). Deadline-carrying
     /// requests feed the report's [`SloSummary`](crate::SloSummary).
+    /// Clamped to non-negative; a NaN is kept, and the run rejects it.
     pub fn with_tenant_slo(mut self, tenant: impl Into<String>, deadline_ms: f64) -> Self {
-        self.tenant_slos.insert(tenant.into(), deadline_ms.max(0.0));
+        self.tenant_slos
+            .insert(tenant.into(), clamp_non_negative(deadline_ms));
         self
     }
 
@@ -770,7 +772,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
-    /// non-finite `arrival_ms` or a NaN or negative `deadline_ms`, an error
+    /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a NaN
+    /// tenant SLO, a non-finite or negative [`RecoveryControl`] time, an error
     /// for malformed command streams (an internal invariant violation, not
     /// a modelled outcome), and [`SimError::WorkerPanic`] for a panic inside
     /// a device worker.
@@ -784,6 +787,12 @@ impl ServeEngine {
     /// `--threads 1` bisection path.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
         self.fleet.check("ServeEngine", requests)?;
+        let nan_slos = self.tenant_slos.iter().filter(|(_, slo)| slo.is_nan());
+        if let Some((tenant, _)) = nan_slos.min_by_key(|(tenant, _)| *tenant) {
+            return Err(SimError::InvalidParameter {
+                message: format!("tenant {tenant} has a NaN SLO deadline; it must be a number"),
+            });
+        }
         // Warmth is snapshotted *before* the overload prologue compiles
         // anything, so `cache_hit` keeps meaning "warm when the run began"
         // even when admission control / steal planning populate the cache.
@@ -1352,16 +1361,25 @@ impl DeviceLoop for ServeEngine {
                                 now,
                             );
                         }
-                        let (stepper, penalty) = s.suspension.resume_into_traced(
+                        let evicted = s.suspension.evicted_bytes();
+                        let (stepper, penalty) = s.suspension.resume_into(
                             &sim,
                             &mut tracker,
                             resume_local,
                             epoch,
                             &cost,
-                            &mut trace,
-                            TraceLane::Request(s.meta.seq),
-                            &s.meta.abbr,
                         )?;
+                        if trace.enabled() {
+                            let start = epoch + resume_local;
+                            trace.span_bytes(
+                                TraceKind::Resume,
+                                TraceLane::Request(s.meta.seq),
+                                &format!("resume {}", s.meta.abbr),
+                                start,
+                                start + penalty,
+                                evicted,
+                            );
+                        }
                         let mut meta = s.meta;
                         meta.suspended_ms += (now - s.suspended_at_ms).max(0.0);
                         meta.penalty_ms += penalty;
@@ -1382,16 +1400,31 @@ impl DeviceLoop for ServeEngine {
                     // that flag records which device won the compile race.
                     let key = ArtifactCache::key_for(&engine, &request.model, device);
                     let cache_hit = warm.contains(&key);
-                    let artifact = match self.fleet.cache.compile_traced(
-                        &engine,
-                        &request.model,
-                        device,
-                        now,
-                        cache_hit,
-                        TraceLane::Host,
-                        &mut trace,
-                    ) {
-                        Ok((artifact, _)) => artifact,
+                    let artifact = match self.fleet.cache.compile(&engine, &request.model, device) {
+                        Ok((artifact, _)) => {
+                            if trace.enabled() {
+                                let abbr = &request.model.abbr;
+                                let (kind, probe) = if cache_hit {
+                                    (TraceKind::CacheHit, "hit")
+                                } else {
+                                    (TraceKind::CacheMiss, "miss")
+                                };
+                                let lane = TraceLane::Host;
+                                trace.instant(kind, lane, &format!("cache {probe} {abbr}"), now);
+                                if !cache_hit {
+                                    // Planning costs host wall time, not
+                                    // device time: an instant on the
+                                    // simulated clock.
+                                    trace.instant(
+                                        TraceKind::Compile,
+                                        lane,
+                                        &format!("compile {abbr}"),
+                                        now,
+                                    );
+                                }
+                            }
+                            artifact
+                        }
                         Err(error) => {
                             pending.remove(position);
                             if enqueued.remove(&seq) {
@@ -1599,15 +1632,13 @@ impl DeviceLoop for ServeEngine {
                         let resume = if carry_over {
                             // Freeze the in-flight state for a same-spec
                             // sibling to resume from.
-                            let suspension = stepper.suspend_evicting_traced(
+                            let suspension = stepper.suspend_evicting(
                                 &clocks,
                                 &mut tracker,
                                 local_now,
                                 epoch,
-                                &mut trace,
-                                TraceLane::Request(seq),
-                                &meta.abbr,
                             )?;
+                            trace_preempt(&mut trace, &meta, epoch + local_now, &suspension);
                             Some((meta.clone(), suspension))
                         } else {
                             stepper.release_remaining(&mut tracker, base + local_now)?;
@@ -1782,17 +1813,28 @@ impl DeviceLoop for ServeEngine {
                 }
             }
 
-            let step_result = in_flight[chosen].stepper.step_traced(
-                &sim,
-                &mut clocks,
-                &mut tracker,
-                base,
-                epoch,
-                &mut trace,
-            );
+            let step_result = in_flight[chosen]
+                .stepper
+                .step(&sim, &mut clocks, &mut tracker, base);
             match step_result {
                 Ok(Some(event)) => {
-                    let meta = &mut in_flight[chosen].meta;
+                    let flight = &mut in_flight[chosen];
+                    if trace.enabled() && event.queue != QueueKind::Host {
+                        // Host bookkeeping occupies no hardware queue.
+                        let lane = match event.queue {
+                            QueueKind::Transfer => TraceLane::TransferQueue,
+                            _ => TraceLane::ComputeQueue,
+                        };
+                        trace.span_bytes(
+                            TraceKind::Command,
+                            lane,
+                            &flight.stepper.stream().commands()[event.command].label,
+                            epoch + event.start_ms,
+                            epoch + event.end_ms,
+                            event.bytes,
+                        );
+                    }
+                    let meta = &mut flight.meta;
                     match event.queue {
                         QueueKind::Transfer => {
                             transfer_busy += event.duration_ms();
@@ -2136,15 +2178,10 @@ impl ServeEngine {
                     epoch + local_now,
                 );
             }
-            let suspension = flight.stepper.suspend_evicting_traced(
-                clocks,
-                tracker,
-                local_now,
-                epoch,
-                trace,
-                TraceLane::Request(meta.seq),
-                &meta.abbr,
-            )?;
+            let suspension = flight
+                .stepper
+                .suspend_evicting(clocks, tracker, local_now, epoch)?;
+            trace_preempt(trace, &meta, epoch + local_now, &suspension);
             suspended.push(Suspended {
                 meta,
                 suspended_at_ms: epoch + local_now,
@@ -2159,6 +2196,25 @@ impl ServeEngine {
 fn decrement(tenant_bytes: &mut HashMap<String, u64>, tenant: &str, bytes: u64) {
     if let Some(used) = tenant_bytes.get_mut(tenant) {
         *used = used.saturating_sub(bytes);
+    }
+}
+
+/// Mark an evicting suspension on the request's lane: a `Preempt` instant
+/// tagged with the bytes it released.
+fn trace_preempt(
+    trace: &mut TraceRecorder,
+    meta: &FlightMeta,
+    at_ms: f64,
+    suspension: &Suspension,
+) {
+    if trace.enabled() {
+        trace.instant_bytes(
+            TraceKind::Preempt,
+            TraceLane::Request(meta.seq),
+            &format!("preempt {}", meta.abbr),
+            at_ms,
+            suspension.evicted_bytes(),
+        );
     }
 }
 
@@ -2366,10 +2422,13 @@ mod tests {
         // A non-finite arrival must come back as a typed error, not as a
         // worker panic (FIFO) or a panic on the caller thread (the steal
         // planner's arrival sort); so must a NaN or negative deadline.
-        let fifo = ServeEngine::new(
-            vec![DeviceSpec::oneplus_12()],
-            FlashMemConfig::memory_priority(),
-        );
+        let fresh = || {
+            ServeEngine::new(
+                vec![DeviceSpec::oneplus_12()],
+                FlashMemConfig::memory_priority(),
+            )
+        };
+        let fifo = fresh();
         let steal = ServeEngine::new(
             vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
             FlashMemConfig::memory_priority(),
@@ -2386,19 +2445,48 @@ mod tests {
             (0.0, Some(-1.0), "deadline"),
             (0.0, Some(-inf), "deadline"),
         ];
+        fn rejects(engine: &ServeEngine, reqs: &[ServeRequest], words: [&str; 2]) {
+            match engine.run_on(&ThreadPool::with_threads(1), reqs) {
+                Err(SimError::InvalidParameter { message }) => {
+                    assert!(words.iter().all(|w| message.contains(w)), "{message}");
+                }
+                other => panic!("expected a typed {words:?} error, got {other:?}"),
+            }
+        }
         let mut reqs = requests(3);
         for engine in [&fifo, &steal] {
             for (arrival, deadline, word) in cases {
                 reqs[1].arrival_ms = arrival;
                 reqs[1].deadline_ms = deadline;
-                match engine.run_on(&ThreadPool::with_threads(1), &reqs) {
-                    Err(SimError::InvalidParameter { message }) => {
-                        assert!(message.contains("request 1"), "{message}");
-                        assert!(message.contains(word), "{message}");
-                    }
-                    other => panic!("expected a typed {word} error, got {other:?}"),
-                }
+                rejects(engine, &reqs, ["request 1", word]);
             }
+            // A NaN passed to a builder meets the same check as one set on
+            // the field: the builders clamp negatives but keep NaN.
+            reqs[1] = requests(3)[1].clone().with_arrival_ms(nan);
+            rejects(engine, &reqs, ["request 1", "finite"]);
+            reqs[1] = requests(3)[1].clone().with_deadline_ms(nan);
+            rejects(engine, &reqs, ["request 1", "deadline"]);
+        }
+        // So do the engine-level times: a tenant SLO and the recovery knobs.
+        let reqs = requests(3);
+        let slo = fresh().with_tenant_slo("tenant-0", nan);
+        rejects(&slo, &reqs, ["tenant-0", "SLO"]);
+        let off = RecoveryControl::disabled;
+        let set = |backoff_ms, probe_after_ms| RecoveryControl {
+            backoff_ms,
+            probe_after_ms,
+            ..off()
+        };
+        for (recovery, word) in [
+            (off().with_backoff_ms(nan), "backoff_ms"),
+            (off().with_backoff_ms(inf), "backoff_ms"),
+            (set(-1.0, 0.0), "backoff_ms"),
+            (off().with_quarantine(1, nan), "probe_after_ms"),
+            (off().with_quarantine(1, inf), "probe_after_ms"),
+            (set(0.0, -1.0), "probe_after_ms"),
+        ] {
+            let engine = fresh().with_recovery_control(recovery);
+            rejects(&engine, &reqs, ["RecoveryControl", word]);
         }
     }
 

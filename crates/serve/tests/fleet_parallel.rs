@@ -1,7 +1,7 @@
 //! Oracles for the parallel fleet fan-out in `ServeEngine::run_on`.
 //!
 //! The serve event loop fans independent device timelines out on the
-//! work-stealing pool; these tests pin the two properties that make that
+//! thread pool; these tests pin the two properties that make that
 //! safe to ship:
 //!
 //! 1. **Byte identity under oversubscription** — a fleet much wider than the

@@ -34,7 +34,7 @@
 //!   which scenarios happened to run (and so warm keys) first across the
 //!   whole harness, not scheduler behaviour —
 //!   is excluded), and running the seed × policy scenarios through the
-//!   work-stealing pool produces reports byte-identical to the serial loop.
+//!   thread pool produces reports byte-identical to the serial loop.
 //!
 //! The seed set is pinned so CI failures replay exactly. All runs share one
 //! process-wide [`ArtifactCache`]: LC-OPG solves are the expensive part and

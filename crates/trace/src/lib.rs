@@ -1,9 +1,9 @@
 //! Deterministic, sim-clock-stamped event tracing for the FlashMem stack.
 //!
-//! Every layer of the simulator — plan compilation in `core`, per-command
-//! queue stepping in `gpu-sim`, request lifecycles in `serve` — records
-//! spans and instants into a [`TraceRecorder`]. The design follows the
-//! repo's determinism discipline:
+//! The serving layer records what every layer of the simulator did — plan
+//! cache probes and compiles in `core`, per-command queue stepping in
+//! `gpu-sim`, request lifecycles in `serve` — as spans and instants in a
+//! [`TraceRecorder`]. The design follows the repo's determinism discipline:
 //!
 //! - **Sim-clock timestamps.** Events are stamped with simulated
 //!   milliseconds, never wall clocks, so a trace is a pure function of the
