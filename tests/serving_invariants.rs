@@ -1,11 +1,16 @@
-//! Serving oracle: four scenarios that between them drive every part of the
+//! Serving oracle: six scenarios that between them drive every part of the
 //! serve loop must reproduce recorded fingerprints of every request outcome
 //! and device report, give identical reports at pool widths 1 and 4, and
 //! leave every submitted request in exactly one disposition.
 //!
 //! The scenarios are EDF with two requests in flight under tenant SLOs;
 //! preemptive priority with overload control and recovery against a
-//! `FaultPlan`; FIFO in exclusive mode; and continuous-batching decode.
+//! `FaultPlan`; FIFO in exclusive mode; continuous-batching decode; and
+//! two fault scenarios that reach the ways a request leaves a device that
+//! the first four never take: FIFO in exclusive mode under transient
+//! faults, an app-budget OOM, a tenant cap too small for the model and a
+//! device loss without failover, and continuous-batching decode under
+//! device loss, flaky steps and a token budget one request exceeds.
 //!
 //! The constants were recorded with the serve loop that lowered a fresh
 //! command stream for every admitted request and scanned every pending
@@ -24,11 +29,16 @@
 //! matching them shows that moving that recording into the serve loop kept
 //! every event, label and order.
 //!
-//! A fifth test pins that a fault-free run is the same run with or without
+//! The two fault scenarios were recorded before the serve loop's ways of
+//! retiring a request were merged into one path, so matching them shows the
+//! merge moved no simulated result.
+//!
+//! A seventh test pins that a fault-free run is the same run with or without
 //! recovery armed.
 
 use flashmem::core::cache::Fnv1a;
 use flashmem::gpu_sim::trace::MemoryTrace;
+use flashmem::gpu_sim::SimError;
 use flashmem::prelude::*;
 use flashmem::serve::metrics::{DeviceReport, RequestOutcome, ServeReport};
 use flashmem::serve::{
@@ -39,11 +49,15 @@ const EDF_GOLDEN: u64 = 0xd307f7b9a590da07;
 const CHAOS_GOLDEN: u64 = 0x9bf3a998ad9a6392;
 const FIFO_GOLDEN: u64 = 0x892b9730405cfccc;
 const DECODE_GOLDEN: u64 = 0xe5ad7a9f90db7e0d;
+const FIFO_FAULTS_GOLDEN: u64 = 0xaff0620af9bf06de;
+const DECODE_FAULTS_GOLDEN: u64 = 0xf49a0121ee1a51c1;
 
 const EDF_TRACE_GOLDEN: u64 = 0x8875702842690219;
 const CHAOS_TRACE_GOLDEN: u64 = 0x8046c5a46bcb79b7;
 const FIFO_TRACE_GOLDEN: u64 = 0x0a97def83da335e8;
 const DECODE_TRACE_GOLDEN: u64 = 0xc304345be61177d1;
+const FIFO_FAULTS_TRACE_GOLDEN: u64 = 0xac2c52e68e2db6fc;
+const DECODE_FAULTS_TRACE_GOLDEN: u64 = 0xf1b72fd4737caf3d;
 
 fn hash_option(h: Fnv1a, value: Option<f64>) -> Fnv1a {
     match value {
@@ -521,4 +535,143 @@ fn continuous_batching_decode_matches_its_fingerprint() {
         .outcomes
         .iter()
         .any(|o| o.decode.as_ref().is_some_and(|d| d.max_batch > 1)));
+}
+
+#[test]
+fn exclusive_fifo_under_faults_matches_its_fingerprint() {
+    const MIB: u64 = 1024 * 1024;
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 90.0,
+        },
+        requests: 48,
+        tenants: 2,
+        priority_levels: 1,
+        seed: 31,
+    }
+    .generate(&one_shot_models());
+    // The middle phone's app budget is too small for some plans to run to
+    // the end; the third phone is lost mid-run.
+    let fleet = vec![
+        DeviceSpec::oneplus_12(),
+        DeviceSpec::pixel_8().with_app_budget_bytes(200 * MIB),
+        DeviceSpec::oneplus_12(),
+    ];
+    let (report, _) = check(
+        "fifo-faults",
+        requests.len(),
+        FIFO_FAULTS_GOLDEN,
+        FIFO_FAULTS_TRACE_GOLDEN,
+        |pool, trace| {
+            ServeEngine::new(fleet.clone(), FlashMemConfig::memory_priority())
+                .with_tenant_cap("tenant-1", 150 * MIB)
+                .with_recovery_control(
+                    RecoveryControl::disabled()
+                        .with_retry_budget(1)
+                        .with_backoff_ms(25.0),
+                )
+                .with_fault_plan(
+                    FaultPlan::seeded(0xF1F0)
+                        .with_device_loss(2, 1_000.0)
+                        .with_flaky_device(0, 0.0006)
+                        .with_oom_spikes(1, 0.0004),
+                )
+                .with_trace(trace)
+                .run_on(pool, &requests)
+                .expect("fifo-faults run")
+        },
+    );
+    let failed = report.failed_by_cause();
+    let ran = |o: &&RequestOutcome| o.completion_ms > o.start_ms;
+    let pool_of = |o: &RequestOutcome| match &o.error {
+        Some(SimError::OutOfMemory { pool, .. }) => pool.clone(),
+        _ => String::new(),
+    };
+    // Transient faults in exclusive mode: retried, and some fail again.
+    assert!(report.recovery.retries > 0, "{:?}", report.recovery);
+    assert!(failed.kernel_fault + failed.oom_spike > 0, "{failed:?}");
+    // A device loss without failover, one request stranded mid-run.
+    assert_eq!(report.recovery.failovers, 0);
+    let lost: Vec<_> = report
+        .outcomes
+        .iter()
+        .filter(|o| o.failure == Some(FailureCause::DeviceLost))
+        .collect();
+    assert!(lost.iter().any(ran), "no request was lost mid-run");
+    // A modelled OOM mid-run, and requests the tenant cap can never fit.
+    let oom = || {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| o.failure == Some(FailureCause::OutOfMemory))
+    };
+    assert!(
+        oom().filter(ran).any(|o| !pool_of(o).contains("tenant")),
+        "no mid-run OOM"
+    );
+    assert!(
+        oom().any(|o| pool_of(o) == "tenant `tenant-1` cap"),
+        "no tenant-cap failure"
+    );
+    assert!(report.completed() > 0);
+}
+
+#[test]
+fn continuous_batching_decode_under_faults_matches_its_fingerprint() {
+    let mut requests = DecodeWorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 40.0,
+        },
+        requests: 16,
+        tenants: 2,
+        prompt_tokens: (8, 24),
+        output_tokens: (6, 16),
+        seed: 7,
+    }
+    .generate(&[ModelZoo::gptneo_small()]);
+    // One prompt alone exceeds the token budget.
+    requests
+        .push(ServeRequest::new(ModelZoo::gptneo_small(), "tenant-0").with_decode_tokens(300, 8));
+    let (report, _) = check(
+        "decode-faults",
+        requests.len(),
+        DECODE_FAULTS_GOLDEN,
+        DECODE_FAULTS_TRACE_GOLDEN,
+        |pool, trace| {
+            DecodeEngine::new(
+                vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                FlashMemConfig::memory_priority(),
+            )
+            .with_batching(BatchConfig {
+                max_batch: 4,
+                token_budget: 256,
+                ..BatchConfig::default()
+            })
+            .with_recovery_control(
+                RecoveryControl::disabled()
+                    .with_retry_budget(2)
+                    .with_backoff_ms(25.0)
+                    .with_failover(),
+            )
+            .with_fault_plan(
+                FaultPlan::seeded(0xDEC0)
+                    .with_device_loss(0, 700.0)
+                    .with_flaky_device(1, 0.02),
+            )
+            .with_trace(trace)
+            .run_on(pool, &requests)
+            .expect("decode-faults run")
+        },
+    );
+    // The device loss fails work over, flaky steps retry, and the
+    // oversized request fails on the budget.
+    assert!(report.recovery.failovers > 0, "{:?}", report.recovery);
+    assert!(report.recovery.retries > 0, "{:?}", report.recovery);
+    let budget = report.outcomes.iter().filter(|o| {
+        o.error
+            .as_ref()
+            .is_some_and(|e| e.to_string().contains("token budget"))
+    });
+    assert_eq!(budget.count(), 1);
+    assert_eq!(report.completed(), requests.len() - 1);
 }
