@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use flashmem_core::cache::ArtifactCache;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
+use flashmem_core::telemetry::{TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::decode::replay_stream;
 use flashmem_gpu_sim::engine::CommandStream;
@@ -79,7 +79,7 @@ use crate::fleet::{
 };
 use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
-use crate::request::{DecodeParams, FailureCause, ServeRequest};
+use crate::request::{DecodeParams, ServeRequest};
 use crate::server::lower_artifact;
 
 const MIB: f64 = 1024.0 * 1024.0;
@@ -139,15 +139,9 @@ struct ModelPlans {
 
 /// One in-flight generative request on a device.
 struct ActiveDecode {
-    seq: usize,
-    abbr: String,
-    tenant: String,
-    priority: u8,
-    arrival_ms: f64,
-    deadline_ms: Option<f64>,
-    /// Prefill start (admission) time.
-    start_ms: f64,
-    cache_hit: bool,
+    /// The request's outcome row, kept current while it decodes; a step
+    /// failure is recorded on it.
+    row: RequestOutcome,
     session: DecodeSession,
     /// Largest per-model sub-batch this request shared a step with.
     max_batch_seen: usize,
@@ -156,119 +150,109 @@ struct ActiveDecode {
     transfer_intervals: Vec<(f64, f64)>,
     /// Compute-queue busy intervals attributed to this request.
     compute_intervals: Vec<(f64, f64)>,
-    /// Step failure, if one of this request's steps could not complete.
-    error: Option<SimError>,
     /// Tokens emitted by *earlier* attempts (a re-prefilled request resumes
     /// from this position; 0 on a first attempt).
     resumed_tokens: u32,
-    /// Retry redispatches this request consumed before this attempt.
-    retries: u32,
     /// Device-loss failover hops this request consumed before this attempt.
     hops: u32,
-    /// Whether an earlier attempt ran (and died) on a different device.
-    failed_over: bool,
 }
 
 impl ActiveDecode {
-    /// Build the outcome row at `completion_ms`, consuming the entry. The
+    /// Injected-fault attempt ordinal, as in [`Carry::attempt`].
+    fn attempt(&self) -> u32 {
+        self.row.retries + self.hops
+    }
+
+    /// Close the row at `completion_ms` against the device's peak so far,
+    /// with the token-level result of a request that did not fail. The
     /// session's KV must already be released.
-    fn into_outcome(
-        self,
-        device: &str,
-        device_index: usize,
-        completion_ms: f64,
-        peak_memory_mb: f64,
-    ) -> RequestOutcome {
-        let queue_wait_ms = (self.start_ms - self.arrival_ms).max(0.0);
-        let latency_ms = (completion_ms - self.arrival_ms).max(0.0);
-        let phases = PhaseBreakdown::attribute(
-            latency_ms,
-            queue_wait_ms,
-            0.0,
-            0.0,
-            &self.transfer_intervals,
-            &self.compute_intervals,
-        );
-        let times = self.session.token_times_ms();
-        let decode = if self.error.is_none() {
+    fn into_outcome(mut self, completion_ms: f64, tracker: &MemoryTracker) -> RequestOutcome {
+        let kv_peak_bytes = self.session.max_context_tokens() * self.session.kv().bytes_per_token();
+        if self.row.error.is_none() {
             // A re-prefilled attempt's session holds `original prompt +
             // resumed` context and emits only the remaining tokens; the
             // outcome reports the submission's cumulative view.
-            Some(DecodeOutcome {
+            let times = self.session.token_times_ms();
+            self.row.decode = Some(DecodeOutcome {
                 prompt_tokens: self.session.prompt_tokens() - self.resumed_tokens,
                 output_tokens: self.resumed_tokens + self.session.emitted_tokens(),
-                ttft_ms: times.first().map_or(0.0, |t| t - self.arrival_ms),
+                ttft_ms: times.first().map_or(0.0, |t| t - self.row.arrival_ms),
                 itl_ms: times.windows(2).map(|w| w[1] - w[0]).collect(),
-                kv_peak_bytes: self.session.max_context_tokens()
-                    * self.session.kv().bytes_per_token(),
+                kv_peak_bytes,
                 max_batch: self.max_batch_seen,
-            })
-        } else {
-            None
-        };
-        RequestOutcome {
-            seq: self.seq,
-            model: self.abbr,
-            tenant: self.tenant,
-            priority: self.priority,
-            device: device.to_string(),
-            device_index,
-            arrival_ms: self.arrival_ms,
-            start_ms: self.start_ms,
-            completion_ms,
-            queue_wait_ms,
-            latency_ms,
-            deadline_ms: self.deadline_ms,
-            admission_laxity_ms: None,
-            resident_estimate_bytes: self.session.max_context_tokens()
-                * self.session.kv().bytes_per_token(),
-            preemptions: 0,
-            suspended_ms: 0.0,
-            resume_penalty_ms: 0.0,
-            cache_hit: self.cache_hit,
-            peak_memory_mb,
-            phases,
-            rejected: None,
-            stolen_from: None,
-            failure: self.error.as_ref().map(FailureCause::from_error),
-            retries: self.retries,
-            failed_over: self.failed_over,
-            error: self.error,
-            report: None,
-            decode,
+            });
         }
+        self.row.resident_estimate_bytes = kv_peak_bytes;
+        self.row.peak_memory_mb = tracker.peak_bytes() as f64 / MIB;
+        self.row.close(
+            completion_ms,
+            &self.transfer_intervals,
+            &self.compute_intervals,
+        );
+        self.row
     }
 }
 
-/// Route a finished (or fault-killed) entry: injected faults become orphans
-/// for the recovery planner, carrying the request's cumulative emitted
-/// tokens; everything else commits its outcome row here.
-fn push_entry(
-    entry: ActiveDecode,
-    outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<Orphan<u32>>,
-    device: &DeviceSpec,
-    device_index: usize,
-    completion_ms: f64,
-    peak_memory_mb: f64,
-) {
-    let fault = match &entry.error {
-        Some(SimError::Fault { kind, .. }) => Some(*kind),
-        _ => None,
-    };
-    let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
-    let retries = entry.retries;
-    let hops = entry.hops;
-    let outcome = entry.into_outcome(&device.name, device_index, completion_ms, peak_memory_mb);
-    match fault {
-        Some(kind) => orphans.push(Orphan {
-            outcome,
-            kind,
-            retries,
-            hops,
-            resume: emitted,
-        }),
-        None => outcomes.push(outcome),
+/// The rows and orphans one device's step loop has retired so far.
+#[derive(Default)]
+struct Retired {
+    outcomes: Vec<RequestOutcome>,
+    orphans: Vec<Orphan<u32>>,
+}
+
+impl Retired {
+    /// Retire `entry` at `completion_ms`: an injected fault makes it an
+    /// orphan for the recovery planner, carrying the request's cumulative
+    /// emitted tokens; anything else commits its outcome row.
+    fn push(&mut self, entry: ActiveDecode, completion_ms: f64, tracker: &MemoryTracker) {
+        let faulted = matches!(entry.row.error, Some(SimError::Fault { .. }));
+        let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
+        let (retries, hops) = (entry.row.retries, entry.hops);
+        let outcome = entry.into_outcome(completion_ms, tracker);
+        if faulted {
+            self.orphans.push(Orphan {
+                outcome,
+                retries,
+                hops,
+                resume: emitted,
+            });
+        } else {
+            self.outcomes.push(outcome);
+        }
+    }
+
+    /// The leave phase: remove finished (or failed) sessions from the batch
+    /// at boundary `now`, release their KV residency and retire them.
+    fn leave(
+        &mut self,
+        active: &mut Vec<ActiveDecode>,
+        now: f64,
+        tracker: &mut MemoryTracker,
+        trace: &mut TraceRecorder,
+    ) -> SimResult<()> {
+        let mut i = 0;
+        while i < active.len() {
+            if !active[i].session.is_done() && active[i].row.error.is_none() {
+                i += 1;
+                continue;
+            }
+            let mut entry = active.remove(i);
+            entry.session.release(tracker, now)?;
+            if trace.enabled() {
+                trace.instant(
+                    TraceKind::BatchLeave,
+                    TraceLane::Request(entry.row.seq),
+                    &format!(
+                        "leave {} ({} tok)",
+                        entry.row.model,
+                        entry.session.emitted_tokens()
+                    ),
+                    now,
+                );
+            }
+            self.push(entry, now, tracker);
+        }
+        Ok(())
     }
 }
 
@@ -478,24 +462,17 @@ impl DeviceLoop for DecodeEngine {
         let admit = |seq: usize, request: &ServeRequest, start_ms: f64| -> ActiveDecode {
             let params = request.decode.expect("validated in the prologue");
             let carry = carry.get(&seq);
+            let mut row = RequestOutcome::unstarted(seq, request, device, device_index, carry);
+            row.start_ms = start_ms;
+            row.cache_hit = warm.contains(&ArtifactCache::key_for(&engine, &request.model, device));
             ActiveDecode {
-                seq,
-                abbr: request.model.abbr.clone(),
-                tenant: request.tenant.clone(),
-                priority: request.priority,
-                arrival_ms: carry.map_or(request.arrival_ms, |c| c.original_arrival_ms),
-                deadline_ms: request.deadline_ms,
-                start_ms,
-                cache_hit: warm.contains(&ArtifactCache::key_for(&engine, &request.model, device)),
+                row,
                 session: DecodeSession::new(params.prompt_tokens, params.output_tokens, 0),
                 max_batch_seen: 1,
                 transfer_intervals: Vec::new(),
                 compute_intervals: Vec::new(),
-                error: None,
                 resumed_tokens: carry.map_or(0, |c| c.resumed_tokens),
-                retries: carry.map_or(0, |c| c.retries),
                 hops: carry.map_or(0, |c| c.hops),
-                failed_over: carry.is_some_and(|c| c.failed_over),
             }
         };
         let faults_armed = !self.fleet.fault_plan.is_empty();
@@ -515,8 +492,7 @@ impl DeviceLoop for DecodeEngine {
         let mut step_costs: HashMap<(String, usize), StepCost> = HashMap::new();
 
         let mut active: Vec<ActiveDecode> = Vec::new();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut orphans: Vec<Orphan<u32>> = Vec::new();
+        let mut retired = Retired::default();
         let lost_at = self.fleet.fault_plan.device_loss_ms(device_index);
         let mut lost = false;
         let mut widx = 0usize;
@@ -537,56 +513,32 @@ impl DeviceLoop for DecodeEngine {
             // Work whose commands started before the loss instant drains
             // normally (a dispatched kernel cannot be aborted); everything
             // still resident or queued here dies with the device's memory.
-            if let Some(lost_at_ms) = lost_at {
-                if now + 1e-9 >= lost_at_ms {
-                    lost = true;
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Host,
-                            &format!("fault device-loss {}", device.name),
-                            now,
-                        );
-                    }
-                    for mut entry in active.drain(..) {
-                        entry.error = Some(SimError::Fault {
-                            kind: FaultKind::DeviceLoss,
-                            at_ms: now,
-                        });
-                        let _ = entry.session.release(&mut tracker, now);
-                        let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(
-                            entry,
-                            &mut outcomes,
-                            &mut orphans,
-                            device,
-                            device_index,
-                            now,
-                            peak,
-                        );
-                    }
-                    while widx < waiting.len() {
-                        let (seq, request) = waiting[widx];
-                        widx += 1;
-                        let at = now.max(request.arrival_ms);
-                        let mut entry = admit(seq, request, at);
-                        entry.error = Some(SimError::Fault {
-                            kind: FaultKind::DeviceLoss,
-                            at_ms: at,
-                        });
-                        let peak = tracker.peak_bytes() as f64 / MIB;
-                        push_entry(
-                            entry,
-                            &mut outcomes,
-                            &mut orphans,
-                            device,
-                            device_index,
-                            at,
-                            peak,
-                        );
-                    }
-                    break;
+            if lost_at.is_some_and(|lost_at_ms| now + 1e-9 >= lost_at_ms) {
+                lost = true;
+                if trace.enabled() {
+                    trace.instant(
+                        TraceKind::Fault,
+                        TraceLane::Host,
+                        &format!("fault device-loss {}", device.name),
+                        now,
+                    );
                 }
+                let loss = |at_ms| SimError::Fault {
+                    kind: FaultKind::DeviceLoss,
+                    at_ms,
+                };
+                for mut entry in active.drain(..) {
+                    entry.row.fail(loss(now));
+                    let _ = entry.session.release(&mut tracker, now);
+                    retired.push(entry, now, &tracker);
+                }
+                for &(seq, request) in &waiting[widx..] {
+                    let at = now.max(request.arrival_ms);
+                    let mut entry = admit(seq, request, at);
+                    entry.row.fail(loss(at));
+                    retired.push(entry, at, &tracker);
+                }
+                break;
             }
             let arrived = waiting[widx..]
                 .iter()
@@ -598,164 +550,134 @@ impl DeviceLoop for DecodeEngine {
             let join = arrived > 0
                 && (active.is_empty()
                     || arrived as f64 >= self.batch.waiting_served_ratio * active.len() as f64);
-            if join {
-                while widx < waiting.len() && active.len() < self.batch.max_batch {
-                    let (seq, request) = waiting[widx];
-                    if request.arrival_ms > now + 1e-9 {
+            while join && widx < waiting.len() && active.len() < self.batch.max_batch {
+                let (seq, request) = waiting[widx];
+                if request.arrival_ms > now + 1e-9 {
+                    break;
+                }
+                let params = request.decode.expect("validated in the prologue");
+                let committed: u64 = active.iter().map(|a| a.session.max_context_tokens()).sum();
+                if committed + params.max_context_tokens() > self.batch.token_budget {
+                    if !active.is_empty() {
+                        // Head-of-line request waits for leavers to free
+                        // budget.
                         break;
                     }
-                    let params = request.decode.expect("validated in the prologue");
-                    let committed: u64 =
-                        active.iter().map(|a| a.session.max_context_tokens()).sum();
-                    if committed + params.max_context_tokens() > self.batch.token_budget {
-                        if !active.is_empty() {
-                            // Head-of-line request waits for leavers to free
-                            // budget.
-                            break;
-                        }
-                        // Nothing to wait for: this request alone exceeds
-                        // the budget and can never be served.
-                        widx += 1;
-                        outcomes.push(budget_failure_outcome(
-                            seq,
-                            request,
-                            device,
-                            device_index,
-                            self.batch.token_budget,
-                        ));
-                        continue;
-                    }
+                    // Nothing to wait for: this request alone exceeds the
+                    // budget and can never be served, so it fails at its
+                    // arrival instant.
                     widx += 1;
-                    let abbr = request.model.abbr.clone();
-                    if let Err(error) = self.ensure_plans(&mut plans, &engine, request, device) {
-                        let mut entry = admit(seq, request, now);
-                        entry.error = Some(error);
-                        outcomes.push(entry.into_outcome(
-                            &device.name,
-                            device_index,
-                            now,
-                            tracker.peak_bytes() as f64 / MIB,
-                        ));
+                    let mut row =
+                        RequestOutcome::unstarted(seq, request, device, device_index, None);
+                    row.fail(SimError::InvalidParameter {
+                        message: format!(
+                            "request needs {} context tokens but the engine's token budget is {}",
+                            params.max_context_tokens(),
+                            self.batch.token_budget
+                        ),
+                    });
+                    retired.outcomes.push(row);
+                    continue;
+                }
+                widx += 1;
+                let abbr = request.model.abbr.clone();
+                let mut entry = admit(seq, request, now);
+                // Memoized prefill: the first request of a model replays the
+                // full stream through the tracker (establishing the transient
+                // peak); later ones reuse the cost.
+                let cost = self
+                    .ensure_plans(&mut plans, &engine, request, device)
+                    .and_then(|()| match prefill_costs.get(&abbr) {
+                        Some(&cost) => Ok(cost),
+                        None => {
+                            let stream = &plans[&abbr].prefill_stream;
+                            let cost = replay_stream(stream, &sim, &mut tracker, now)?;
+                            prefill_costs.insert(abbr.clone(), cost);
+                            Ok(cost)
+                        }
+                    });
+                let cost = match cost {
+                    Ok(cost) => cost,
+                    Err(error) => {
+                        entry.row.fail(error);
+                        retired.push(entry, now, &tracker);
                         continue;
                     }
-                    let model_plans = plans.get(&abbr).expect("just ensured");
-                    // Memoized prefill: the first request of a model replays
-                    // the full stream through the tracker (establishing the
-                    // transient peak); later ones reuse the cost.
-                    let cost = match prefill_costs.get(&abbr) {
-                        Some(&cost) => cost,
-                        None => {
-                            match replay_stream(
-                                &model_plans.prefill_stream,
-                                &sim,
-                                &mut tracker,
-                                now,
-                            ) {
-                                Ok(cost) => {
-                                    prefill_costs.insert(abbr.clone(), cost);
-                                    cost
-                                }
-                                Err(error) => {
-                                    let mut entry = admit(seq, request, now);
-                                    entry.error = Some(error);
-                                    outcomes.push(entry.into_outcome(
-                                        &device.name,
-                                        device_index,
-                                        now,
-                                        tracker.peak_bytes() as f64 / MIB,
-                                    ));
-                                    continue;
-                                }
-                            }
-                        }
-                    };
-                    let start = now;
-                    let end = start + cost.makespan_ms;
-                    transfer_busy += cost.transfer_busy_ms;
-                    compute_busy += cost.compute_busy_ms;
-                    let mut entry = admit(seq, request, start);
-                    entry.session = DecodeSession::new(
-                        params.prompt_tokens,
-                        params.output_tokens,
-                        model_plans.kv_bytes_per_token,
-                    );
-                    if faults_armed {
-                        // The prefill pass itself may take an injected fault,
-                        // keyed by the resume position so a retry redraws.
-                        let attempt = entry.retries + entry.hops;
-                        if let Some(kind) = self.fleet.fault_plan.command_fault(
+                };
+                let kv_bytes_per_token = plans[&abbr].kv_bytes_per_token;
+                let start = now;
+                let end = start + cost.makespan_ms;
+                transfer_busy += cost.transfer_busy_ms;
+                compute_busy += cost.compute_busy_ms;
+                entry.session = DecodeSession::new(
+                    params.prompt_tokens,
+                    params.output_tokens,
+                    kv_bytes_per_token,
+                );
+                // The prefill pass itself may take an injected fault, keyed
+                // by the resume position so a retry redraws.
+                let fault = faults_armed
+                    .then(|| {
+                        self.fleet.fault_plan.command_fault(
                             device_index,
                             seq,
                             entry.resumed_tokens as usize,
-                            attempt,
-                        ) {
-                            faults += 1;
-                            entry.error = Some(SimError::Fault { kind, at_ms: end });
-                            if trace.enabled() {
-                                trace.instant(
-                                    TraceKind::Fault,
-                                    TraceLane::Request(seq),
-                                    &format!("fault {kind} {abbr} prefill"),
-                                    end,
-                                );
-                            }
-                            now = end;
-                            active.push(entry);
-                            continue;
-                        }
-                    }
-                    let label = format!("kv seq{seq} {abbr}");
-                    if let Err(error) = entry.session.finish_prefill(&mut tracker, &label, end) {
-                        entry.error = Some(error);
-                        let _ = entry.session.release(&mut tracker, end);
-                        outcomes.push(entry.into_outcome(
-                            &device.name,
-                            device_index,
-                            end,
-                            tracker.peak_bytes() as f64 / MIB,
-                        ));
-                        now = end;
-                        continue;
-                    }
-                    entry
-                        .transfer_intervals
-                        .push((start, start + cost.transfer_busy_ms));
-                    entry
-                        .compute_intervals
-                        .push((end - cost.compute_busy_ms, end));
+                            entry.attempt(),
+                        )
+                    })
+                    .flatten();
+                if let Some(kind) = fault {
+                    faults += 1;
+                    entry.row.fail(SimError::Fault { kind, at_ms: end });
                     if trace.enabled() {
-                        trace.span_bytes(
-                            TraceKind::Prefill,
-                            TraceLane::Request(seq),
-                            &format!("prefill {abbr} ({} tok)", params.prompt_tokens),
-                            start,
-                            end,
-                            u64::from(params.prompt_tokens) * model_plans.kv_bytes_per_token,
-                        );
                         trace.instant(
-                            TraceKind::BatchJoin,
+                            TraceKind::Fault,
                             TraceLane::Request(seq),
-                            &format!("join {abbr}"),
+                            &format!("fault {kind} {abbr} prefill"),
                             end,
                         );
                     }
                     now = end;
                     active.push(entry);
+                    continue;
                 }
+                let label = format!("kv seq{seq} {abbr}");
+                if let Err(error) = entry.session.finish_prefill(&mut tracker, &label, end) {
+                    entry.row.fail(error);
+                    let _ = entry.session.release(&mut tracker, end);
+                    retired.push(entry, end, &tracker);
+                    now = end;
+                    continue;
+                }
+                entry
+                    .transfer_intervals
+                    .push((start, start + cost.transfer_busy_ms));
+                entry
+                    .compute_intervals
+                    .push((end - cost.compute_busy_ms, end));
+                if trace.enabled() {
+                    trace.span_bytes(
+                        TraceKind::Prefill,
+                        TraceLane::Request(seq),
+                        &format!("prefill {abbr} ({} tok)", params.prompt_tokens),
+                        start,
+                        end,
+                        u64::from(params.prompt_tokens) * kv_bytes_per_token,
+                    );
+                    trace.instant(
+                        TraceKind::BatchJoin,
+                        TraceLane::Request(seq),
+                        &format!("join {abbr}"),
+                        end,
+                    );
+                }
+                now = end;
+                active.push(entry);
             }
 
             // ---- leave phase: retire sessions done at this boundary ----
             // Covers output_tokens == 1 requests, done at prefill.
-            retire_finished(
-                &mut active,
-                &mut outcomes,
-                &mut orphans,
-                &mut tracker,
-                &mut trace,
-                device,
-                device_index,
-                now,
-            )?;
+            retired.leave(&mut active, now, &mut tracker, &mut trace)?;
             if active.is_empty() {
                 continue;
             }
@@ -765,15 +687,16 @@ impl DeviceLoop for DecodeEngine {
             // sub-batches replay back to back on the device's queues.
             let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
             for (i, entry) in active.iter().enumerate() {
-                groups.entry(entry.abbr.clone()).or_default().push(i);
+                groups.entry(entry.row.model.clone()).or_default().push(i);
             }
             for (abbr, members) in groups {
                 let batch_size = members.len();
+                let model_plans = plans.get(&abbr).expect("active implies compiled");
                 let key = (abbr.clone(), batch_size);
                 let cost = match step_costs.get(&key) {
                     Some(&cost) => cost,
                     None => {
-                        let plan = &plans.get(&abbr).expect("active implies compiled").step_plan;
+                        let plan = &model_plans.step_plan;
                         match plan.replay(&sim, &mut tracker, batch_size, now) {
                             Ok(cost) => {
                                 step_costs.insert(key, cost);
@@ -782,7 +705,7 @@ impl DeviceLoop for DecodeEngine {
                             Err(error) => {
                                 // The whole sub-batch shares the failed step.
                                 for &i in &members {
-                                    active[i].error = Some(error.clone());
+                                    active[i].row.fail(error.clone());
                                 }
                                 continue;
                             }
@@ -799,45 +722,42 @@ impl DeviceLoop for DecodeEngine {
                         &format!("step {abbr} ×{batch_size}"),
                         now,
                         end,
-                        batch_size as u64
-                            * plans
-                                .get(&abbr)
-                                .expect("active implies compiled")
-                                .kv_bytes_per_token,
+                        batch_size as u64 * model_plans.kv_bytes_per_token,
                     );
                 }
                 let share = 1.0 / batch_size as f64;
                 for &i in &members {
                     let entry = &mut active[i];
-                    if faults_armed {
-                        // The step's kernel may take an injected fault for
-                        // this sequence, keyed by its global token position
-                        // so firing is schedule- and batch-independent.
-                        let attempt = entry.retries + entry.hops;
-                        let position =
-                            (entry.resumed_tokens + entry.session.emitted_tokens()) as usize;
-                        if let Some(kind) = self.fleet.fault_plan.command_fault(
-                            device_index,
-                            entry.seq,
-                            position,
-                            attempt,
-                        ) {
-                            faults += 1;
-                            entry.error = Some(SimError::Fault { kind, at_ms: end });
-                            if trace.enabled() {
-                                trace.instant(
-                                    TraceKind::Fault,
-                                    TraceLane::Request(entry.seq),
-                                    &format!("fault {kind} {}", entry.abbr),
-                                    end,
-                                );
-                            }
-                            continue;
+                    // The step's kernel may take an injected fault for this
+                    // sequence, keyed by its global token position so firing
+                    // is schedule- and batch-independent.
+                    let position = (entry.resumed_tokens + entry.session.emitted_tokens()) as usize;
+                    let fault = faults_armed
+                        .then(|| {
+                            self.fleet.fault_plan.command_fault(
+                                device_index,
+                                entry.row.seq,
+                                position,
+                                entry.attempt(),
+                            )
+                        })
+                        .flatten();
+                    if let Some(kind) = fault {
+                        faults += 1;
+                        entry.row.fail(SimError::Fault { kind, at_ms: end });
+                        if trace.enabled() {
+                            trace.instant(
+                                TraceKind::Fault,
+                                TraceLane::Request(entry.row.seq),
+                                &format!("fault {kind} {abbr}"),
+                                end,
+                            );
                         }
+                        continue;
                     }
-                    let label = format!("kv seq{} {abbr}", entry.seq);
+                    let label = format!("kv seq{} {abbr}", entry.row.seq);
                     if let Err(error) = entry.session.advance_step(&mut tracker, &label, end) {
-                        entry.error = Some(error);
+                        entry.row.fail(error);
                         continue;
                     }
                     entry.max_batch_seen = entry.max_batch_seen.max(batch_size);
@@ -851,46 +771,26 @@ impl DeviceLoop for DecodeEngine {
                 now = end;
             }
 
-            retire_finished(
-                &mut active,
-                &mut outcomes,
-                &mut orphans,
-                &mut tracker,
-                &mut trace,
-                device,
-                device_index,
-                now,
-            )?;
+            retired.leave(&mut active, now, &mut tracker, &mut trace)?;
         }
 
-        let completed = outcomes.iter().filter(|o| o.succeeded()).count();
-        let makespan = now;
         let report = DeviceReport {
-            device: device.name.clone(),
             requests: total,
-            completed,
-            makespan_ms: makespan,
-            transfer_busy_ms: transfer_busy,
-            compute_busy_ms: compute_busy,
-            transfer_busy_fraction: if makespan > 0.0 {
-                transfer_busy / makespan
-            } else {
-                0.0
-            },
-            compute_busy_fraction: if makespan > 0.0 {
-                compute_busy / makespan
-            } else {
-                0.0
-            },
-            peak_memory_mb: tracker.peak_bytes() as f64 / MIB,
+            completed: retired.outcomes.iter().filter(|o| o.succeeded()).count(),
             queue_depth_high_water: high_water,
-            memory_trace: tracker.trace().clone(),
+            ..DeviceReport::new(
+                device.name.clone(),
+                now,
+                transfer_busy,
+                compute_busy,
+                tracker.trace().clone(),
+            )
         };
         Ok(DeviceRun {
-            outcomes,
+            outcomes: retired.outcomes,
             report,
             trace,
-            orphans,
+            orphans: retired.orphans,
             lost,
             faults,
         })
@@ -949,96 +849,6 @@ impl DecodeEngine {
             },
         );
         Ok(())
-    }
-}
-
-/// Remove finished (or failed) sessions from the batch at boundary `now`,
-/// releasing their KV residency and emitting their outcome rows.
-/// Fault-killed entries go to `orphans` for the recovery planner instead of
-/// committing a final outcome.
-#[allow(clippy::too_many_arguments)]
-fn retire_finished(
-    active: &mut Vec<ActiveDecode>,
-    outcomes: &mut Vec<RequestOutcome>,
-    orphans: &mut Vec<Orphan<u32>>,
-    tracker: &mut MemoryTracker,
-    trace: &mut TraceRecorder,
-    device: &DeviceSpec,
-    device_index: usize,
-    now: f64,
-) -> SimResult<()> {
-    let mut i = 0;
-    while i < active.len() {
-        if active[i].session.is_done() || active[i].error.is_some() {
-            let mut entry = active.remove(i);
-            entry.session.release(tracker, now)?;
-            if trace.enabled() {
-                trace.instant(
-                    TraceKind::BatchLeave,
-                    TraceLane::Request(entry.seq),
-                    &format!(
-                        "leave {} ({} tok)",
-                        entry.abbr,
-                        entry.session.emitted_tokens()
-                    ),
-                    now,
-                );
-            }
-            let peak = tracker.peak_bytes() as f64 / MIB;
-            push_entry(entry, outcomes, orphans, device, device_index, now, peak);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(())
-}
-
-/// The outcome row of a request whose maximum context alone exceeds the
-/// engine's token budget: it can never join any batch, so it fails at its
-/// arrival instant.
-fn budget_failure_outcome(
-    seq: usize,
-    request: &ServeRequest,
-    device: &DeviceSpec,
-    device_index: usize,
-    token_budget: u64,
-) -> RequestOutcome {
-    let params = request.decode.expect("validated in the prologue");
-    RequestOutcome {
-        seq,
-        model: request.model.abbr.clone(),
-        tenant: request.tenant.clone(),
-        priority: request.priority,
-        device: device.name.clone(),
-        device_index,
-        arrival_ms: request.arrival_ms,
-        start_ms: request.arrival_ms,
-        completion_ms: request.arrival_ms,
-        queue_wait_ms: 0.0,
-        latency_ms: 0.0,
-        deadline_ms: request.deadline_ms,
-        admission_laxity_ms: None,
-        resident_estimate_bytes: 0,
-        preemptions: 0,
-        suspended_ms: 0.0,
-        resume_penalty_ms: 0.0,
-        cache_hit: false,
-        peak_memory_mb: 0.0,
-        phases: PhaseBreakdown::attribute(0.0, 0.0, 0.0, 0.0, &[], &[]),
-        rejected: None,
-        stolen_from: None,
-        failure: Some(FailureCause::Execution),
-        retries: 0,
-        failed_over: false,
-        error: Some(SimError::InvalidParameter {
-            message: format!(
-                "request needs {} context tokens but the engine's token budget is {}",
-                params.max_context_tokens(),
-                token_budget
-            ),
-        }),
-        report: None,
-        decode: None,
     }
 }
 

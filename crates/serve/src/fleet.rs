@@ -43,14 +43,14 @@ use flashmem_core::telemetry::{FleetTrace, TraceConfig, TraceKind, TraceLane, Tr
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::engine::{GpuSimulator, SimConfig};
 use flashmem_gpu_sim::error::SimResult;
-use flashmem_gpu_sim::{DeviceSpec, FaultKind, FaultPlan, SimError};
+use flashmem_gpu_sim::{DeviceSpec, FaultPlan, SimError};
 
 use crate::metrics::{
     DeviceReport, LatencySummary, PriorityLatency, RecoveryTallies, RequestOutcome, ServeReport,
     SloSummary, TokenMetrics,
 };
 use crate::policy::RecoveryControl;
-use crate::request::{check_arrivals, ServeRequest};
+use crate::request::{check_arrivals, FailureCause, ServeRequest};
 
 /// The settings both engines share: the devices, the planner
 /// configuration, the plan cache, tracing, fault injection and recovery.
@@ -145,7 +145,6 @@ pub(crate) struct Orphan<R> {
     /// The typed-failure outcome of this attempt: final if the planner
     /// gives up, discarded if the request is re-dispatched.
     pub(crate) outcome: RequestOutcome,
-    pub(crate) kind: FaultKind,
     /// Recovery counters before this round's decision.
     pub(crate) retries: u32,
     pub(crate) hops: u32,
@@ -513,8 +512,8 @@ impl<E: DeviceLoop> Rounds<'_, E> {
         let seq = orphan.outcome.seq;
         let from = orphan.outcome.device_index;
         let failed_at = orphan.outcome.completion_ms;
-        let can_retry =
-            orphan.kind != FaultKind::DeviceLoss && orphan.retries < recovery.retry_budget;
+        let can_retry = orphan.outcome.failure != Some(FailureCause::DeviceLost)
+            && orphan.retries < recovery.retry_budget;
         let next_attempts = orphan.retries + orphan.hops + 1;
         let backoff = recovery.backoff_ms * f64::from(next_attempts);
         let allowed = engine

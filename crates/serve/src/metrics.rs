@@ -23,9 +23,12 @@ use flashmem_core::cache::CacheStats;
 use flashmem_core::telemetry::{FleetTrace, PhaseBreakdown};
 use flashmem_core::ExecutionReport;
 use flashmem_gpu_sim::trace::MemoryTrace;
-use flashmem_gpu_sim::SimError;
+use flashmem_gpu_sim::{DeviceSpec, SimError};
 
-use crate::request::{FailureCause, RejectCause};
+use crate::fleet::Carry;
+use crate::request::{FailureCause, RejectCause, ServeRequest};
+
+const MIB: f64 = 1024.0 * 1024.0;
 
 /// Token-level result of a generative request served through the decode
 /// path (prefill pass + per-token decode steps). `None` on one-shot
@@ -156,6 +159,84 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// The row of `request` (submission `seq`) on `device`, before it
+    /// starts: arrival, start and completion all at its arrival, nothing
+    /// charged, no failure. `carry` stamps a re-dispatched attempt with its
+    /// submission's arrival and its recovery counters. The engines build
+    /// every row here, fill it in while the request is on a device, and
+    /// [`close`](Self::close) it when it leaves.
+    pub(crate) fn unstarted(
+        seq: usize,
+        request: &ServeRequest,
+        device: &DeviceSpec,
+        device_index: usize,
+        carry: Option<&Carry>,
+    ) -> Self {
+        let arrival_ms = carry.map_or(request.arrival_ms, |c| c.original_arrival_ms);
+        RequestOutcome {
+            seq,
+            model: request.model.abbr.clone(),
+            tenant: request.tenant.clone(),
+            priority: request.priority,
+            device: device.name.clone(),
+            device_index,
+            arrival_ms,
+            start_ms: arrival_ms,
+            completion_ms: arrival_ms,
+            queue_wait_ms: 0.0,
+            latency_ms: 0.0,
+            deadline_ms: request.deadline_ms,
+            admission_laxity_ms: None,
+            resident_estimate_bytes: 0,
+            preemptions: 0,
+            suspended_ms: 0.0,
+            resume_penalty_ms: 0.0,
+            cache_hit: false,
+            peak_memory_mb: 0.0,
+            phases: PhaseBreakdown::default(),
+            rejected: None,
+            stolen_from: None,
+            error: None,
+            failure: None,
+            retries: carry.map_or(0, |c| c.retries),
+            failed_over: carry.is_some_and(|c| c.failed_over),
+            report: None,
+            decode: None,
+        }
+    }
+
+    /// Close the row at `completion_ms`: queue wait from arrival to start,
+    /// latency from arrival to completion, and the phases that latency
+    /// splits into. `transfer` and `compute` are the request's own command
+    /// intervals. Compile time is 0.0 on the simulated clock (LC-OPG solves
+    /// are charged to host wall time, not device time); suspension includes
+    /// the re-residency penalties; the residual stall term makes the phases
+    /// sum to the latency exactly.
+    pub(crate) fn close(
+        &mut self,
+        completion_ms: f64,
+        transfer: &[(f64, f64)],
+        compute: &[(f64, f64)],
+    ) {
+        self.completion_ms = completion_ms;
+        self.queue_wait_ms = (self.start_ms - self.arrival_ms).max(0.0);
+        self.latency_ms = (completion_ms - self.arrival_ms).max(0.0);
+        self.phases = PhaseBreakdown::attribute(
+            self.latency_ms,
+            self.queue_wait_ms,
+            0.0,
+            self.suspended_ms + self.resume_penalty_ms,
+            transfer,
+            compute,
+        );
+    }
+
+    /// Mark the request failed with `error`, and its typed cause.
+    pub(crate) fn fail(&mut self, error: SimError) {
+        self.failure = Some(FailureCause::from_error(&error));
+        self.error = Some(error);
+    }
+
     /// True when the request completed.
     pub fn succeeded(&self) -> bool {
         self.error.is_none() && self.rejected.is_none()
@@ -263,33 +344,64 @@ pub struct DeviceReport {
 }
 
 impl DeviceReport {
+    /// The report of a device whose timeline ran to `makespan_ms` with these
+    /// queue busy times and memory trace: each busy fraction is its busy
+    /// time over the makespan (0 for an empty timeline) and the peak is the
+    /// trace's. The request counts and the queue high-water mark start at
+    /// zero for the caller to fill in.
+    pub(crate) fn new(
+        device: String,
+        makespan_ms: f64,
+        transfer_busy_ms: f64,
+        compute_busy_ms: f64,
+        memory_trace: MemoryTrace,
+    ) -> Self {
+        let fraction = |busy_ms: f64| {
+            if makespan_ms > 0.0 {
+                busy_ms / makespan_ms
+            } else {
+                0.0
+            }
+        };
+        DeviceReport {
+            device,
+            requests: 0,
+            completed: 0,
+            makespan_ms,
+            transfer_busy_ms,
+            compute_busy_ms,
+            transfer_busy_fraction: fraction(transfer_busy_ms),
+            compute_busy_fraction: fraction(compute_busy_ms),
+            peak_memory_mb: memory_trace.peak_bytes() as f64 / MIB,
+            queue_depth_high_water: 0,
+            memory_trace,
+        }
+    }
+
     /// Fold one recovery round's report into this accumulated one: counts and
-    /// busy time sum, high-water marks take the max, busy fractions are
-    /// recomputed against the merged makespan, and the memory traces stitch
-    /// (round timelines never overlap — a re-dispatch ready floor is never
-    /// below the destination's cumulative makespan). A request that ran
-    /// attempts on several devices counts toward `requests` on each.
+    /// busy time sum, high-water marks take the max, and the memory traces
+    /// stitch (round timelines never overlap — a re-dispatch ready floor is
+    /// never below the destination's cumulative makespan), so the busy
+    /// fractions and the peak are those of the merged timeline. A request
+    /// that ran attempts on several devices counts toward `requests` on
+    /// each.
     pub(crate) fn absorb_round(&mut self, round: DeviceReport) {
-        self.requests += round.requests;
-        self.completed += round.completed;
-        self.makespan_ms = self.makespan_ms.max(round.makespan_ms);
-        self.transfer_busy_ms += round.transfer_busy_ms;
-        self.compute_busy_ms += round.compute_busy_ms;
-        self.transfer_busy_fraction = if self.makespan_ms > 0.0 {
-            self.transfer_busy_ms / self.makespan_ms
-        } else {
-            0.0
+        let mut memory_trace = std::mem::take(&mut self.memory_trace);
+        memory_trace.append_shifted(&round.memory_trace, 0.0);
+        *self = DeviceReport {
+            requests: self.requests + round.requests,
+            completed: self.completed + round.completed,
+            queue_depth_high_water: self
+                .queue_depth_high_water
+                .max(round.queue_depth_high_water),
+            ..DeviceReport::new(
+                std::mem::take(&mut self.device),
+                self.makespan_ms.max(round.makespan_ms),
+                self.transfer_busy_ms + round.transfer_busy_ms,
+                self.compute_busy_ms + round.compute_busy_ms,
+                memory_trace,
+            )
         };
-        self.compute_busy_fraction = if self.makespan_ms > 0.0 {
-            self.compute_busy_ms / self.makespan_ms
-        } else {
-            0.0
-        };
-        self.peak_memory_mb = self.peak_memory_mb.max(round.peak_memory_mb);
-        self.queue_depth_high_water = self
-            .queue_depth_high_water
-            .max(round.queue_depth_high_water);
-        self.memory_trace.append_shifted(&round.memory_trace, 0.0);
     }
 }
 

@@ -101,7 +101,7 @@ use flashmem_core::cache::{ArtifactCache, Fnv1a};
 use flashmem_core::engine::CompiledArtifact;
 use flashmem_core::executor::RUNTIME_OVERHEAD_BYTES;
 use flashmem_core::pool::{self, ThreadPool};
-use flashmem_core::telemetry::{PhaseBreakdown, TraceConfig, TraceKind, TraceLane, TraceRecorder};
+use flashmem_core::telemetry::{TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig, KernelRewriter, StreamingExecutor};
 use flashmem_gpu_sim::engine::{
     CommandStream, GpuSimulator, PreemptionCost, QueueClocks, QueueKind, SimConfig, StreamStepper,
@@ -122,7 +122,7 @@ use crate::policy::{
     FifoPolicy, InFlightEntry, OverloadControl, PendingEntry, PolicyContext, RecoveryControl,
     SchedulePolicy,
 };
-use crate::request::{clamp_non_negative, FailureCause, RejectCause, ServeRequest};
+use crate::request::{clamp_non_negative, RejectCause, ServeRequest};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -236,92 +236,26 @@ fn plan_resident_bytes(weights: &[flashmem_core::WeightSchedule]) -> u64 {
     preloaded + largest_streamed
 }
 
-/// The scheduler-visible view of everything that could be admitted at `now`:
-/// pending requests that have arrived, plus every suspended request (a
-/// suspended request arrived before it was first admitted, by construction).
-/// Both the admission phase and the preemption phase rank exactly this list,
-/// so a preemption can only fire for a candidate admission would pick.
-///
-/// `pending` is sorted by (arrival, seq), so the scan stops at the first
-/// request that has not arrived yet.
-///
-/// `gate`, when present, restricts pending candidates to requests that have
-/// already passed the bounded-queue shed check (`Some` only when a queue
-/// bound is configured): an arrival the loop has not yet observed might be
-/// about to be shed, and must not trigger a preemption first.
-fn arrived_candidates(
-    pending: &[(usize, &ServeRequest)],
-    suspended: &[Suspended],
-    now: f64,
-    deadlines: &HashMap<usize, Option<f64>>,
-    estimates: &HashMap<usize, f64>,
-    gate: Option<&HashSet<usize>>,
-) -> Vec<PendingEntry> {
-    let mut candidates: Vec<PendingEntry> = pending
-        .iter()
-        .take_while(|(_, r)| r.arrival_ms <= now)
-        .filter(|(seq, _)| gate.is_none_or(|g| g.contains(seq)))
-        .map(|(seq, r)| PendingEntry {
-            seq: *seq,
-            priority: r.priority,
-            arrival_ms: r.arrival_ms,
-            deadline_ms: deadlines.get(seq).copied().flatten(),
-            estimated_remaining_ms: estimates.get(seq).copied().unwrap_or(0.0),
-        })
-        .collect();
-    candidates.extend(
-        suspended
-            .iter()
-            .filter(|s| s.ready_ms <= now)
-            .map(|s| PendingEntry {
-                seq: s.meta.seq,
-                priority: s.meta.priority,
-                arrival_ms: s.meta.arrival_ms,
-                deadline_ms: s.meta.absolute_deadline_ms(),
-                estimated_remaining_ms: s.meta.estimated_remaining_ms(s.suspension.remaining()),
-            }),
-    );
-    candidates
-}
-
 /// Everything the loop knows about an admitted request except its execution
-/// state — shared between the in-flight and suspended representations.
+/// state — shared between the in-flight and suspended representations. Its
+/// outcome row is its running state: admission fills the row in,
+/// preemptions and resumes add to it, and retiring the request closes it.
 /// `Clone` exists for device loss, which snapshots the meta of work
 /// stranded on the lost device so the recovery planner can either resume it
 /// elsewhere or finalize its typed-failure outcome.
 #[derive(Clone)]
 pub(crate) struct FlightMeta {
-    seq: usize,
-    abbr: String,
-    tenant: String,
-    priority: u8,
-    arrival_ms: f64,
-    deadline_ms: Option<f64>,
-    start_ms: f64,
-    cache_hit: bool,
+    /// The request's outcome row, kept current while it is on a device.
+    row: RequestOutcome,
     streamed_fraction: f64,
-    estimate_bytes: u64,
     /// Predicted uncontended service time of the whole stream (0.0 when the
     /// policy does not use estimates).
     predicted_ms: f64,
     /// Command count of the lowered stream, for scaling `predicted_ms` to
     /// a partially executed remainder.
     total_commands: usize,
-    /// Laxity at admission: absolute deadline − start − predicted service.
-    admission_laxity_ms: Option<f64>,
-    /// Home device index when the steal planner re-placed this request.
-    stolen_from: Option<usize>,
-    /// Injected-fault retries this request has already consumed (carried
-    /// across recovery rounds; 0 on a first attempt).
-    retries: u32,
-    /// True when the recovery planner re-placed this request off a lost or
-    /// quarantined device.
-    failed_over: bool,
     trace_start: usize,
     order: usize,
-    preemptions: usize,
-    suspended_ms: f64,
-    penalty_ms: f64,
     /// Global time at which the current running segment began (admission or
     /// last resume, after any reload penalty) — the open edge of the event
     /// trace's `Running` span.
@@ -337,7 +271,7 @@ pub(crate) struct FlightMeta {
 impl FlightMeta {
     /// Absolute deadline on the device clock, if the request carries one.
     fn absolute_deadline_ms(&self) -> Option<f64> {
-        self.deadline_ms.map(|d| self.arrival_ms + d)
+        self.row.deadline_ms.map(|d| self.row.arrival_ms + d)
     }
 
     /// Predicted service time still ahead of a stream with `remaining`
@@ -350,61 +284,16 @@ impl FlightMeta {
             self.predicted_ms * remaining as f64 / self.total_commands as f64
         }
     }
-    /// Build the outcome row for this request, completing (or failing) at
-    /// `completion_ms`.
-    fn into_outcome(
-        self,
-        device: &str,
-        device_index: usize,
-        completion_ms: f64,
-        peak_memory_mb: f64,
-        error: Option<SimError>,
-        report: Option<ExecutionReport>,
-    ) -> RequestOutcome {
-        let queue_wait_ms = (self.start_ms - self.arrival_ms).max(0.0);
-        let latency_ms = (completion_ms - self.arrival_ms).max(0.0);
-        // Compile time is 0.0 on the simulated clock (LC-OPG solves are
-        // charged to host wall time, not device time); suspension includes
-        // the re-residency penalties; the residual stall term makes the
-        // phases sum to the latency exactly.
-        let phases = PhaseBreakdown::attribute(
-            latency_ms,
-            queue_wait_ms,
-            0.0,
-            self.suspended_ms + self.penalty_ms,
+
+    /// The outcome row, closed at `completion_ms` over this request's own
+    /// command intervals.
+    fn close(mut self, completion_ms: f64) -> RequestOutcome {
+        self.row.close(
+            completion_ms,
             &self.transfer_intervals,
             &self.compute_intervals,
         );
-        RequestOutcome {
-            seq: self.seq,
-            model: self.abbr,
-            tenant: self.tenant,
-            priority: self.priority,
-            device: device.to_string(),
-            device_index,
-            arrival_ms: self.arrival_ms,
-            start_ms: self.start_ms,
-            completion_ms,
-            queue_wait_ms,
-            latency_ms,
-            deadline_ms: self.deadline_ms,
-            admission_laxity_ms: self.admission_laxity_ms,
-            resident_estimate_bytes: self.estimate_bytes,
-            preemptions: self.preemptions,
-            suspended_ms: self.suspended_ms,
-            resume_penalty_ms: self.penalty_ms,
-            cache_hit: self.cache_hit,
-            peak_memory_mb,
-            phases,
-            rejected: None,
-            stolen_from: self.stolen_from,
-            failure: error.as_ref().map(FailureCause::from_error),
-            retries: self.retries,
-            failed_over: self.failed_over,
-            error,
-            report,
-            decode: None,
-        }
+        self.row
     }
 }
 
@@ -646,116 +535,6 @@ impl ServeEngine {
         }
     }
 
-    /// The outcome row of a request overload control shed: zero latency and
-    /// queue wait (it never occupied the device), no error — the typed
-    /// [`RejectCause`] is the whole story, and the metrics layer excludes
-    /// rejected requests from SLO accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn rejected_outcome(
-        &self,
-        seq: usize,
-        request: &ServeRequest,
-        device: &DeviceSpec,
-        device_index: usize,
-        cause: RejectCause,
-        admission_laxity_ms: Option<f64>,
-        stolen_from: Option<usize>,
-    ) -> RequestOutcome {
-        RequestOutcome {
-            seq,
-            model: request.model.abbr.clone(),
-            tenant: request.tenant.clone(),
-            priority: request.priority,
-            device: device.name.clone(),
-            device_index,
-            arrival_ms: request.arrival_ms,
-            start_ms: request.arrival_ms,
-            completion_ms: request.arrival_ms,
-            queue_wait_ms: 0.0,
-            latency_ms: 0.0,
-            deadline_ms: self.effective_deadline(request),
-            admission_laxity_ms,
-            resident_estimate_bytes: 0,
-            preemptions: 0,
-            suspended_ms: 0.0,
-            resume_penalty_ms: 0.0,
-            cache_hit: false,
-            peak_memory_mb: 0.0,
-            phases: PhaseBreakdown::attribute(0.0, 0.0, 0.0, 0.0, &[], &[]),
-            rejected: Some(cause),
-            stolen_from,
-            failure: None,
-            retries: 0,
-            failed_over: false,
-            error: None,
-            report: None,
-            decode: None,
-        }
-    }
-
-    /// Observe every arrival up to `now` (pending is sorted by arrival, so
-    /// this walks a prefix), shedding past the queue bound and tracking the
-    /// queue-depth high-water mark. Runs at each scheduling boundary of the
-    /// device loop; depth can only shrink at those same boundaries
-    /// (admissions), so processing the arrivals of a busy interval in
-    /// arrival order here reproduces the depth evolution exactly. A shed
-    /// request is rejected *at its own arrival instant* with
-    /// [`RejectCause::QueueFull`].
-    #[allow(clippy::too_many_arguments)]
-    fn observe_arrivals(
-        &self,
-        now: f64,
-        device: &DeviceSpec,
-        device_index: usize,
-        stolen: &HashMap<usize, usize>,
-        pending: &mut Vec<(usize, &ServeRequest)>,
-        enqueued: &mut HashSet<usize>,
-        queued: &mut usize,
-        high_water: &mut usize,
-        outcomes: &mut Vec<RequestOutcome>,
-        trace: &mut TraceRecorder,
-    ) {
-        let bound = self.overload.queue_bound;
-        let mut i = 0;
-        while i < pending.len() {
-            let (seq, request) = pending[i];
-            if request.arrival_ms > now {
-                break;
-            }
-            if enqueued.contains(&seq) {
-                i += 1;
-                continue;
-            }
-            if let Some(bound) = bound {
-                if *queued >= bound {
-                    pending.remove(i);
-                    outcomes.push(self.rejected_outcome(
-                        seq,
-                        request,
-                        device,
-                        device_index,
-                        RejectCause::QueueFull,
-                        None,
-                        stolen.get(&seq).copied(),
-                    ));
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Reject,
-                            TraceLane::Request(seq),
-                            &format!("reject {} (queue-full)", request.model.abbr),
-                            request.arrival_ms,
-                        );
-                    }
-                    continue;
-                }
-            }
-            enqueued.insert(seq);
-            *queued += 1;
-            *high_water = (*high_water).max(*queued);
-            i += 1;
-        }
-    }
-
     /// Serve `requests` (any order; arrival times need not be sorted) and
     /// report per-request outcomes, per-device utilization, latency
     /// percentiles (overall and per priority), SLO attainment and preemption
@@ -962,44 +741,180 @@ impl DeviceLoop for ServeEngine {
     /// Re-dispatched work carries its recovery state in `job.carry` and
     /// failed-over suspensions in `job.seeds`; both are empty in round 0.
     /// Per-command fault draws happen only when the [`FaultPlan`] can fire.
-    #[allow(clippy::too_many_lines)]
     fn run_device(&self, job: DeviceJob<'_, Self>) -> SimResult<DeviceRun<Stranded>> {
+        let fault_plan = &self.fleet.fault_plan;
+        let faults_armed = !fault_plan.is_empty();
+        let lost_at_ms = fault_plan.device_loss_ms(job.index);
+        let mut device = DeviceState::new(self, job);
+        loop {
+            if self.policy.preemption().is_some() {
+                device.preempt_outranked()?;
+            }
+            device.admit()?;
+            if device.in_flight.is_empty() {
+                if device.pending.is_empty() && device.suspended.is_empty() {
+                    break;
+                }
+                // Nothing admissible right now (all candidates deferred on
+                // tenant caps with no in-flight work — prevented by the
+                // hopeless-cap fail path and the unrecoverable-resume path,
+                // but keep the loop safe).
+                continue;
+            }
+
+            let (chosen, start) = device.earliest_flight();
+            if faults_armed && start.is_finite() {
+                if let Some(loss_ms) = lost_at_ms.filter(|&t| device.epoch + start + 1e-9 >= t) {
+                    // The device dies before this command starts.
+                    device.lose(loss_ms)?;
+                    break;
+                }
+                if let Some(kind) = device.command_fault(chosen) {
+                    // A transient injected fault fails this attempt exactly
+                    // like a modelled mid-run error, but the recovery
+                    // planner decides what follows.
+                    let now_local = start.max(device.in_flight[chosen].stepper.makespan_ms());
+                    device.release(chosen, now_local, Exit::Faulted(kind))?;
+                    continue;
+                }
+            }
+            device.step(chosen)?;
+        }
+        Ok(device.finish())
+    }
+
+    /// In-flight state resumes only on a same-spec sibling — the suspension
+    /// snapshot is meaningful against the same cost model. Anywhere else the
+    /// request restarts from scratch.
+    fn redispatch(
+        &self,
+        request: &ServeRequest,
+        plan: &Redispatch,
+        resume: Stranded,
+    ) -> NextAttempt<SeededSuspension> {
+        let devices = &self.fleet.devices;
+        match resume {
+            Some((mut meta, suspension)) if devices[plan.dest].name == devices[plan.from].name => {
+                meta.row.retries = plan.carry.retries;
+                meta.row.failed_over = plan.carry.failed_over;
+                NextAttempt::Resume(SeededSuspension {
+                    meta,
+                    suspension,
+                    suspended_at_ms: plan.failed_at_ms,
+                    ready_ms: plan.ready_ms,
+                })
+            }
+            _ => {
+                let mut request = request.clone();
+                request.arrival_ms = plan.ready_ms;
+                NextAttempt::Restart(Box::new(request), plan.carry)
+            }
+        }
+    }
+}
+
+/// How an in-flight request leaves its device through
+/// [`DeviceState::release`].
+enum Exit {
+    /// Every command ran.
+    Done,
+    /// A modelled error (out of memory) failed it mid-run.
+    Failed(SimError),
+    /// An injected transient fault knocked it out; the recovery planner
+    /// decides what follows.
+    Faulted(FaultKind),
+}
+
+/// One device's state through one round of the serve loop: its queues, the
+/// clocks and memory tracker its requests share, the tenant reservations
+/// they hold and everything the round reports.
+struct DeviceState<'a> {
+    serve: &'a ServeEngine,
+    index: usize,
+    device: &'a DeviceSpec,
+    engine: FlashMem,
+    sim: GpuSimulator,
+    warm: &'a HashSet<u64>,
+    /// Recovery state of re-dispatched requests, by `seq`.
+    carry: HashMap<usize, Carry>,
+    /// `seq → home device` of requests the steal planner re-placed here.
+    stolen: HashMap<usize, usize>,
+    slots: usize,
+    /// One request at a time and no preemption: see the module docs.
+    exclusive: bool,
+    /// Requests this round placed here, for the device report.
+    assigned: usize,
+    /// Device-clock origin of the current timeline segment; the queue
+    /// clocks and the streams run in time local to it.
+    epoch: f64,
+    clocks: QueueClocks,
+    tracker: MemoryTracker,
+    /// Exclusive mode's memory trace: each request's run-local segment
+    /// stitched onto the device timeline at its epoch.
+    stitched: MemoryTrace,
+    makespan: f64,
+    transfer_busy: f64,
+    compute_busy: f64,
+    /// Estimated resident bytes each tenant holds here, in flight or
+    /// suspended.
+    tenant_bytes: HashMap<String, u64>,
+    /// Sorted once by (arrival, seq) and afterwards only removed from:
+    /// the arrived requests are always a prefix.
+    pending: Vec<(usize, &'a ServeRequest)>,
+    in_flight: Vec<InFlight>,
+    suspended: Vec<Suspended>,
+    /// Bounded-queue bookkeeping: which pending requests the loop has
+    /// observed arriving (and not shed), the live queue depth (arrived but
+    /// not yet admitted), and its high-water mark.
+    enqueued: HashSet<usize>,
+    queued: usize,
+    queue_high_water: usize,
+    /// Admissions so far: the stepping tie-break.
+    admit_order: usize,
+    /// Absolute deadlines and predicted service times of pending requests.
+    deadlines: HashMap<usize, Option<f64>>,
+    estimates: HashMap<usize, f64>,
+    /// Resident-byte estimates computed by the preemption phase's
+    /// feasibility checks, memoized per request seq.
+    estimate_memo: HashMap<usize, u64>,
+    /// Lowered streams by plan-cache key: each plan is lowered on its
+    /// first admission and shared by every later request that uses it.
+    lowered: HashMap<u64, Arc<CommandStream>>,
+    outcomes: Vec<RequestOutcome>,
+    orphans: Vec<Orphan<Stranded>>,
+    trace: TraceRecorder,
+    /// Transient injected faults this round.
+    faults: u32,
+    /// The fault plan's device loss fired.
+    lost: bool,
+}
+
+impl<'a> DeviceState<'a> {
+    /// The device at the start of a round: pending work in arrival order
+    /// with its static scheduling inputs, failed-over suspensions seeded,
+    /// and the prologue's rejects and steals recorded.
+    fn new(serve: &'a ServeEngine, job: DeviceJob<'a, ServeEngine>) -> Self {
         let DeviceJob {
-            index: device_index,
+            index,
             device,
             engine,
             sim,
             requests,
-            assigned,
+            assigned: mut pending,
             warm,
-            carry: carry_map,
-            seeds: seed_list,
+            carry,
+            seeds,
             prologue:
                 Admission {
-                    rejected: prerejected,
+                    rejected,
                     mut stolen,
                 },
         } = job;
         stolen.extend(
-            carry_map
+            carry
                 .iter()
                 .filter_map(|(seq, carry)| carry.stolen_from.map(|home| (*seq, home))),
         );
-        let fault_plan = &self.fleet.fault_plan;
-        let faults_armed = !fault_plan.is_empty();
-        let lost_at_ms = fault_plan.device_loss_ms(device_index);
-        let mut orphans: Vec<Orphan<Stranded>> = Vec::new();
-        let mut lost = false;
-        let mut faults = 0_u32;
-        let mut trace = TraceRecorder::new(self.fleet.trace);
-        let mut tracker = MemoryTracker::for_device(device);
-        let slots = self.policy.max_in_flight().max(1);
-        let exclusive = slots == 1 && self.policy.preemption().is_none();
-
-        let total_assigned = assigned.len() + prerejected.len() + seed_list.len();
-        // Sorted once by (arrival, seq) and afterwards only removed from:
-        // the arrived requests are always a prefix.
-        let mut pending = assigned;
         pending.sort_by(|a, b| {
             a.1.arrival_ms
                 .total_cmp(&b.1.arrival_ms)
@@ -1017,27 +932,27 @@ impl DeviceLoop for ServeEngine {
         // double the expensive part. Under estimate-using policies the
         // admission-time compile of each model is therefore always a cache
         // hit (the precompute paid the miss).
-        let uses_estimates = self.policy.uses_estimates();
+        let uses_estimates = serve.policy.uses_estimates();
         let mut service_memo: HashMap<String, f64> = HashMap::new();
-        let mut deadlines: HashMap<usize, Option<f64>> = HashMap::new();
-        let mut estimates: HashMap<usize, f64> = HashMap::new();
-        for (seq, request) in &pending {
+        let mut deadlines = HashMap::new();
+        let mut estimates = HashMap::new();
+        for &(seq, request) in &pending {
             // Re-dispatched requests arrive at the recovery planner's ready
             // floor, but their deadline clock started at true submission.
-            let arrival = carry_map
-                .get(seq)
+            let arrival = carry
+                .get(&seq)
                 .map_or(request.arrival_ms, |c| c.original_arrival_ms);
-            deadlines.insert(*seq, self.effective_deadline(request).map(|d| arrival + d));
+            deadlines.insert(seq, serve.effective_deadline(request).map(|d| arrival + d));
             let estimate = if uses_estimates {
                 *service_memo
                     .entry(request.model.abbr.clone())
                     .or_insert_with(|| {
-                        match self.fleet.cache.compile(&engine, &request.model, device) {
+                        match serve.fleet.cache.compile(&engine, &request.model, device) {
                             Ok((artifact, _)) => predicted_service_ms(
                                 &artifact,
                                 &request.model,
                                 device,
-                                &self.fleet.config,
+                                &serve.fleet.config,
                             ),
                             // Compilation failures surface at admission.
                             Err(_) => 0.0,
@@ -1046,49 +961,70 @@ impl DeviceLoop for ServeEngine {
             } else {
                 0.0
             };
-            estimates.insert(*seq, estimate);
+            estimates.insert(seq, estimate);
         }
 
-        let mut in_flight: Vec<InFlight> = Vec::new();
-        let mut suspended: Vec<Suspended> = Vec::new();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut epoch = 0.0_f64;
-        let mut clocks = QueueClocks::new();
-        let mut stitched = MemoryTrace::new();
-        let mut transfer_busy = 0.0_f64;
-        let mut compute_busy = 0.0_f64;
-        let mut makespan = 0.0_f64;
-        let mut tenant_bytes: HashMap<String, u64> = HashMap::new();
-        let mut admit_order = 0_usize;
-        // Resident-byte estimates computed by the preemption phase's
-        // feasibility checks, memoized per request seq.
-        let mut estimate_memo: HashMap<usize, u64> = HashMap::new();
-        // Lowered streams by plan-cache key: each plan is lowered on its
-        // first admission and shared by every later request that uses it.
-        let mut lowered: HashMap<u64, Arc<CommandStream>> = HashMap::new();
-        // Bounded-queue bookkeeping: which pending requests the loop has
-        // observed arriving (and not shed), the live queue depth (arrived
-        // but not yet admitted), and its high-water mark.
-        let mut enqueued: HashSet<usize> = HashSet::new();
-        let mut queued = 0_usize;
-        let mut queue_high_water = 0_usize;
+        let slots = serve.policy.max_in_flight().max(1);
+        let mut state = DeviceState {
+            serve,
+            index,
+            device,
+            engine,
+            sim,
+            warm,
+            assigned: pending.len() + rejected.len() + seeds.len(),
+            carry,
+            stolen,
+            slots,
+            exclusive: slots == 1 && serve.policy.preemption().is_none(),
+            epoch: 0.0,
+            clocks: QueueClocks::new(),
+            tracker: MemoryTracker::for_device(device),
+            stitched: MemoryTrace::new(),
+            makespan: 0.0,
+            transfer_busy: 0.0,
+            compute_busy: 0.0,
+            tenant_bytes: HashMap::new(),
+            pending,
+            in_flight: Vec::new(),
+            suspended: Vec::new(),
+            enqueued: HashSet::new(),
+            queued: 0,
+            queue_high_water: 0,
+            admit_order: 0,
+            deadlines,
+            estimates,
+            estimate_memo: HashMap::new(),
+            lowered: HashMap::new(),
+            outcomes: Vec::new(),
+            orphans: Vec::new(),
+            trace: TraceRecorder::new(serve.fleet.trace),
+            faults: 0,
+            lost: false,
+        };
 
         // Failed-over suspensions seed the suspended list: the ordinary
         // resume path re-acquires their residency (charging the reload
         // penalty) once their backoff floor passes. Their tenant reservation
-        // is held while suspended, exactly like a preemption's.
-        for seed in seed_list {
+        // is held while suspended, exactly like a preemption's, and their
+        // row now reports this device.
+        for seed in seeds {
             let SeededSuspension {
                 mut meta,
                 suspension,
                 suspended_at_ms,
                 ready_ms,
             } = seed;
-            *tenant_bytes.entry(meta.tenant.clone()).or_insert(0) += meta.estimate_bytes;
-            meta.trace_start = tracker.trace().len();
-            meta.order = admit_order;
-            admit_order += 1;
-            suspended.push(Suspended {
+            *state
+                .tenant_bytes
+                .entry(meta.row.tenant.clone())
+                .or_insert(0) += meta.row.resident_estimate_bytes;
+            meta.row.device = device.name.clone();
+            meta.row.device_index = index;
+            meta.trace_start = state.tracker.trace().len();
+            meta.order = state.admit_order;
+            state.admit_order += 1;
+            state.suspended.push(Suspended {
                 meta,
                 suspended_at_ms,
                 suspension,
@@ -1100,935 +1036,192 @@ impl DeviceLoop for ServeEngine {
         // outcomes and trace instants are emitted here so each lands on its
         // placed device's private buffers and flows through the ordered
         // merge like everything else.
-        for &(seq, laxity) in &prerejected {
-            let request = &requests[seq];
-            outcomes.push(self.rejected_outcome(
+        for (seq, laxity) in rejected {
+            state.reject(
                 seq,
-                request,
-                device,
-                device_index,
+                &requests[seq],
                 RejectCause::DeadlineUnmeetable,
                 Some(laxity),
-                None,
-            ));
-            if trace.enabled() {
-                trace.instant(
-                    TraceKind::Reject,
-                    TraceLane::Request(seq),
-                    &format!("reject {} (deadline-unmeetable)", request.model.abbr),
-                    request.arrival_ms,
-                );
-            }
+            );
         }
-        if trace.enabled() {
-            for (seq, request) in &pending {
-                if let Some(home) = stolen.get(seq) {
-                    trace.instant(
+        if state.trace.enabled() {
+            for &(seq, request) in &state.pending {
+                if let Some(home) = state.stolen.get(&seq) {
+                    state.trace.instant(
                         TraceKind::Steal,
-                        TraceLane::Request(*seq),
+                        TraceLane::Request(seq),
                         &format!("steal {} from device #{home}", request.model.abbr),
                         request.arrival_ms,
                     );
                 }
             }
         }
+        state
+    }
 
-        // Build the wait-only outcome of a request that failed before it
-        // ever executed (compile error, hopeless tenant cap, device loss
-        // while still queued).
-        let waiting_failure = |seq: usize,
-                               request: &ServeRequest,
-                               deadline_ms: Option<f64>,
-                               now: f64,
-                               error: SimError|
-         -> RequestOutcome {
-            let carry = carry_map.get(&seq);
-            let arrival_ms = carry.map_or(request.arrival_ms, |c| c.original_arrival_ms);
-            let wait_ms = (now - arrival_ms).max(0.0);
-            RequestOutcome {
-                seq,
-                model: request.model.abbr.clone(),
-                tenant: request.tenant.clone(),
-                priority: request.priority,
-                device: device.name.clone(),
-                device_index,
-                arrival_ms,
-                start_ms: now,
-                completion_ms: now,
-                queue_wait_ms: wait_ms,
-                latency_ms: wait_ms,
-                deadline_ms,
-                admission_laxity_ms: None,
-                resident_estimate_bytes: 0,
-                preemptions: 0,
-                suspended_ms: 0.0,
-                resume_penalty_ms: 0.0,
-                cache_hit: false,
-                peak_memory_mb: 0.0,
-                phases: PhaseBreakdown::attribute(wait_ms, wait_ms, 0.0, 0.0, &[], &[]),
-                rejected: None,
-                stolen_from: stolen.get(&seq).copied(),
-                failure: Some(FailureCause::from_error(&error)),
-                retries: carry.map_or(0, |c| c.retries),
-                failed_over: carry.is_some_and(|c| c.failed_over),
-                error: Some(error),
-                report: None,
-                decode: None,
-            }
-        };
-        let fail = |outcomes: &mut Vec<RequestOutcome>,
-                    trace: &mut TraceRecorder,
-                    seq: usize,
-                    request: &ServeRequest,
-                    deadline_ms: Option<f64>,
-                    now: f64,
-                    error: SimError| {
-            outcomes.push(waiting_failure(seq, request, deadline_ms, now, error));
-            trace_failure(trace, outcomes.last().expect("just pushed"), None);
-        };
-
-        let bounded = self.overload.queue_bound.is_some();
-        loop {
-            // ---------------- preemption ----------------
-            if self.policy.preemption().is_some() {
-                if bounded && !in_flight.is_empty() {
-                    // Observe (and shed past the bound) every arrival the
-                    // preemption phase is about to see, so a request that is
-                    // about to be shed can never trigger a preemption first.
-                    let now = epoch
-                        + in_flight
-                            .iter()
-                            .filter_map(|f| f.stepper.peek_start_ms(&clocks))
-                            .fold(f64::INFINITY, f64::min);
-                    if now.is_finite() {
-                        self.observe_arrivals(
-                            now,
-                            device,
-                            device_index,
-                            &stolen,
-                            &mut pending,
-                            &mut enqueued,
-                            &mut queued,
-                            &mut queue_high_water,
-                            &mut outcomes,
-                            &mut trace,
-                        );
-                    }
-                }
-                self.preempt_outranked(
-                    &engine,
-                    device,
-                    slots,
-                    epoch,
-                    &clocks,
-                    &mut tracker,
-                    &pending,
-                    &tenant_bytes,
-                    &mut estimate_memo,
-                    &deadlines,
-                    &estimates,
-                    bounded.then_some(&enqueued),
-                    &mut in_flight,
-                    &mut suspended,
-                    &mut trace,
-                )?;
-            }
-
-            // ---------------- admission ----------------
-            'admit: while in_flight.len() < slots && !(pending.is_empty() && suspended.is_empty()) {
-                if in_flight.is_empty() && suspended.is_empty() {
-                    // Idle: re-base the device timeline onto a fresh epoch at
-                    // the later of "now" and the earliest pending arrival.
-                    // (Never re-based while work is suspended — suspension
-                    // snapshots reference the current epoch's local times.)
-                    let earliest = pending.first().map_or(f64::INFINITY, |(_, r)| r.arrival_ms);
-                    epoch = (epoch + clocks.horizon_ms()).max(earliest);
-                    clocks.reset();
-                }
-                let mut now = if in_flight.is_empty() {
-                    if suspended.is_empty() {
-                        epoch
-                    } else {
-                        // Resume as soon as the queues drain.
-                        epoch + clocks.horizon_ms()
-                    }
-                } else {
-                    epoch
-                        + in_flight
-                            .iter()
-                            .filter_map(|f| f.stepper.peek_start_ms(&clocks))
-                            .fold(f64::INFINITY, f64::min)
-                };
-                if in_flight.is_empty() {
-                    // Re-dispatched work carries a backoff floor its original
-                    // arrival does not reflect; with nothing running, jump to
-                    // the earliest floor so the loop cannot spin on a queue
-                    // whose every candidate is still backing off. A first
-                    // attempt's floor is its arrival, which the idle re-base
-                    // above has already passed, and ordinary suspensions have
-                    // a `NEG_INFINITY` floor, so only re-dispatched work ever
-                    // moves `now` here.
-                    let earliest = pending
-                        .first()
-                        .map(|(_, r)| r.arrival_ms)
-                        .into_iter()
-                        .chain(suspended.iter().map(|s| s.ready_ms))
-                        .fold(f64::INFINITY, f64::min);
-                    if earliest.is_finite() {
-                        now = now.max(earliest);
-                    }
-                }
-                self.observe_arrivals(
-                    now,
-                    device,
-                    device_index,
-                    &stolen,
-                    &mut pending,
-                    &mut enqueued,
-                    &mut queued,
-                    &mut queue_high_water,
-                    &mut outcomes,
-                    &mut trace,
-                );
-                let mut candidates =
-                    arrived_candidates(&pending, &suspended, now, &deadlines, &estimates, None);
-                let ctx = PolicyContext::at(now);
-                while !candidates.is_empty() {
-                    let choice = self
-                        .policy
-                        .pick(&candidates, &ctx)
-                        .min(candidates.len() - 1);
-                    let chosen_seq = candidates[choice].seq;
-
-                    if let Some(pos) = suspended.iter().position(|s| s.meta.seq == chosen_seq) {
-                        // -------- resume a preempted request --------
-                        if !suspended[pos].suspension.can_resume(&tracker) {
-                            if in_flight.is_empty() {
-                                // Nothing running will ever free the memory:
-                                // the residency is unrecoverable.
-                                let s = suspended.remove(pos);
-                                let requested = s.suspension.evicted_bytes();
-                                makespan = makespan.max(now);
-                                decrement(&mut tenant_bytes, &s.meta.tenant, s.meta.estimate_bytes);
-                                let mut meta = s.meta;
-                                if trace.enabled() {
-                                    trace.span(
-                                        TraceKind::Suspended,
-                                        TraceLane::Request(meta.seq),
-                                        &format!("suspended {}", meta.abbr),
-                                        s.suspended_at_ms,
-                                        now,
-                                    );
-                                }
-                                meta.suspended_ms += (now - s.suspended_at_ms).max(0.0);
-                                outcomes.push(meta.into_outcome(
-                                    &device.name,
-                                    device_index,
-                                    now,
-                                    0.0,
-                                    Some(SimError::OutOfMemory {
-                                        pool: "resume residency".to_string(),
-                                        requested,
-                                        available:
-                                            tracker.budget().saturating_sub(tracker.total_in_use()),
-                                        capacity: tracker.budget(),
-                                    }),
-                                    None,
-                                ));
-                                trace_failure(
-                                    &mut trace,
-                                    outcomes.last().expect("just pushed"),
-                                    None,
-                                );
-                                continue 'admit;
-                            }
-                            // Defer until in-flight work frees memory.
-                            candidates.remove(choice);
-                            continue;
-                        }
-                        let s = suspended.remove(pos);
-                        let cost = self
-                            .policy
-                            .preemption()
-                            .unwrap_or_else(PreemptionCost::free);
-                        let resume_local = (now - epoch).max(0.0);
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Suspended,
-                                TraceLane::Request(s.meta.seq),
-                                &format!("suspended {}", s.meta.abbr),
-                                s.suspended_at_ms,
-                                now,
-                            );
-                        }
-                        let evicted = s.suspension.evicted_bytes();
-                        let (stepper, penalty) = s.suspension.resume_into(
-                            &sim,
-                            &mut tracker,
-                            resume_local,
-                            epoch,
-                            &cost,
-                        )?;
-                        if trace.enabled() {
-                            let start = epoch + resume_local;
-                            trace.span_bytes(
-                                TraceKind::Resume,
-                                TraceLane::Request(s.meta.seq),
-                                &format!("resume {}", s.meta.abbr),
-                                start,
-                                start + penalty,
-                                evicted,
-                            );
-                        }
-                        let mut meta = s.meta;
-                        meta.suspended_ms += (now - s.suspended_at_ms).max(0.0);
-                        meta.penalty_ms += penalty;
-                        meta.run_start_ms = epoch + resume_local + penalty;
-                        in_flight.push(InFlight { meta, stepper });
-                        continue 'admit;
-                    }
-
-                    // -------- admit a fresh request --------
-                    let position = pending
-                        .iter()
-                        .position(|(seq, _)| *seq == chosen_seq)
-                        .expect("candidate is pending");
-                    let (seq, request) = pending[position];
-
-                    // Report warmth-at-run-start (the prologue snapshot),
-                    // not `compile`'s racy mid-run flag: at pool width > 1
-                    // that flag records which device won the compile race.
-                    let key = ArtifactCache::key_for(&engine, &request.model, device);
-                    let cache_hit = warm.contains(&key);
-                    let artifact = match self.fleet.cache.compile(&engine, &request.model, device) {
-                        Ok((artifact, _)) => {
-                            if trace.enabled() {
-                                let abbr = &request.model.abbr;
-                                let (kind, probe) = if cache_hit {
-                                    (TraceKind::CacheHit, "hit")
-                                } else {
-                                    (TraceKind::CacheMiss, "miss")
-                                };
-                                let lane = TraceLane::Host;
-                                trace.instant(kind, lane, &format!("cache {probe} {abbr}"), now);
-                                if !cache_hit {
-                                    // Planning costs host wall time, not
-                                    // device time: an instant on the
-                                    // simulated clock.
-                                    trace.instant(
-                                        TraceKind::Compile,
-                                        lane,
-                                        &format!("compile {abbr}"),
-                                        now,
-                                    );
-                                }
-                            }
-                            artifact
-                        }
-                        Err(error) => {
-                            pending.remove(position);
-                            if enqueued.remove(&seq) {
-                                queued -= 1;
-                            }
-                            let deadline = self.effective_deadline(request);
-                            fail(
-                                &mut outcomes,
-                                &mut trace,
-                                seq,
-                                request,
-                                deadline,
-                                now,
-                                error,
-                            );
-                            continue 'admit;
-                        }
-                    };
-                    let estimate = estimate_resident_bytes(&artifact, &request.model);
-                    if let Some(cap) = self.effective_tenant_cap(&request.tenant) {
-                        let used = tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
-                        if used.saturating_add(estimate) > cap {
-                            if used == 0 {
-                                // The cap cannot fit this model at all.
-                                pending.remove(position);
-                                if enqueued.remove(&seq) {
-                                    queued -= 1;
-                                }
-                                let deadline = self.effective_deadline(request);
-                                fail(
-                                    &mut outcomes,
-                                    &mut trace,
-                                    seq,
-                                    request,
-                                    deadline,
-                                    now,
-                                    SimError::OutOfMemory {
-                                        pool: format!("tenant `{}` cap", request.tenant),
-                                        requested: estimate,
-                                        available: cap,
-                                        capacity: cap,
-                                    },
-                                );
-                                continue 'admit;
-                            }
-                            // Defer until the tenant's in-flight work drains.
-                            candidates.remove(choice);
-                            continue;
-                        }
-                    }
-
-                    pending.remove(position);
-                    if enqueued.remove(&seq) {
-                        queued -= 1;
-                    }
-                    let stream = Arc::clone(lowered.entry(key).or_insert_with(|| {
-                        Arc::new(lower_artifact(
-                            &artifact,
-                            &request.model,
-                            device,
-                            &self.fleet.config,
-                        ))
-                    }));
-                    let total_commands = stream.len();
-                    let floor = (request.arrival_ms - epoch).max(0.0);
-                    let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
-                    if exclusive {
-                        tracker.reset_trace();
-                    }
-                    *tenant_bytes.entry(request.tenant.clone()).or_insert(0) += estimate;
-                    let predicted_ms = estimates.get(&seq).copied().unwrap_or(0.0);
-                    let start_ms = now.max(request.arrival_ms);
-                    let admission_laxity_ms = deadlines
-                        .get(&seq)
-                        .copied()
-                        .flatten()
-                        .map(|deadline| deadline - start_ms - predicted_ms);
-                    if trace.enabled() {
-                        let lane = TraceLane::Request(seq);
-                        trace.span(
-                            TraceKind::QueueWait,
-                            lane,
-                            &format!("queue {}", request.model.abbr),
-                            request.arrival_ms,
-                            start_ms,
-                        );
-                        let label = match admission_laxity_ms {
-                            Some(laxity) => {
-                                format!("admit {} laxity {laxity:.3} ms", request.model.abbr)
-                            }
-                            None => format!("admit {}", request.model.abbr),
-                        };
-                        trace.instant(TraceKind::Admit, lane, &label, start_ms);
-                    }
-                    let carry = carry_map.get(&seq);
-                    in_flight.push(InFlight {
-                        meta: FlightMeta {
-                            seq,
-                            abbr: request.model.abbr.clone(),
-                            tenant: request.tenant.clone(),
-                            priority: request.priority,
-                            // Metrics measure from true submission, not from
-                            // the recovery planner's re-dispatch floor.
-                            arrival_ms: carry.map_or(request.arrival_ms, |c| c.original_arrival_ms),
-                            deadline_ms: self.effective_deadline(request),
-                            start_ms,
-                            cache_hit,
-                            streamed_fraction: artifact.streamed_fraction(),
-                            estimate_bytes: estimate,
-                            predicted_ms,
-                            total_commands,
-                            admission_laxity_ms,
-                            stolen_from: stolen.get(&seq).copied(),
-                            retries: carry.map_or(0, |c| c.retries),
-                            failed_over: carry.is_some_and(|c| c.failed_over),
-                            trace_start: tracker.trace().len(),
-                            order: admit_order,
-                            preemptions: 0,
-                            suspended_ms: 0.0,
-                            penalty_ms: 0.0,
-                            run_start_ms: start_ms,
-                            transfer_intervals: Vec::new(),
-                            compute_intervals: Vec::new(),
-                        },
-                        stepper,
-                    });
-                    admit_order += 1;
-                    continue 'admit;
-                }
-                break 'admit;
-            }
-
-            if in_flight.is_empty() {
-                if pending.is_empty() && suspended.is_empty() {
-                    break;
-                }
-                // Nothing admissible right now (all candidates deferred on
-                // tenant caps with no in-flight work — prevented by the
-                // `used == 0` fail path and the unrecoverable-resume path,
-                // but keep the loop safe).
-                continue;
-            }
-
-            // ---------------- step ----------------
-            let mut chosen = 0;
-            let mut chosen_start = f64::INFINITY;
-            for (i, flight) in in_flight.iter().enumerate() {
-                let start = flight
-                    .stepper
-                    .peek_start_ms(&clocks)
-                    .unwrap_or(f64::INFINITY);
-                let earlier = start < chosen_start
-                    || (start == chosen_start && flight.meta.order < in_flight[chosen].meta.order);
-                if i == 0 || earlier {
-                    chosen = i;
-                    chosen_start = start;
-                }
-            }
-            let base = if exclusive { 0.0 } else { epoch };
-
-            // ---------------- fault injection ----------------
-            if faults_armed && chosen_start.is_finite() {
-                let would_start = epoch + chosen_start;
-                if lost_at_ms.is_some_and(|t| would_start + 1e-9 >= t) {
-                    // The device dies before this command starts: everything
-                    // on it — running, suspended, queued — is stranded. Hand
-                    // it all to the recovery planner as orphans and stop the
-                    // timeline.
-                    let loss_ms = lost_at_ms.expect("just checked");
-                    lost = true;
-                    makespan = makespan.max(loss_ms);
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Host,
-                            &format!("fault device-loss {}", device.name),
-                            loss_ms,
-                        );
-                    }
-                    let carry_over = self.fleet.recovery.failover;
-                    for flight in in_flight.drain(..) {
-                        let seq = flight.meta.seq;
-                        let local_now =
-                            ((loss_ms - epoch).max(0.0)).max(flight.stepper.makespan_ms());
-                        let completion = epoch + local_now;
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Running,
-                                TraceLane::Request(seq),
-                                &format!("run {}", flight.meta.abbr),
-                                flight.meta.run_start_ms,
-                                completion,
-                            );
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", flight.meta.abbr),
-                                completion,
-                            );
-                        }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
-                        let mut stepper = flight.stepper;
-                        let meta = flight.meta;
-                        let resume = if carry_over {
-                            // Freeze the in-flight state for a same-spec
-                            // sibling to resume from.
-                            let suspension = stepper.suspend_evicting(
-                                &clocks,
-                                &mut tracker,
-                                local_now,
-                                epoch,
-                            )?;
-                            trace_preempt(&mut trace, &meta, epoch + local_now, &suspension);
-                            Some((meta.clone(), suspension))
-                        } else {
-                            stepper.release_remaining(&mut tracker, base + local_now)?;
-                            None
-                        };
-                        let outcome = meta.into_outcome(
-                            &device.name,
-                            device_index,
-                            completion,
-                            0.0,
-                            Some(SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            }),
-                            None,
-                        );
-                        orphans.push(Orphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume,
-                        });
-                    }
-                    for s in suspended.drain(..) {
-                        let seq = s.meta.seq;
-                        let at = loss_ms.max(s.suspended_at_ms);
-                        if trace.enabled() {
-                            trace.span(
-                                TraceKind::Suspended,
-                                TraceLane::Request(seq),
-                                &format!("suspended {}", s.meta.abbr),
-                                s.suspended_at_ms,
-                                at,
-                            );
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", s.meta.abbr),
-                                at,
-                            );
-                        }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
-                        let mut meta = s.meta;
-                        meta.suspended_ms += (at - s.suspended_at_ms).max(0.0);
-                        let resume = carry_over.then(|| (meta.clone(), s.suspension));
-                        let outcome = meta.into_outcome(
-                            &device.name,
-                            device_index,
-                            at,
-                            0.0,
-                            Some(SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            }),
-                            None,
-                        );
-                        orphans.push(Orphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume,
-                        });
-                    }
-                    for (seq, request) in pending.drain(..) {
-                        let at = loss_ms.max(request.arrival_ms);
-                        if trace.enabled() {
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(seq),
-                                &format!("fault device-loss {}", request.model.abbr),
-                                at,
-                            );
-                        }
-                        let carry = carry_map.get(&seq).copied();
-                        let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
-                        let deadline = self.effective_deadline(request);
-                        let outcome = waiting_failure(
-                            seq,
-                            request,
-                            deadline,
-                            at,
-                            SimError::Fault {
-                                kind: FaultKind::DeviceLoss,
-                                at_ms: loss_ms,
-                            },
-                        );
-                        orphans.push(Orphan {
-                            outcome,
-                            kind: FaultKind::DeviceLoss,
-                            retries,
-                            hops,
-                            resume: None,
-                        });
-                    }
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                    }
-                    break;
-                }
-                let flight = &in_flight[chosen];
-                let executed = flight
-                    .meta
-                    .total_commands
-                    .saturating_sub(flight.stepper.remaining());
-                let attempt = carry_map.get(&flight.meta.seq).map_or(0, Carry::attempt);
-                if let Some(kind) =
-                    fault_plan.command_fault(device_index, flight.meta.seq, executed, attempt)
-                {
-                    // A transient injected fault: fail this attempt exactly
-                    // like a modelled mid-run error, but channel it to the
-                    // recovery planner instead of the final outcome list.
-                    faults += 1;
-                    let mut flight = in_flight.remove(chosen);
-                    let now_local = chosen_start.max(flight.stepper.makespan_ms());
-                    flight
-                        .stepper
-                        .release_remaining(&mut tracker, base + now_local)?;
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                        tracker.evict_all(epoch + now_local);
-                        stitched.record(epoch + now_local, 0);
-                        epoch += now_local;
-                        clocks.reset();
-                    }
-                    decrement(
-                        &mut tenant_bytes,
-                        &flight.meta.tenant,
-                        flight.meta.estimate_bytes,
-                    );
-                    let completion = if exclusive { epoch } else { base + now_local };
-                    makespan = makespan.max(completion);
-                    let seq = flight.meta.seq;
-                    if trace.enabled() {
-                        trace.span(
-                            TraceKind::Running,
-                            TraceLane::Request(seq),
-                            &format!("run {}", flight.meta.abbr),
-                            flight.meta.run_start_ms,
-                            completion,
-                        );
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Request(seq),
-                            &format!("fault {kind} {}", flight.meta.abbr),
-                            completion,
-                        );
-                    }
-                    let carry = carry_map.get(&seq).copied();
-                    let (retries, hops) = carry.map_or((0, 0), |c| (c.retries, c.hops));
-                    let outcome = flight.meta.into_outcome(
-                        &device.name,
-                        device_index,
-                        completion,
-                        0.0,
-                        Some(SimError::Fault {
-                            kind,
-                            at_ms: completion,
-                        }),
-                        None,
-                    );
-                    orphans.push(Orphan {
-                        outcome,
-                        kind,
-                        retries,
-                        hops,
-                        resume: None,
-                    });
-                    continue;
-                }
-            }
-
-            let step_result = in_flight[chosen]
-                .stepper
-                .step(&sim, &mut clocks, &mut tracker, base);
-            match step_result {
-                Ok(Some(event)) => {
-                    let flight = &mut in_flight[chosen];
-                    if trace.enabled() && event.queue != QueueKind::Host {
-                        // Host bookkeeping occupies no hardware queue.
-                        let lane = match event.queue {
-                            QueueKind::Transfer => TraceLane::TransferQueue,
-                            _ => TraceLane::ComputeQueue,
-                        };
-                        trace.span_bytes(
-                            TraceKind::Command,
-                            lane,
-                            &flight.stepper.stream().commands()[event.command].label,
-                            epoch + event.start_ms,
-                            epoch + event.end_ms,
-                            event.bytes,
-                        );
-                    }
-                    let meta = &mut flight.meta;
-                    match event.queue {
-                        QueueKind::Transfer => {
-                            transfer_busy += event.duration_ms();
-                            if event.end_ms > event.start_ms {
-                                meta.transfer_intervals.push((event.start_ms, event.end_ms));
-                            }
-                        }
-                        QueueKind::Compute => {
-                            compute_busy += event.duration_ms();
-                            if event.end_ms > event.start_ms {
-                                meta.compute_intervals.push((event.start_ms, event.end_ms));
-                            }
-                        }
-                        QueueKind::Host => {}
-                    }
-                }
-                Ok(None) => {}
-                Err(error) => {
-                    // The request failed mid-run (modelled OOM): release what
-                    // it held and keep serving everyone else.
-                    let mut flight = in_flight.remove(chosen);
-                    let now_local = flight.stepper.makespan_ms();
-                    let now_global = base + now_local;
-                    flight.stepper.release_remaining(&mut tracker, now_global)?;
-                    if exclusive {
-                        stitched.append_shifted(tracker.trace(), epoch);
-                        tracker.evict_all(epoch + now_local);
-                        stitched.record(epoch + now_local, 0);
-                        epoch += now_local;
-                        clocks.reset();
-                    }
-                    decrement(
-                        &mut tenant_bytes,
-                        &flight.meta.tenant,
-                        flight.meta.estimate_bytes,
-                    );
-                    let completion = if exclusive { epoch } else { now_global };
-                    makespan = makespan.max(completion);
-                    let run_start = flight.meta.run_start_ms;
-                    outcomes.push(flight.meta.into_outcome(
-                        &device.name,
-                        device_index,
-                        completion,
-                        0.0,
-                        Some(error),
-                        None,
-                    ));
-                    trace_failure(
-                        &mut trace,
-                        outcomes.last().expect("just pushed"),
-                        Some(run_start),
-                    );
-                    continue;
-                }
-            }
-
-            // ---------------- completion ----------------
-            if !in_flight[chosen].stepper.is_done() {
-                continue;
-            }
-            let flight = in_flight.remove(chosen);
-            if exclusive {
-                // Legacy path: the request ran in run-local time against a
-                // freshly reset trace; finalize exactly like the monolithic
-                // executor, stitch, then evict the whole model.
-                let outcome_exec = flight.stepper.finish(&sim, &mut tracker);
-                let report = ExecutionReport::from_outcome(
-                    "FlashMem",
-                    &flight.meta.abbr,
-                    &outcome_exec,
-                    flight.meta.streamed_fraction,
-                );
-                let total = report.integrated_latency_ms;
-                stitched.append_shifted(&report.memory_trace, epoch);
-                let completion = epoch + total;
-                epoch = completion;
-                tracker.evict_all(epoch);
-                stitched.record(epoch, 0);
-                clocks.reset();
-                decrement(
-                    &mut tenant_bytes,
-                    &flight.meta.tenant,
-                    flight.meta.estimate_bytes,
-                );
-                makespan = makespan.max(completion);
-                let peak_memory_mb = report.peak_memory_mb;
-                let run_start = flight.meta.run_start_ms;
-                outcomes.push(flight.meta.into_outcome(
-                    &device.name,
-                    device_index,
-                    completion,
-                    peak_memory_mb,
-                    None,
-                    Some(report),
-                ));
-                trace_completion(&mut trace, outcomes.last().expect("just pushed"), run_start);
-            } else {
-                let mut flight = flight;
-                let total_local = flight.stepper.makespan_ms();
-                let completion = epoch + total_local;
-                tracker.sample(completion);
-                flight.stepper.release_remaining(&mut tracker, completion)?;
-                let peak_bytes = tracker.trace().samples()[flight.meta.trace_start..]
-                    .iter()
-                    .map(|s| s.bytes)
-                    .max()
-                    .unwrap_or(0);
-                decrement(
-                    &mut tenant_bytes,
-                    &flight.meta.tenant,
-                    flight.meta.estimate_bytes,
-                );
-                makespan = makespan.max(completion);
-                let run_start = flight.meta.run_start_ms;
-                outcomes.push(flight.meta.into_outcome(
-                    &device.name,
-                    device_index,
-                    completion,
-                    peak_bytes as f64 / MIB,
-                    None,
-                    None,
-                ));
-                trace_completion(&mut trace, outcomes.last().expect("just pushed"), run_start);
-            }
-        }
-
-        let mem_trace = if exclusive {
-            stitched
+    /// The tracker's time base: exclusive runs record memory in run-local
+    /// time, concurrent ones on the device timeline.
+    fn base(&self) -> f64 {
+        if self.exclusive {
+            0.0
         } else {
-            tracker.trace().clone()
-        };
-        let completed = outcomes.iter().filter(|o| o.succeeded()).count();
-        let report = DeviceReport {
-            device: device.name.clone(),
-            requests: total_assigned,
-            completed,
-            makespan_ms: makespan,
-            transfer_busy_ms: transfer_busy,
-            compute_busy_ms: compute_busy,
-            transfer_busy_fraction: if makespan > 0.0 {
-                transfer_busy / makespan
-            } else {
-                0.0
-            },
-            compute_busy_fraction: if makespan > 0.0 {
-                compute_busy / makespan
-            } else {
-                0.0
-            },
-            peak_memory_mb: mem_trace.peak_bytes() as f64 / MIB,
-            queue_depth_high_water: queue_high_water,
-            memory_trace: mem_trace,
-        };
-        Ok(DeviceRun {
-            outcomes,
-            report,
-            trace,
-            orphans,
-            lost,
-            faults,
-        })
-    }
-
-    /// In-flight state resumes only on a same-spec sibling — the suspension
-    /// snapshot is meaningful against the same cost model. Anywhere else the
-    /// request restarts from scratch.
-    fn redispatch(
-        &self,
-        request: &ServeRequest,
-        plan: &Redispatch,
-        resume: Stranded,
-    ) -> NextAttempt<SeededSuspension> {
-        let devices = &self.fleet.devices;
-        match resume {
-            Some((mut meta, suspension)) if devices[plan.dest].name == devices[plan.from].name => {
-                meta.retries = plan.carry.retries;
-                meta.failed_over = plan.carry.failed_over;
-                NextAttempt::Resume(SeededSuspension {
-                    meta,
-                    suspension,
-                    suspended_at_ms: plan.failed_at_ms,
-                    ready_ms: plan.ready_ms,
-                })
-            }
-            _ => {
-                let mut request = request.clone();
-                request.arrival_ms = plan.ready_ms;
-                NextAttempt::Restart(Box::new(request), plan.carry)
-            }
+            self.epoch
         }
     }
-}
 
-impl ServeEngine {
+    /// Device-clock instant the earliest in-flight command can start
+    /// (infinite when nothing is in flight).
+    fn next_start(&self) -> f64 {
+        self.epoch
+            + self
+                .in_flight
+                .iter()
+                .filter_map(|f| f.stepper.peek_start_ms(&self.clocks))
+                .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The unstarted row of `request` here, with its effective deadline and
+    /// the home it was stolen from; `carry` is an attempt's recovery state.
+    fn row(&self, seq: usize, request: &ServeRequest, carry: Option<&Carry>) -> RequestOutcome {
+        let mut row = RequestOutcome::unstarted(seq, request, self.device, self.index, carry);
+        row.deadline_ms = self.serve.effective_deadline(request);
+        row.stolen_from = self.stolen.get(&seq).copied();
+        row
+    }
+
+    /// The row of `request` failing with `error` at `now`, before it ever
+    /// ran.
+    fn waiting_row(
+        &self,
+        seq: usize,
+        request: &ServeRequest,
+        now: f64,
+        error: SimError,
+    ) -> RequestOutcome {
+        let mut row = self.row(seq, request, self.carry.get(&seq));
+        row.start_ms = now;
+        row.close(now, &[], &[]);
+        row.fail(error);
+        row
+    }
+
+    /// Shed `request` with `cause` at its own arrival instant. The row
+    /// carries no error: rejection is the scheduler declining work, and the
+    /// metrics layer excludes it from SLO accounting.
+    fn reject(
+        &mut self,
+        seq: usize,
+        request: &ServeRequest,
+        cause: RejectCause,
+        laxity: Option<f64>,
+    ) {
+        let mut row = self.row(seq, request, None);
+        row.admission_laxity_ms = laxity;
+        row.rejected = Some(cause);
+        self.outcomes.push(row);
+        if self.trace.enabled() {
+            self.trace.instant(
+                TraceKind::Reject,
+                TraceLane::Request(seq),
+                &format!("reject {} ({})", request.model.abbr, cause.label()),
+                request.arrival_ms,
+            );
+        }
+    }
+
+    /// Take pending request `position` off the queue.
+    fn take_pending(&mut self, position: usize) -> (usize, &'a ServeRequest) {
+        let (seq, request) = self.pending.remove(position);
+        if self.enqueued.remove(&seq) {
+            self.queued -= 1;
+        }
+        (seq, request)
+    }
+
+    /// Fail pending request `position` at `now`, before it ever ran (a
+    /// compile error or a tenant cap too small for the model).
+    fn fail_waiting(&mut self, position: usize, now: f64, error: SimError) {
+        let (seq, request) = self.take_pending(position);
+        let row = self.waiting_row(seq, request, now, error);
+        close_lane(&mut self.trace, &row, None, now, TraceKind::Fail, "fail");
+        self.outcomes.push(row);
+    }
+
+    /// Observe every arrival up to `now` (pending is sorted by arrival, so
+    /// this walks a prefix), shedding past the queue bound and tracking the
+    /// queue-depth high-water mark. Runs at each scheduling boundary of the
+    /// device loop; depth can only shrink at those same boundaries
+    /// (admissions), so processing the arrivals of a busy interval in
+    /// arrival order here reproduces the depth evolution exactly. A shed
+    /// request is rejected *at its own arrival instant* with
+    /// [`RejectCause::QueueFull`].
+    fn observe_arrivals(&mut self, now: f64) {
+        let bound = self.serve.overload.queue_bound;
+        let mut i = 0;
+        while i < self.pending.len() {
+            let (seq, request) = self.pending[i];
+            if request.arrival_ms > now {
+                break;
+            }
+            if self.enqueued.contains(&seq) {
+                i += 1;
+                continue;
+            }
+            if bound.is_some_and(|bound| self.queued >= bound) {
+                self.pending.remove(i);
+                self.reject(seq, request, RejectCause::QueueFull, None);
+                continue;
+            }
+            self.enqueued.insert(seq);
+            self.queued += 1;
+            self.queue_high_water = self.queue_high_water.max(self.queued);
+            i += 1;
+        }
+    }
+
+    /// The scheduler-visible view of everything that could be admitted at
+    /// `now`: pending requests that have arrived, plus every suspended
+    /// request whose backoff floor has passed (a suspended request arrived
+    /// before it was first admitted, by construction). Both the admission
+    /// phase and the preemption phase rank exactly this list, so a
+    /// preemption can only fire for a candidate admission would pick.
+    ///
+    /// `observed_only` (set by the preemption phase) restricts pending
+    /// candidates to requests that already passed the bounded-queue shed
+    /// check when a queue bound is configured: an arrival the loop has not
+    /// yet observed might be about to be shed, and must not trigger a
+    /// preemption first.
+    fn candidates(&self, now: f64, observed_only: bool) -> Vec<PendingEntry> {
+        let gate =
+            (observed_only && self.serve.overload.queue_bound.is_some()).then_some(&self.enqueued);
+        let mut candidates: Vec<PendingEntry> = self
+            .pending
+            .iter()
+            .take_while(|(_, r)| r.arrival_ms <= now)
+            .filter(|(seq, _)| gate.is_none_or(|g| g.contains(seq)))
+            .map(|&(seq, r)| PendingEntry {
+                seq,
+                priority: r.priority,
+                arrival_ms: r.arrival_ms,
+                deadline_ms: self.deadlines.get(&seq).copied().flatten(),
+                estimated_remaining_ms: self.estimates.get(&seq).copied().unwrap_or(0.0),
+            })
+            .collect();
+        candidates.extend(
+            self.suspended
+                .iter()
+                .filter(|s| s.ready_ms <= now)
+                .map(|s| PendingEntry {
+                    seq: s.meta.row.seq,
+                    priority: s.meta.row.priority,
+                    arrival_ms: s.meta.row.arrival_ms,
+                    deadline_ms: s.meta.absolute_deadline_ms(),
+                    estimated_remaining_ms: s.meta.estimated_remaining_ms(s.suspension.remaining()),
+                }),
+        );
+        candidates
+    }
+
     /// Preemption phase of the device loop: while every slot is busy and an
     /// arrived (or previously suspended) request
     /// [`outranks`](SchedulePolicy::outranks) the policy's chosen
@@ -2038,125 +1231,58 @@ impl ServeEngine {
     /// strictly higher priority; under the deadline-triggered policy it
     /// outranks when its laxity would go negative waiting for the victim
     /// while the victim stays slack. Candidates that could not actually use
-    /// the freed slot — a suspended request whose residency would still not
-    /// fit, or a pending request its tenant cap would defer — never trigger
-    /// a preemption, so the loop cannot thrash.
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_outranked(
-        &self,
-        engine: &FlashMem,
-        device: &DeviceSpec,
-        slots: usize,
-        epoch: f64,
-        clocks: &QueueClocks,
-        tracker: &mut MemoryTracker,
-        pending: &[(usize, &ServeRequest)],
-        tenant_bytes: &HashMap<String, u64>,
-        estimate_memo: &mut HashMap<usize, u64>,
-        deadlines: &HashMap<usize, Option<f64>>,
-        estimates: &HashMap<usize, f64>,
-        gate: Option<&HashSet<usize>>,
-        in_flight: &mut Vec<InFlight>,
-        suspended: &mut Vec<Suspended>,
-        trace: &mut TraceRecorder,
-    ) -> SimResult<()> {
-        while in_flight.len() >= slots && !in_flight.is_empty() {
-            let now = epoch
-                + in_flight
-                    .iter()
-                    .filter_map(|f| f.stepper.peek_start_ms(clocks))
-                    .fold(f64::INFINITY, f64::min);
+    /// the freed slot never trigger a preemption (see
+    /// [`could_use_slot`](Self::could_use_slot)), so the loop cannot thrash.
+    fn preempt_outranked(&mut self) -> SimResult<()> {
+        let serve = self.serve;
+        let policy = &serve.policy;
+        if serve.overload.queue_bound.is_some() && !self.in_flight.is_empty() {
+            // Observe (and shed past the bound) every arrival the preemption
+            // phase is about to see, so a request that is about to be shed
+            // can never trigger a preemption first.
+            let now = self.next_start();
+            if now.is_finite() {
+                self.observe_arrivals(now);
+            }
+        }
+        while self.in_flight.len() >= self.slots && !self.in_flight.is_empty() {
+            let now = self.next_start();
             if !now.is_finite() {
                 return Ok(());
             }
             let ctx = PolicyContext::at(now);
-            let flights: Vec<InFlightEntry> = in_flight
+            let flights: Vec<InFlightEntry> = self
+                .in_flight
                 .iter()
                 .map(|f| InFlightEntry {
-                    seq: f.meta.seq,
-                    priority: f.meta.priority,
+                    seq: f.meta.row.seq,
+                    priority: f.meta.row.priority,
                     order: f.meta.order,
                     deadline_ms: f.meta.absolute_deadline_ms(),
                     estimated_remaining_ms: f.meta.estimated_remaining_ms(f.stepper.remaining()),
                 })
                 .collect();
-            let victim_idx = self.policy.victim(&flights, &ctx).min(flights.len() - 1);
-            let victim_entry = flights[victim_idx];
-            let (victim_unified, victim_texture) =
-                in_flight[victim_idx].stepper.resident_split(tracker);
+            let victim_idx = policy.victim(&flights, &ctx).min(flights.len() - 1);
+            let victim = flights[victim_idx];
+            let evictable = self.in_flight[victim_idx]
+                .stepper
+                .resident_split(&self.tracker);
 
-            let mut candidates =
-                arrived_candidates(pending, suspended, now, deadlines, estimates, gate);
-
+            let mut candidates = self.candidates(now, true);
             let mut trigger = false;
-            while !candidates.is_empty() {
-                let choice = self
-                    .policy
-                    .pick(&candidates, &ctx)
-                    .min(candidates.len() - 1);
+            while !candidates.is_empty() && !trigger {
+                let choice = policy.pick(&candidates, &ctx).min(candidates.len() - 1);
                 let cand = candidates[choice];
-                if !self.policy.outranks(&cand, &victim_entry, &ctx) {
-                    // Keep scanning in the policy's preference order: pick
-                    // order need not be monotone with outranking (under the
-                    // deadline-triggered policy the least-laxity candidate
-                    // can be too *long* to rescue while a shorter, slightly
-                    // slacker one qualifies).
+                // Keep scanning in the policy's preference order: pick
+                // order need not be monotone with outranking (under the
+                // deadline-triggered policy the least-laxity candidate can
+                // be too *long* to rescue while a shorter, slightly slacker
+                // one qualifies).
+                trigger = policy.outranks(&cand, &victim, &ctx)
+                    && self.could_use_slot(cand.seq, evictable);
+                if !trigger {
                     candidates.remove(choice);
-                    continue;
                 }
-                if let Some(pos) = suspended.iter().position(|s| s.meta.seq == cand.seq) {
-                    // Only preempt for a suspended request whose residency
-                    // fits once the victim is evicted.
-                    let (need_unified, need_texture) = suspended[pos].suspension.evicted_split();
-                    let headroom = tracker.budget().saturating_sub(tracker.total_in_use());
-                    let fits = need_unified <= tracker.unified().available() + victim_unified
-                        && need_texture <= tracker.texture().available() + victim_texture
-                        && need_unified + need_texture
-                            <= headroom + victim_unified + victim_texture;
-                    if !fits {
-                        candidates.remove(choice);
-                        continue;
-                    }
-                } else {
-                    // Only preempt for a pending request its tenant cap
-                    // would actually let in.
-                    let request = pending
-                        .iter()
-                        .find(|(seq, _)| *seq == cand.seq)
-                        .map(|(_, r)| *r)
-                        .expect("candidate is pending");
-                    if let Some(cap) = self.effective_tenant_cap(&request.tenant) {
-                        // Memoized per request: this phase runs at every
-                        // command boundary, and repeated cache probes would
-                        // inflate the plan-cache hit counters.
-                        let estimate = match estimate_memo.get(&cand.seq) {
-                            Some(&estimate) => estimate,
-                            None => {
-                                match self.fleet.cache.compile(engine, &request.model, device) {
-                                    Ok((artifact, _)) => {
-                                        let estimate =
-                                            estimate_resident_bytes(&artifact, &request.model);
-                                        estimate_memo.insert(cand.seq, estimate);
-                                        estimate
-                                    }
-                                    Err(_) => {
-                                        // Compilation failures surface at
-                                        // admission.
-                                        candidates.remove(choice);
-                                        continue;
-                                    }
-                                }
-                            }
-                        };
-                        let used = tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
-                        if used.saturating_add(estimate) > cap {
-                            candidates.remove(choice);
-                            continue;
-                        }
-                    }
-                }
-                trigger = true;
-                break;
             }
             if !trigger {
                 return Ok(());
@@ -2165,37 +1291,663 @@ impl ServeEngine {
             // Suspend the victim at its current command boundary: commands it
             // already issued drain, no new ones are issued, and its resident
             // memory is evicted for the higher-priority work.
-            let flight = in_flight.remove(victim_idx);
-            let local_now = (now - epoch).max(flight.stepper.makespan_ms());
-            let mut meta = flight.meta;
-            meta.preemptions += 1;
-            if trace.enabled() {
-                trace.span(
+            let InFlight { mut meta, stepper } = self.in_flight.remove(victim_idx);
+            let local_now = (now - self.epoch).max(stepper.makespan_ms());
+            meta.row.preemptions += 1;
+            if self.trace.enabled() {
+                self.trace.span(
                     TraceKind::Running,
-                    TraceLane::Request(meta.seq),
-                    &format!("run {}", meta.abbr),
+                    TraceLane::Request(meta.row.seq),
+                    &format!("run {}", meta.row.model),
                     meta.run_start_ms,
-                    epoch + local_now,
+                    self.epoch + local_now,
                 );
             }
-            let suspension = flight
-                .stepper
-                .suspend_evicting(clocks, tracker, local_now, epoch)?;
-            trace_preempt(trace, &meta, epoch + local_now, &suspension);
-            suspended.push(Suspended {
+            let suspension =
+                stepper.suspend_evicting(&self.clocks, &mut self.tracker, local_now, self.epoch)?;
+            trace_preempt(&mut self.trace, &meta, self.epoch + local_now, &suspension);
+            self.suspended.push(Suspended {
                 meta,
-                suspended_at_ms: epoch + local_now,
+                suspended_at_ms: self.epoch + local_now,
                 suspension,
                 ready_ms: f64::NEG_INFINITY,
             });
         }
         Ok(())
     }
-}
 
-fn decrement(tenant_bytes: &mut HashMap<String, u64>, tenant: &str, bytes: u64) {
-    if let Some(used) = tenant_bytes.get_mut(tenant) {
-        *used = used.saturating_sub(bytes);
+    /// Whether candidate `seq` could use the slot that evicting a victim
+    /// holding `(unified, texture)` bytes would free: a suspended request
+    /// whose residency would then fit, or a pending request its tenant cap
+    /// would let in.
+    fn could_use_slot(&mut self, seq: usize, (victim_unified, victim_texture): (u64, u64)) -> bool {
+        if let Some(s) = self.suspended.iter().find(|s| s.meta.row.seq == seq) {
+            let (need_unified, need_texture) = s.suspension.evicted_split();
+            let tracker = &self.tracker;
+            let headroom = tracker.budget().saturating_sub(tracker.total_in_use());
+            return need_unified <= tracker.unified().available() + victim_unified
+                && need_texture <= tracker.texture().available() + victim_texture
+                && need_unified + need_texture <= headroom + victim_unified + victim_texture;
+        }
+        let request = self
+            .pending
+            .iter()
+            .find(|(s, _)| *s == seq)
+            .map(|(_, r)| *r)
+            .expect("candidate is pending");
+        let Some(cap) = self.serve.effective_tenant_cap(&request.tenant) else {
+            return true;
+        };
+        // Memoized per request: this phase runs at every command boundary,
+        // and repeated cache probes would inflate the plan-cache hit
+        // counters.
+        let estimate = match self.estimate_memo.get(&seq) {
+            Some(&estimate) => estimate,
+            None => match self
+                .serve
+                .fleet
+                .cache
+                .compile(&self.engine, &request.model, self.device)
+            {
+                Ok((artifact, _)) => {
+                    let estimate = estimate_resident_bytes(&artifact, &request.model);
+                    self.estimate_memo.insert(seq, estimate);
+                    estimate
+                }
+                // Compilation failures surface at admission.
+                Err(_) => return false,
+            },
+        };
+        let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
+        used.saturating_add(estimate) <= cap
+    }
+
+    /// Admission phase: while a slot is free, take the policy's pick among
+    /// the arrived candidates — resume it if suspended, start it if
+    /// pending — and re-rank after each one settles. A candidate that
+    /// cannot run yet is deferred; the phase ends when every candidate is.
+    fn admit(&mut self) -> SimResult<()> {
+        let serve = self.serve;
+        let policy = &serve.policy;
+        while self.in_flight.len() < self.slots
+            && !(self.pending.is_empty() && self.suspended.is_empty())
+        {
+            let now = self.admission_now();
+            self.observe_arrivals(now);
+            let mut candidates = self.candidates(now, false);
+            let ctx = PolicyContext::at(now);
+            let mut settled = false;
+            while !candidates.is_empty() && !settled {
+                let choice = policy.pick(&candidates, &ctx).min(candidates.len() - 1);
+                let seq = candidates[choice].seq;
+                settled = match self.suspended.iter().position(|s| s.meta.row.seq == seq) {
+                    Some(pos) => self.resume(pos, now)?,
+                    None => self.start(seq, now)?,
+                };
+                if !settled {
+                    candidates.remove(choice);
+                }
+            }
+            if !settled {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The instant the admission phase ranks candidates at. An idle device
+    /// first re-bases its timeline onto a fresh epoch at the later of "now"
+    /// and the earliest pending arrival (never while work is suspended —
+    /// suspension snapshots reference the current epoch's local times).
+    fn admission_now(&mut self) -> f64 {
+        if !self.in_flight.is_empty() {
+            return self.next_start();
+        }
+        let earliest_arrival = self.pending.first().map(|(_, r)| r.arrival_ms);
+        let now = if self.suspended.is_empty() {
+            self.epoch = (self.epoch + self.clocks.horizon_ms())
+                .max(earliest_arrival.unwrap_or(f64::INFINITY));
+            self.clocks.reset();
+            self.epoch
+        } else {
+            // Resume as soon as the queues drain.
+            self.epoch + self.clocks.horizon_ms()
+        };
+        // Re-dispatched work carries a backoff floor its original arrival
+        // does not reflect; with nothing running, jump to the earliest floor
+        // so the loop cannot spin on a queue whose every candidate is still
+        // backing off. A first attempt's floor is its arrival, which the
+        // idle re-base above has already passed, and ordinary suspensions
+        // have a `NEG_INFINITY` floor, so only re-dispatched work ever moves
+        // `now` here.
+        let earliest = earliest_arrival
+            .into_iter()
+            .chain(self.suspended.iter().map(|s| s.ready_ms))
+            .fold(f64::INFINITY, f64::min);
+        if earliest.is_finite() {
+            now.max(earliest)
+        } else {
+            now
+        }
+    }
+
+    /// Resume suspended request `pos` at `now`, re-acquiring its residency
+    /// and paying the policy's [`PreemptionCost`]. `Ok(false)` defers it
+    /// until in-flight work frees memory; with nothing running that would
+    /// never happen, so the residency is unrecoverable and it fails.
+    fn resume(&mut self, pos: usize, now: f64) -> SimResult<bool> {
+        let fits = self.suspended[pos].suspension.can_resume(&self.tracker);
+        if !fits && !self.in_flight.is_empty() {
+            return Ok(false);
+        }
+        let Suspended {
+            mut meta,
+            suspended_at_ms,
+            suspension,
+            ..
+        } = self.suspended.remove(pos);
+        let suspended = Some((TraceKind::Suspended, suspended_at_ms));
+        meta.row.suspended_ms += (now - suspended_at_ms).max(0.0);
+        if !fits {
+            let error = SimError::OutOfMemory {
+                pool: "resume residency".to_string(),
+                requested: suspension.evicted_bytes(),
+                available: self
+                    .tracker
+                    .budget()
+                    .saturating_sub(self.tracker.total_in_use()),
+                capacity: self.tracker.budget(),
+            };
+            let mut row = self.retire(meta, now);
+            row.fail(error);
+            close_lane(
+                &mut self.trace,
+                &row,
+                suspended,
+                now,
+                TraceKind::Fail,
+                "fail",
+            );
+            self.outcomes.push(row);
+            return Ok(true);
+        }
+        let cost = self
+            .serve
+            .policy
+            .preemption()
+            .unwrap_or_else(PreemptionCost::free);
+        let resume_local = (now - self.epoch).max(0.0);
+        let lane = TraceLane::Request(meta.row.seq);
+        if self.trace.enabled() {
+            let label = format!("suspended {}", meta.row.model);
+            self.trace
+                .span(TraceKind::Suspended, lane, &label, suspended_at_ms, now);
+        }
+        let evicted = suspension.evicted_bytes();
+        let (stepper, penalty) = suspension.resume_into(
+            &self.sim,
+            &mut self.tracker,
+            resume_local,
+            self.epoch,
+            &cost,
+        )?;
+        let start = self.epoch + resume_local;
+        if self.trace.enabled() {
+            let label = format!("resume {}", meta.row.model);
+            self.trace.span_bytes(
+                TraceKind::Resume,
+                lane,
+                &label,
+                start,
+                start + penalty,
+                evicted,
+            );
+        }
+        meta.row.resume_penalty_ms += penalty;
+        meta.run_start_ms = start + penalty;
+        self.in_flight.push(InFlight { meta, stepper });
+        Ok(true)
+    }
+
+    /// Start pending request `seq` at `now`: compile its plan (through the
+    /// shared cache), lower it once per device run, reserve its tenant bytes
+    /// and put its stepper in flight. A compile error or a tenant cap too
+    /// small for the model fails it; `Ok(false)` defers it until the
+    /// tenant's in-flight work drains.
+    fn start(&mut self, seq: usize, now: f64) -> SimResult<bool> {
+        let serve = self.serve;
+        let device = self.device;
+        let position = self
+            .pending
+            .iter()
+            .position(|(s, _)| *s == seq)
+            .expect("candidate is pending");
+        let request = self.pending[position].1;
+        let abbr = &request.model.abbr;
+
+        // Report warmth-at-run-start (the prologue snapshot), not
+        // `compile`'s racy mid-run flag: at pool width > 1 that flag records
+        // which device won the compile race.
+        let key = ArtifactCache::key_for(&self.engine, &request.model, device);
+        let cache_hit = self.warm.contains(&key);
+        let artifact = match serve
+            .fleet
+            .cache
+            .compile(&self.engine, &request.model, device)
+        {
+            Ok((artifact, _)) => artifact,
+            Err(error) => {
+                self.fail_waiting(position, now, error);
+                return Ok(true);
+            }
+        };
+        if self.trace.enabled() {
+            let (kind, probe) = if cache_hit {
+                (TraceKind::CacheHit, "hit")
+            } else {
+                (TraceKind::CacheMiss, "miss")
+            };
+            let lane = TraceLane::Host;
+            self.trace
+                .instant(kind, lane, &format!("cache {probe} {abbr}"), now);
+            if !cache_hit {
+                // Planning costs host wall time, not device time: an
+                // instant on the simulated clock.
+                let label = format!("compile {abbr}");
+                self.trace.instant(TraceKind::Compile, lane, &label, now);
+            }
+        }
+        let estimate = estimate_resident_bytes(&artifact, &request.model);
+        if let Some(cap) = serve.effective_tenant_cap(&request.tenant) {
+            let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
+            if used.saturating_add(estimate) > cap {
+                if used > 0 {
+                    // Defer until the tenant's in-flight work drains.
+                    return Ok(false);
+                }
+                // The cap cannot fit this model at all.
+                let error = SimError::OutOfMemory {
+                    pool: format!("tenant `{}` cap", request.tenant),
+                    requested: estimate,
+                    available: cap,
+                    capacity: cap,
+                };
+                self.fail_waiting(position, now, error);
+                return Ok(true);
+            }
+        }
+
+        self.take_pending(position);
+        let stream = Arc::clone(self.lowered.entry(key).or_insert_with(|| {
+            Arc::new(lower_artifact(
+                &artifact,
+                &request.model,
+                device,
+                &serve.fleet.config,
+            ))
+        }));
+        let total_commands = stream.len();
+        let floor = (request.arrival_ms - self.epoch).max(0.0);
+        let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
+        if self.exclusive {
+            self.tracker.reset_trace();
+        }
+        *self.tenant_bytes.entry(request.tenant.clone()).or_insert(0) += estimate;
+        let predicted_ms = self.estimates.get(&seq).copied().unwrap_or(0.0);
+        let start_ms = now.max(request.arrival_ms);
+        let admission_laxity_ms = self
+            .deadlines
+            .get(&seq)
+            .copied()
+            .flatten()
+            .map(|deadline| deadline - start_ms - predicted_ms);
+        if self.trace.enabled() {
+            let lane = TraceLane::Request(seq);
+            let queue = format!("queue {abbr}");
+            self.trace.span(
+                TraceKind::QueueWait,
+                lane,
+                &queue,
+                request.arrival_ms,
+                start_ms,
+            );
+            let label = match admission_laxity_ms {
+                Some(laxity) => format!("admit {abbr} laxity {laxity:.3} ms"),
+                None => format!("admit {abbr}"),
+            };
+            self.trace.instant(TraceKind::Admit, lane, &label, start_ms);
+        }
+        let mut row = self.row(seq, request, self.carry.get(&seq));
+        row.start_ms = start_ms;
+        row.cache_hit = cache_hit;
+        row.resident_estimate_bytes = estimate;
+        row.admission_laxity_ms = admission_laxity_ms;
+        let meta = FlightMeta {
+            row,
+            streamed_fraction: artifact.streamed_fraction(),
+            predicted_ms,
+            total_commands,
+            trace_start: self.tracker.trace().len(),
+            order: self.admit_order,
+            run_start_ms: start_ms,
+            transfer_intervals: Vec::new(),
+            compute_intervals: Vec::new(),
+        };
+        self.in_flight.push(InFlight { meta, stepper });
+        self.admit_order += 1;
+        Ok(true)
+    }
+
+    /// The in-flight request whose next command can start earliest (ties
+    /// to the earliest admitted), with that stream-local start.
+    fn earliest_flight(&self) -> (usize, f64) {
+        let mut chosen = 0;
+        let mut chosen_start = f64::INFINITY;
+        for (i, flight) in self.in_flight.iter().enumerate() {
+            let start = flight
+                .stepper
+                .peek_start_ms(&self.clocks)
+                .unwrap_or(f64::INFINITY);
+            let earlier = start < chosen_start
+                || (start == chosen_start && flight.meta.order < self.in_flight[chosen].meta.order);
+            if i == 0 || earlier {
+                chosen = i;
+                chosen_start = start;
+            }
+        }
+        (chosen, chosen_start)
+    }
+
+    /// The fault, if any, the plan injects into `chosen`'s next command.
+    fn command_fault(&self, chosen: usize) -> Option<FaultKind> {
+        let flight = &self.in_flight[chosen];
+        let seq = flight.meta.row.seq;
+        let executed = flight
+            .meta
+            .total_commands
+            .saturating_sub(flight.stepper.remaining());
+        let attempt = self.carry.get(&seq).map_or(0, Carry::attempt);
+        self.serve
+            .fleet
+            .fault_plan
+            .command_fault(self.index, seq, executed, attempt)
+    }
+
+    /// Issue `chosen`'s next command, then retire it if that was its last
+    /// command or it failed.
+    fn step(&mut self, chosen: usize) -> SimResult<()> {
+        let base = self.base();
+        let flight = &mut self.in_flight[chosen];
+        match flight
+            .stepper
+            .step(&self.sim, &mut self.clocks, &mut self.tracker, base)
+        {
+            Ok(Some(event)) => {
+                if self.trace.enabled() && event.queue != QueueKind::Host {
+                    // Host bookkeeping occupies no hardware queue.
+                    let lane = match event.queue {
+                        QueueKind::Transfer => TraceLane::TransferQueue,
+                        _ => TraceLane::ComputeQueue,
+                    };
+                    self.trace.span_bytes(
+                        TraceKind::Command,
+                        lane,
+                        &flight.stepper.stream().commands()[event.command].label,
+                        self.epoch + event.start_ms,
+                        self.epoch + event.end_ms,
+                        event.bytes,
+                    );
+                }
+                let queue = match event.queue {
+                    QueueKind::Transfer => {
+                        Some((&mut self.transfer_busy, &mut flight.meta.transfer_intervals))
+                    }
+                    QueueKind::Compute => {
+                        Some((&mut self.compute_busy, &mut flight.meta.compute_intervals))
+                    }
+                    QueueKind::Host => None,
+                };
+                if let Some((busy, intervals)) = queue {
+                    *busy += event.duration_ms();
+                    if event.end_ms > event.start_ms {
+                        intervals.push((event.start_ms, event.end_ms));
+                    }
+                }
+            }
+            Ok(None) => {}
+            Err(error) => {
+                // The request failed mid-run (modelled OOM): release what it
+                // held and keep serving everyone else.
+                let now_local = flight.stepper.makespan_ms();
+                return self.release(chosen, now_local, Exit::Failed(error));
+            }
+        }
+        let flight = &self.in_flight[chosen];
+        if flight.stepper.is_done() {
+            let now_local = flight.stepper.makespan_ms();
+            self.release(chosen, now_local, Exit::Done)?;
+        }
+        Ok(())
+    }
+
+    /// Retire in-flight request `chosen` at stream-local `now_local`: the
+    /// one path a one-shot request leaves a live device by. It releases
+    /// what the stream still holds — an exclusive run that completed is
+    /// instead finalized like the monolithic executor — then stitches an
+    /// exclusive run's memory segment onto the device timeline and evicts
+    /// the model, returns the tenant reservation, and closes the row and
+    /// the trace lane. A done or failed row is final; a faulted one goes to
+    /// the recovery planner.
+    fn release(&mut self, chosen: usize, now_local: f64, exit: Exit) -> SimResult<()> {
+        let InFlight {
+            mut meta,
+            mut stepper,
+        } = self.in_flight.remove(chosen);
+        let completion = self.epoch + now_local;
+        let done = matches!(exit, Exit::Done);
+        if done && self.exclusive {
+            // The request ran in run-local time against a freshly reset
+            // trace: finalize exactly like the monolithic executor.
+            let outcome = stepper.finish(&self.sim, &mut self.tracker);
+            let report = ExecutionReport::from_outcome(
+                "FlashMem",
+                &meta.row.model,
+                &outcome,
+                meta.streamed_fraction,
+            );
+            self.stitched
+                .append_shifted(&report.memory_trace, self.epoch);
+            meta.row.peak_memory_mb = report.peak_memory_mb;
+            meta.row.report = Some(report);
+        } else {
+            let at = self.base() + now_local;
+            if done {
+                self.tracker.sample(at);
+            }
+            stepper.release_remaining(&mut self.tracker, at)?;
+            if done {
+                let samples = &self.tracker.trace().samples()[meta.trace_start..];
+                let peak = samples.iter().map(|s| s.bytes).max().unwrap_or(0);
+                meta.row.peak_memory_mb = peak as f64 / MIB;
+            }
+            if self.exclusive {
+                self.stitched
+                    .append_shifted(self.tracker.trace(), self.epoch);
+            }
+        }
+        if self.exclusive {
+            self.epoch = completion;
+            self.tracker.evict_all(completion);
+            self.stitched.record(completion, 0);
+            self.clocks.reset();
+        }
+        let running = Some((TraceKind::Running, meta.run_start_ms));
+        let mut row = self.retire(meta, completion);
+        let (instant, verb) = match exit {
+            Exit::Done => (TraceKind::Complete, "complete".to_string()),
+            Exit::Failed(error) => {
+                row.fail(error);
+                (TraceKind::Fail, "fail".to_string())
+            }
+            Exit::Faulted(kind) => {
+                self.faults += 1;
+                row.fail(SimError::Fault {
+                    kind,
+                    at_ms: completion,
+                });
+                (TraceKind::Fault, format!("fault {kind}"))
+            }
+        };
+        close_lane(&mut self.trace, &row, running, completion, instant, &verb);
+        if instant == TraceKind::Fault {
+            self.orphan(row, None);
+        } else {
+            self.outcomes.push(row);
+        }
+        Ok(())
+    }
+
+    /// Return `meta`'s tenant reservation, extend the makespan and close
+    /// the row at `completion_ms`.
+    fn retire(&mut self, meta: FlightMeta, completion_ms: f64) -> RequestOutcome {
+        if let Some(used) = self.tenant_bytes.get_mut(&meta.row.tenant) {
+            *used = used.saturating_sub(meta.row.resident_estimate_bytes);
+        }
+        self.makespan = self.makespan.max(completion_ms);
+        meta.close(completion_ms)
+    }
+
+    /// Hand `row`, failed by an injected fault, to the recovery planner with
+    /// the recovery counters this attempt started with.
+    fn orphan(&mut self, row: RequestOutcome, resume: Stranded) {
+        let (retries, hops) = self
+            .carry
+            .get(&row.seq)
+            .map_or((0, 0), |c| (c.retries, c.hops));
+        self.orphans.push(Orphan {
+            outcome: row,
+            retries,
+            hops,
+            resume,
+        });
+    }
+
+    /// The device dies at `loss_ms`: everything on it — running, suspended,
+    /// queued — is stranded and goes to the recovery planner, and the
+    /// timeline stops. Under failover, running work is frozen into a
+    /// suspension a same-spec sibling can resume.
+    fn lose(&mut self, loss_ms: f64) -> SimResult<()> {
+        self.lost = true;
+        self.makespan = self.makespan.max(loss_ms);
+        if self.trace.enabled() {
+            self.trace.instant(
+                TraceKind::Fault,
+                TraceLane::Host,
+                &format!("fault device-loss {}", self.device.name),
+                loss_ms,
+            );
+        }
+        let carry_over = self.serve.fleet.recovery.failover;
+        let error = SimError::Fault {
+            kind: FaultKind::DeviceLoss,
+            at_ms: loss_ms,
+        };
+        let fault = "fault device-loss";
+        for flight in std::mem::take(&mut self.in_flight) {
+            let InFlight { meta, mut stepper } = flight;
+            let local_now = ((loss_ms - self.epoch).max(0.0)).max(stepper.makespan_ms());
+            let completion = self.epoch + local_now;
+            let running = Some((TraceKind::Running, meta.run_start_ms));
+            close_lane(
+                &mut self.trace,
+                &meta.row,
+                running,
+                completion,
+                TraceKind::Fault,
+                fault,
+            );
+            let resume = if carry_over {
+                let suspension = stepper.suspend_evicting(
+                    &self.clocks,
+                    &mut self.tracker,
+                    local_now,
+                    self.epoch,
+                )?;
+                trace_preempt(&mut self.trace, &meta, completion, &suspension);
+                Some((meta.clone(), suspension))
+            } else {
+                let at = self.base() + local_now;
+                stepper.release_remaining(&mut self.tracker, at)?;
+                None
+            };
+            let mut row = meta.close(completion);
+            row.fail(error.clone());
+            self.orphan(row, resume);
+        }
+        for s in std::mem::take(&mut self.suspended) {
+            let Suspended {
+                mut meta,
+                suspended_at_ms,
+                suspension,
+                ..
+            } = s;
+            let at = loss_ms.max(suspended_at_ms);
+            let suspended = Some((TraceKind::Suspended, suspended_at_ms));
+            close_lane(
+                &mut self.trace,
+                &meta.row,
+                suspended,
+                at,
+                TraceKind::Fault,
+                fault,
+            );
+            meta.row.suspended_ms += (at - suspended_at_ms).max(0.0);
+            let resume = carry_over.then(|| (meta.clone(), suspension));
+            let mut row = meta.close(at);
+            row.fail(error.clone());
+            self.orphan(row, resume);
+        }
+        for (seq, request) in std::mem::take(&mut self.pending) {
+            let at = loss_ms.max(request.arrival_ms);
+            let row = self.waiting_row(seq, request, at, error.clone());
+            close_lane(&mut self.trace, &row, None, at, TraceKind::Fault, fault);
+            self.orphan(row, None);
+        }
+        if self.exclusive {
+            self.stitched
+                .append_shifted(self.tracker.trace(), self.epoch);
+        }
+        Ok(())
+    }
+
+    /// What the round hands the merge: its rows, orphans and trace, and the
+    /// device report — in exclusive mode over the stitched device timeline.
+    fn finish(self) -> DeviceRun<Stranded> {
+        let memory_trace = if self.exclusive {
+            self.stitched
+        } else {
+            self.tracker.trace().clone()
+        };
+        let report = DeviceReport {
+            requests: self.assigned,
+            completed: self.outcomes.iter().filter(|o| o.succeeded()).count(),
+            queue_depth_high_water: self.queue_high_water,
+            ..DeviceReport::new(
+                self.device.name.clone(),
+                self.makespan,
+                self.transfer_busy,
+                self.compute_busy,
+                memory_trace,
+            )
+        };
+        DeviceRun {
+            outcomes: self.outcomes,
+            report,
+            trace: self.trace,
+            orphans: self.orphans,
+            lost: self.lost,
+            faults: self.faults,
+        }
     }
 }
 
@@ -2210,68 +1962,45 @@ fn trace_preempt(
     if trace.enabled() {
         trace.instant_bytes(
             TraceKind::Preempt,
-            TraceLane::Request(meta.seq),
-            &format!("preempt {}", meta.abbr),
+            TraceLane::Request(meta.row.seq),
+            &format!("preempt {}", meta.row.model),
             at_ms,
             suspension.evicted_bytes(),
         );
     }
 }
 
-/// Close a completed request's lifecycle on its trace lane: the final
-/// `Running` span, a completion instant, and — when the deadline was missed
-/// — an [`TraceKind::SloMiss`] instant tagged with the miss cause.
-fn trace_completion(trace: &mut TraceRecorder, outcome: &RequestOutcome, run_start_ms: f64) {
+/// Close a request's trace lane at `at_ms`: end the `Running` or
+/// `Suspended` span it has had open since `open`, if any, then mark how it
+/// left with an `exit` instant labelled `"{verb} {model}"` — and a completed
+/// request that missed its deadline with an [`TraceKind::SloMiss`] instant
+/// tagged with the miss cause.
+fn close_lane(
+    trace: &mut TraceRecorder,
+    row: &RequestOutcome,
+    open: Option<(TraceKind, f64)>,
+    at_ms: f64,
+    exit: TraceKind,
+    verb: &str,
+) {
     if !trace.enabled() {
         return;
     }
-    let lane = TraceLane::Request(outcome.seq);
-    trace.span(
-        TraceKind::Running,
-        lane,
-        &format!("run {}", outcome.model),
-        run_start_ms,
-        outcome.completion_ms,
-    );
-    trace.instant(
-        TraceKind::Complete,
-        lane,
-        &format!("complete {}", outcome.model),
-        outcome.completion_ms,
-    );
-    if let Some(cause) = outcome.miss_cause() {
-        trace.instant(
-            TraceKind::SloMiss,
-            lane,
-            &format!("slo miss {} ({cause:?})", outcome.model),
-            outcome.completion_ms,
-        );
+    let lane = TraceLane::Request(row.seq);
+    let model = &row.model;
+    if let Some((kind, start_ms)) = open {
+        let what = if kind == TraceKind::Suspended {
+            "suspended"
+        } else {
+            "run"
+        };
+        trace.span(kind, lane, &format!("{what} {model}"), start_ms, at_ms);
     }
-}
-
-/// Close a failed request's lifecycle on its trace lane; `run_start_ms` is
-/// `Some` when the request had started executing (mid-run failure) so the
-/// partial `Running` span is closed too.
-fn trace_failure(trace: &mut TraceRecorder, outcome: &RequestOutcome, run_start_ms: Option<f64>) {
-    if !trace.enabled() {
-        return;
+    trace.instant(exit, lane, &format!("{verb} {model}"), at_ms);
+    if let Some(cause) = row.miss_cause().filter(|_| exit == TraceKind::Complete) {
+        let label = format!("slo miss {model} ({cause:?})");
+        trace.instant(TraceKind::SloMiss, lane, &label, at_ms);
     }
-    let lane = TraceLane::Request(outcome.seq);
-    if let Some(run_start) = run_start_ms {
-        trace.span(
-            TraceKind::Running,
-            lane,
-            &format!("run {}", outcome.model),
-            run_start,
-            outcome.completion_ms,
-        );
-    }
-    trace.instant(
-        TraceKind::Fail,
-        lane,
-        &format!("fail {}", outcome.model),
-        outcome.completion_ms,
-    );
 }
 
 impl std::fmt::Debug for ServeEngine {
