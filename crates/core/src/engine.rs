@@ -159,6 +159,38 @@ impl CompiledArtifact {
     }
 }
 
+/// Lower a compiled artifact to the command stream a device replays.
+///
+/// A FlashMem artifact lowers through the [`StreamingExecutor`] its
+/// configuration implies; a preload artifact *is* a command stream; a naive
+/// plan lowers like a configuration without kernel rewriting, as in the
+/// Figure 9 strawmen.
+///
+/// Lowering is a pure function of its inputs, which the plan cache already
+/// identifies by [`ArtifactCache::key_for`](crate::ArtifactCache::key_for),
+/// so a caller may lower once per key and share the stream.
+pub fn lower_artifact(
+    artifact: &CompiledArtifact,
+    model: &ModelSpec,
+    device: &DeviceSpec,
+    config: &FlashMemConfig,
+) -> CommandStream {
+    let (kernel_rewriting, fusion, plan) = match artifact {
+        CompiledArtifact::Streaming(compiled) => (
+            config.enable_kernel_rewriting,
+            &compiled.fusion,
+            &compiled.plan,
+        ),
+        CompiledArtifact::NaivePlan { fusion, plan } => (false, fusion, plan),
+        CompiledArtifact::Preload(stream) => return stream.clone(),
+    };
+    StreamingExecutor::for_kernel_rewriting(device.clone(), kernel_rewriting).compile(
+        model.graph(),
+        fusion,
+        plan,
+    )
+}
+
 /// A DNN runtime that can compile and execute the evaluation models on a
 /// simulated device.
 ///
@@ -461,12 +493,11 @@ pub fn execute_naive_plan(
     plan: &OverlapPlan,
     device: &DeviceSpec,
 ) -> SimResult<ExecutionReport> {
-    let executor = StreamingExecutor::new(
-        device.clone(),
-        flashmem_profiler::LoweringOptions::texture_framework(),
-    )
-    .with_embedded_transforms(false);
-    let outcome = executor.execute(model.graph(), fusion, plan)?;
+    let outcome = StreamingExecutor::for_kernel_rewriting(device.clone(), false).execute(
+        model.graph(),
+        fusion,
+        plan,
+    )?;
     Ok(ExecutionReport::from_outcome(
         framework,
         &model.abbr,

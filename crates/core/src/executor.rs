@@ -18,6 +18,7 @@ use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{FusionPlan, Graph, NodeId};
 use flashmem_profiler::{kernel_for_group, LoweringOptions};
 
+use crate::kernel_rewrite::KernelRewriter;
 use crate::lc_opg::node_to_kernel_map;
 use crate::plan::OverlapPlan;
 
@@ -52,6 +53,16 @@ impl StreamingExecutor {
             activation_slots: 2,
             embedded_transforms: true,
         }
+    }
+
+    /// The executor a configuration implies: kernels lowered as
+    /// [`KernelRewriter::for_kernel_rewriting`] says and, with rewriting on,
+    /// streamed-chunk transformations embedded into the rewritten kernels.
+    /// Without rewriting this is the executor the naive overlap strawmen
+    /// share.
+    pub fn for_kernel_rewriting(device: DeviceSpec, enabled: bool) -> Self {
+        let options = KernelRewriter::for_kernel_rewriting(enabled).lowering_options();
+        StreamingExecutor::new(device, options).with_embedded_transforms(enabled)
     }
 
     /// Override the fixed runtime overhead (useful for calibration tests).

@@ -16,6 +16,7 @@ use flashmem_profiler::{CapacityProfiler, LoadCapacity, LoweringOptions};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlashMemConfig;
+use crate::kernel_rewrite::KernelRewriter;
 
 /// Summary of one adaptive-fusion pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,11 +52,8 @@ pub struct AdaptiveFusion {
 impl AdaptiveFusion {
     /// Create a pass for `device` under `config`.
     pub fn new(device: DeviceSpec, config: FlashMemConfig) -> Self {
-        let options = if config.enable_kernel_rewriting {
-            LoweringOptions::flashmem()
-        } else {
-            LoweringOptions::texture_framework()
-        };
+        let options =
+            KernelRewriter::for_kernel_rewriting(config.enable_kernel_rewriting).lowering_options();
         AdaptiveFusion {
             device,
             config,

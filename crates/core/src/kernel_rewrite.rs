@@ -79,6 +79,18 @@ impl KernelRewriter {
         }
     }
 
+    /// The rewriter a configuration implies: the pipelined template when
+    /// kernel rewriting is enabled, naive kernels when it is not. Every
+    /// lowering choice of the planner, the runtime and the serve loop
+    /// follows from this.
+    pub fn for_kernel_rewriting(enabled: bool) -> Self {
+        if enabled {
+            KernelRewriter::pipelined()
+        } else {
+            KernelRewriter::naive()
+        }
+    }
+
     /// A rewriter using the divergent interleaving strawman.
     pub fn naive_interleaved() -> Self {
         KernelRewriter {

@@ -25,11 +25,12 @@ use std::time::{Duration, Instant};
 
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{FusionPlan, Graph, NodeId, WeightInventory};
-use flashmem_profiler::{CapacityProfiler, LoadCapacity, LoweringOptions};
+use flashmem_profiler::{CapacityProfiler, LoadCapacity};
 use flashmem_solver::{CpSolver, SolveStatus, SolverConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlashMemConfig;
+use crate::kernel_rewrite::KernelRewriter;
 use crate::opg::{build_weight_window_model, extract_decision, greedy_hint, CandidateSlot};
 use crate::plan::OverlapPlan;
 
@@ -324,11 +325,8 @@ impl LcOpgSolver {
     pub fn plan(&self, graph: &Graph) -> (OverlapPlan, LcOpgReport) {
         let started = Instant::now();
         let fusion = FusionPlan::default_fusion(graph);
-        let options = if self.config.enable_kernel_rewriting {
-            LoweringOptions::flashmem()
-        } else {
-            LoweringOptions::texture_framework()
-        };
+        let options = KernelRewriter::for_kernel_rewriting(self.config.enable_kernel_rewriting)
+            .lowering_options();
         let capacities = CapacityProfiler::new(self.device.clone())
             .with_options(options)
             .capacities(graph, &fusion);

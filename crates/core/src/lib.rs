@@ -78,7 +78,8 @@ pub use flashmem_trace as telemetry;
 pub use cache::{run_cached, ArtifactCache, CacheStats, CachedEngine};
 pub use config::FlashMemConfig;
 pub use engine::{
-    run_or_dash, CompiledArtifact, EngineRegistry, FlashMemVariant, FrameworkKind, InferenceEngine,
+    lower_artifact, run_or_dash, CompiledArtifact, EngineRegistry, FlashMemVariant, FrameworkKind,
+    InferenceEngine,
 };
 pub use executor::StreamingExecutor;
 pub use fusion::{AdaptiveFusion, AdaptiveFusionReport};

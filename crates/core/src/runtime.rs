@@ -76,11 +76,15 @@ impl FlashMem {
 
     /// The kernel rewriter implied by the configuration.
     pub fn rewriter(&self) -> KernelRewriter {
-        if self.config.enable_kernel_rewriting {
-            KernelRewriter::pipelined()
-        } else {
-            KernelRewriter::naive()
-        }
+        KernelRewriter::for_kernel_rewriting(self.config.enable_kernel_rewriting)
+    }
+
+    /// The executor the configuration implies.
+    fn executor(&self) -> StreamingExecutor {
+        StreamingExecutor::for_kernel_rewriting(
+            self.device.clone(),
+            self.config.enable_kernel_rewriting,
+        )
     }
 
     /// Compile a graph: fusion, adaptive fusion, capacity profiling and
@@ -128,10 +132,9 @@ impl FlashMem {
         graph: &Graph,
         compiled: &CompiledModel,
     ) -> SimResult<ExecutionReport> {
-        let executor =
-            StreamingExecutor::new(self.device.clone(), self.rewriter().lowering_options())
-                .with_embedded_transforms(self.config.enable_kernel_rewriting);
-        let outcome = executor.execute(graph, &compiled.fusion, &compiled.plan)?;
+        let outcome = self
+            .executor()
+            .execute(graph, &compiled.fusion, &compiled.plan)?;
         Ok(ExecutionReport::from_outcome(
             "FlashMem",
             &compiled.model_name,
@@ -152,11 +155,12 @@ impl FlashMem {
         compiled: &CompiledModel,
         tracker: &mut MemoryTracker,
     ) -> SimResult<ExecutionReport> {
-        let executor =
-            StreamingExecutor::new(self.device.clone(), self.rewriter().lowering_options())
-                .with_embedded_transforms(self.config.enable_kernel_rewriting);
-        let outcome =
-            executor.execute_with_tracker(graph, &compiled.fusion, &compiled.plan, tracker)?;
+        let outcome = self.executor().execute_with_tracker(
+            graph,
+            &compiled.fusion,
+            &compiled.plan,
+            tracker,
+        )?;
         Ok(ExecutionReport::from_outcome(
             "FlashMem",
             &compiled.model_name,

@@ -65,7 +65,7 @@ use std::sync::Arc;
 use flashmem_core::cache::ArtifactCache;
 use flashmem_core::pool::{self, ThreadPool};
 use flashmem_core::telemetry::{TraceConfig, TraceKind, TraceLane, TraceRecorder};
-use flashmem_core::{FlashMem, FlashMemConfig};
+use flashmem_core::{lower_artifact, FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::decode::replay_stream;
 use flashmem_gpu_sim::engine::CommandStream;
 use flashmem_gpu_sim::error::SimResult;
@@ -80,7 +80,6 @@ use crate::fleet::{
 use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
 use crate::request::{DecodeParams, ServeRequest};
-use crate::server::lower_artifact;
 
 const MIB: f64 = 1024.0 * 1024.0;
 

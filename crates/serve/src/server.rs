@@ -102,7 +102,7 @@ use flashmem_core::engine::CompiledArtifact;
 use flashmem_core::executor::RUNTIME_OVERHEAD_BYTES;
 use flashmem_core::pool::{self, ThreadPool};
 use flashmem_core::telemetry::{TraceConfig, TraceKind, TraceLane, TraceRecorder};
-use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig, KernelRewriter, StreamingExecutor};
+use flashmem_core::{ExecutionReport, FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::engine::{
     CommandStream, GpuSimulator, PreemptionCost, QueueClocks, QueueKind, SimConfig, StreamStepper,
     Suspension,
@@ -112,7 +112,6 @@ use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::trace::MemoryTrace;
 use flashmem_gpu_sim::{DeviceSpec, FaultKind, FaultPlan, SimError};
 use flashmem_graph::ModelSpec;
-use flashmem_profiler::LoweringOptions;
 
 use crate::fleet::{
     Carry, DeviceJob, DeviceLoop, DeviceRun, Fleet, NextAttempt, Orphan, Redispatch,
@@ -124,43 +123,11 @@ use crate::policy::{
 };
 use crate::request::{clamp_non_negative, RejectCause, ServeRequest};
 
-const MIB: f64 = 1024.0 * 1024.0;
+/// Lowering lives next to [`CompiledArtifact`] in `flashmem-core`; the
+/// serve loop lowers each plan once per device run and shares the stream.
+pub use flashmem_core::lower_artifact;
 
-/// Lower a compiled artifact to the command stream the event loop steps.
-///
-/// Streaming artifacts reuse the [`StreamingExecutor`] lowering the one-shot
-/// runtime uses; preload artifacts *are* command streams; naive plans lower
-/// through the executor without kernel rewriting, as in the Figure 9 strawmen.
-///
-/// Lowering is a pure function of its inputs, which the plan cache already
-/// identifies by [`ArtifactCache::key_for`]; the serving loop therefore
-/// lowers once per key per device run and shares the stream between every
-/// request admitted with that plan.
-pub fn lower_artifact(
-    artifact: &CompiledArtifact,
-    model: &ModelSpec,
-    device: &DeviceSpec,
-    config: &FlashMemConfig,
-) -> CommandStream {
-    match artifact {
-        CompiledArtifact::Streaming(compiled) => {
-            let rewriter = if config.enable_kernel_rewriting {
-                KernelRewriter::pipelined()
-            } else {
-                KernelRewriter::naive()
-            };
-            StreamingExecutor::new(device.clone(), rewriter.lowering_options())
-                .with_embedded_transforms(config.enable_kernel_rewriting)
-                .compile(model.graph(), &compiled.fusion, &compiled.plan)
-        }
-        CompiledArtifact::Preload(stream) => stream.clone(),
-        CompiledArtifact::NaivePlan { fusion, plan } => {
-            StreamingExecutor::new(device.clone(), LoweringOptions::texture_framework())
-                .with_embedded_transforms(false)
-                .compile(model.graph(), fusion, plan)
-        }
-    }
-}
+const MIB: f64 = 1024.0 * 1024.0;
 
 /// Estimated resident bytes of one in-flight request — the admission-control
 /// quantity behind per-tenant memory caps. Runtime overhead + double-buffered
