@@ -27,6 +27,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::error::{SimError, SimResult};
 use crate::rng::SplitMix64;
 
 /// What kind of fault fired.
@@ -99,24 +100,61 @@ impl FaultPlan {
 
     /// Lose `device` at simulated time `at_ms` (builder style): everything
     /// that would start on it at or after that instant fails with
-    /// [`FaultKind::DeviceLoss`], and the device never recovers.
+    /// [`FaultKind::DeviceLoss`], and the device never recovers. A negative
+    /// instant is clamped to 0; a NaN is kept, and [`check`](Self::check)
+    /// rejects it (`f64::max` alone would turn it into 0).
     pub fn with_device_loss(mut self, device: usize, at_ms: f64) -> Self {
-        self.device_loss.insert(device, at_ms.max(0.0));
+        let at_ms = if at_ms.is_nan() {
+            at_ms
+        } else {
+            at_ms.max(0.0)
+        };
+        self.device_loss.insert(device, at_ms);
         self
     }
 
     /// Give `device` a transient kernel fault probability of `rate` per
-    /// command (clamped to `[0, 1]`; builder style).
+    /// command (clamped to `[0, 1]`; a NaN is kept for
+    /// [`check`](Self::check) to reject; builder style).
     pub fn with_flaky_device(mut self, device: usize, rate: f64) -> Self {
         self.flake.insert(device, rate.clamp(0.0, 1.0));
         self
     }
 
     /// Give `device` a spurious-OOM probability of `rate` per command
-    /// (clamped to `[0, 1]`; builder style).
+    /// (clamped to `[0, 1]`; a NaN is kept for [`check`](Self::check) to
+    /// reject; builder style).
     pub fn with_oom_spikes(mut self, device: usize, rate: f64) -> Self {
         self.oom.insert(device, rate.clamp(0.0, 1.0));
         self
+    }
+
+    /// Check the plan against a fleet of `devices` devices, before a
+    /// harness runs it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidParameter`] for an entry naming a device outside
+    /// the fleet, which would otherwise be silently ignored, or holding a
+    /// value that is not a finite number: a NaN or infinite loss instant, or
+    /// a NaN rate.
+    pub fn check(&self, devices: usize) -> SimResult<()> {
+        let entries = (self.device_loss.iter().map(|e| ("with_device_loss", e)))
+            .chain(self.flake.iter().map(|e| ("with_flaky_device", e)))
+            .chain(self.oom.iter().map(|e| ("with_oom_spikes", e)));
+        for (knob, (&device, &value)) in entries {
+            let problem = if device >= devices {
+                format!("names device {device} of a {devices}-device fleet")
+            } else if !value.is_finite() {
+                format!("gives device {device} the value {value}; it must be a finite number")
+            } else {
+                continue;
+            };
+            return Err(SimError::InvalidParameter {
+                message: format!("FaultPlan::{knob} {problem}"),
+            });
+        }
+        Ok(())
     }
 
     /// True when the plan injects nothing at all — harnesses skip every
@@ -210,6 +248,46 @@ mod tests {
         assert_eq!(plan.device_loss_ms(2), Some(1_500.0));
         assert_eq!(plan.device_loss_ms(3), Some(0.0));
         assert_eq!(plan.device_loss_ms(0), None);
+    }
+
+    #[test]
+    fn check_rejects_unknown_devices_and_non_finite_values() {
+        let invalid = |plan: FaultPlan, words: [&str; 2]| match plan.check(2) {
+            Err(SimError::InvalidParameter { message }) => {
+                assert!(words.iter().all(|w| message.contains(w)), "{message}");
+            }
+            other => panic!("expected a typed {words:?} error, got {other:?}"),
+        };
+        let plan = FaultPlan::seeded(1);
+        assert_eq!(plan.clone().with_device_loss(1, 5.0).check(2), Ok(()));
+        invalid(
+            plan.clone().with_device_loss(9, 5.0),
+            ["with_device_loss", "device 9"],
+        );
+        invalid(
+            plan.clone().with_flaky_device(2, 0.1),
+            ["with_flaky_device", "device 2"],
+        );
+        invalid(
+            plan.clone().with_oom_spikes(5, 0.1),
+            ["with_oom_spikes", "device 5"],
+        );
+        // The builders keep a NaN for the check instead of clamping it away.
+        let nan = plan.clone().with_device_loss(0, f64::NAN);
+        assert!(nan.device_loss_ms(0).is_some_and(f64::is_nan));
+        invalid(nan, ["with_device_loss", "NaN"]);
+        invalid(
+            plan.clone().with_device_loss(0, f64::INFINITY),
+            ["with_device_loss", "inf"],
+        );
+        invalid(
+            plan.clone().with_flaky_device(0, f64::NAN),
+            ["with_flaky_device", "NaN"],
+        );
+        invalid(
+            plan.with_oom_spikes(1, f64::NAN),
+            ["with_oom_spikes", "NaN"],
+        );
     }
 
     #[test]

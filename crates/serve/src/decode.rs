@@ -79,7 +79,7 @@ use crate::fleet::{
 };
 use crate::metrics::{DecodeOutcome, DeviceReport, RequestOutcome, ServeReport};
 use crate::policy::RecoveryControl;
-use crate::request::{DecodeParams, ServeRequest};
+use crate::request::{clamp_non_negative, DecodeParams, ServeRequest};
 
 const MIB: f64 = 1024.0 * 1024.0;
 
@@ -88,14 +88,14 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// the zoo on every device spec without starving one-shot traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchConfig {
-    /// Largest number of requests decoding together on one device
-    /// (clamped to at least 1; 1 means one-shot serving — each request
-    /// prefills and decodes alone).
+    /// Largest number of requests decoding together on one device (at
+    /// least 1; 1 means one-shot serving — each request prefills and
+    /// decodes alone).
     pub max_batch: usize,
     /// Fleet-wide KV-cache budget per device, in *context tokens*. A
     /// request reserves its maximum context (`prompt + output − 1`) at
     /// join, so the resident KV of a device's batch never exceeds the
-    /// budget.
+    /// budget. At least 1.
     pub token_budget: u64,
     /// Join threshold: waiting prefills are admitted at a step boundary
     /// only when the batch is empty or `arrived ≥ ratio × active`. Higher
@@ -123,6 +123,27 @@ impl BatchConfig {
             max_batch: 1,
             ..BatchConfig::default()
         }
+    }
+
+    /// Reject knobs no batch can run under.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidParameter`] for a zero `max_batch` or
+    /// `token_budget` or a NaN `waiting_served_ratio`.
+    fn check(&self) -> SimResult<()> {
+        let problem = if self.max_batch == 0 {
+            "max_batch is 0; a batch needs at least one slot"
+        } else if self.token_budget == 0 {
+            "token_budget is 0; no request fits in it"
+        } else if self.waiting_served_ratio.is_nan() {
+            "waiting_served_ratio is NaN; it must be a number"
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidParameter {
+            message: format!("BatchConfig::{problem}"),
+        })
     }
 }
 
@@ -299,14 +320,13 @@ impl DecodeEngine {
         self
     }
 
-    /// Replace the batching knobs (builder style). Values are clamped to
-    /// sane minima: `max_batch ≥ 1`, `token_budget ≥ 1`,
-    /// `waiting_served_ratio ≥ 0`.
+    /// Replace the batching knobs (builder style). A negative
+    /// `waiting_served_ratio` is clamped to 0; a zero `max_batch` or
+    /// `token_budget` and a NaN ratio are kept, and the run rejects them.
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.batch = BatchConfig {
-            max_batch: batch.max_batch.max(1),
-            token_budget: batch.token_budget.max(1),
-            waiting_served_ratio: batch.waiting_served_ratio.max(0.0),
+            waiting_served_ratio: clamp_non_negative(batch.waiting_served_ratio),
+            ..batch
         };
         self
     }
@@ -360,13 +380,17 @@ impl DecodeEngine {
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
     /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a
-    /// non-finite or negative [`RecoveryControl`] time, a request
+    /// non-finite or negative [`RecoveryControl`] time, a [`FaultPlan`]
+    /// naming a device outside the fleet or holding a non-finite value, a
+    /// zero `max_batch` or `token_budget` or a NaN `waiting_served_ratio`
+    /// in the [`BatchConfig`], a request
     /// without decode token counts, a model without a decode spec, or a
     /// request whose maximum context exceeds its model's context window.
     /// Worker panics surface as [`SimError::WorkerPanic`]; per-request
     /// failures (out-of-memory) are recorded in the outcomes instead.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
         self.fleet.check("DecodeEngine", requests)?;
+        self.batch.check()?;
 
         // ---- validation + placement: the sequential prologue ----
         for request in requests {
@@ -971,8 +995,7 @@ mod tests {
             (0.0, Some(-1.0), "deadline"),
             (0.0, Some(-inf), "deadline"),
         ];
-        fn rejects(recovery: RecoveryControl, requests: &[ServeRequest], words: [&str; 2]) {
-            let engine = engine(BatchConfig::default()).with_recovery_control(recovery);
+        fn rejects(engine: DecodeEngine, requests: &[ServeRequest], words: [&str; 2]) {
             match engine.run_on(&ThreadPool::with_threads(1), requests) {
                 Err(SimError::InvalidParameter { message }) => {
                     assert!(words.iter().all(|w| message.contains(w)), "{message}");
@@ -980,20 +1003,21 @@ mod tests {
                 other => panic!("expected a typed {words:?} error, got {other:?}"),
             }
         }
-        let off = RecoveryControl::disabled;
+        let plain = || engine(BatchConfig::default());
         let mut requests = burst(3, 8, 4);
         for (arrival, deadline, word) in cases {
             requests[2].arrival_ms = arrival;
             requests[2].deadline_ms = deadline;
-            rejects(off(), &requests, ["request 2", word]);
+            rejects(plain(), &requests, ["request 2", word]);
         }
         // A NaN passed to a builder meets the same check as one set on the
         // field: the builders clamp negatives but keep NaN.
         requests[2] = burst(3, 8, 4)[2].clone().with_arrival_ms(nan);
-        rejects(off(), &requests, ["request 2", "finite"]);
+        rejects(plain(), &requests, ["request 2", "finite"]);
         requests[2] = burst(3, 8, 4)[2].clone().with_deadline_ms(nan);
-        rejects(off(), &requests, ["request 2", "deadline"]);
+        rejects(plain(), &requests, ["request 2", "deadline"]);
         // So do the recovery knobs.
+        let off = RecoveryControl::disabled;
         let set = |backoff_ms, probe_after_ms| RecoveryControl {
             backoff_ms,
             probe_after_ms,
@@ -1007,7 +1031,55 @@ mod tests {
             (off().with_quarantine(1, inf), "probe_after_ms"),
             (set(0.0, -1.0), "probe_after_ms"),
         ] {
-            rejects(recovery, &burst(3, 8, 4), ["RecoveryControl", word]);
+            let engine = plain().with_recovery_control(recovery);
+            rejects(engine, &burst(3, 8, 4), ["RecoveryControl", word]);
+        }
+        // So do a fault plan naming a device outside the fleet or holding a
+        // NaN, and batching knobs no batch can run under: `with_batching`
+        // keeps a zero and a NaN for the check.
+        let plan = FaultPlan::seeded(1);
+        for (plan, words) in [
+            (
+                plan.clone().with_device_loss(9, 5.0),
+                ["with_device_loss", "device 9"],
+            ),
+            (
+                plan.clone().with_device_loss(0, nan),
+                ["with_device_loss", "NaN"],
+            ),
+            (
+                plan.clone().with_flaky_device(0, nan),
+                ["with_flaky_device", "NaN"],
+            ),
+            (plan.with_oom_spikes(0, nan), ["with_oom_spikes", "NaN"]),
+        ] {
+            rejects(plain().with_fault_plan(plan), &burst(3, 8, 4), words);
+        }
+        let knobs = BatchConfig::default();
+        for (batch, word) in [
+            (
+                BatchConfig {
+                    max_batch: 0,
+                    ..knobs
+                },
+                "max_batch",
+            ),
+            (
+                BatchConfig {
+                    token_budget: 0,
+                    ..knobs
+                },
+                "token_budget",
+            ),
+            (
+                BatchConfig {
+                    waiting_served_ratio: nan,
+                    ..knobs
+                },
+                "waiting_served_ratio",
+            ),
+        ] {
+            rejects(engine(batch), &burst(3, 8, 4), ["BatchConfig", word]);
         }
     }
 

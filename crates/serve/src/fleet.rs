@@ -248,8 +248,10 @@ impl Fleet {
     /// # Errors
     ///
     /// [`SimError::InvalidParameter`] for an empty fleet (naming `engine`),
-    /// a non-finite or negative recovery backoff or probe delay, a
-    /// non-finite arrival or a NaN or negative deadline.
+    /// a fault plan naming a device outside the fleet or holding a
+    /// non-finite value ([`FaultPlan::check`]), a non-finite or negative
+    /// recovery backoff or probe delay, a non-finite arrival or a NaN or
+    /// negative deadline.
     pub(crate) fn check(&self, engine: &str, requests: &[ServeRequest]) -> SimResult<()> {
         if self.devices.is_empty() {
             return Err(SimError::InvalidParameter {
@@ -258,6 +260,7 @@ impl Fleet {
                 ),
             });
         }
+        self.fault_plan.check(self.devices.len())?;
         let recovery = &self.recovery;
         for (knob, ms) in [
             ("backoff_ms", recovery.backoff_ms),

@@ -519,7 +519,9 @@ impl ServeEngine {
     ///
     /// Returns [`SimError::InvalidParameter`] for an empty fleet, a
     /// non-finite `arrival_ms`, a NaN or negative `deadline_ms`, a NaN
-    /// tenant SLO, a non-finite or negative [`RecoveryControl`] time, an error
+    /// tenant SLO, a non-finite or negative [`RecoveryControl`] time, a
+    /// [`FaultPlan`] naming a device outside the fleet or holding a
+    /// non-finite value, a zero [`OverloadControl::queue_bound`], an error
     /// for malformed command streams (an internal invariant violation, not
     /// a modelled outcome), and [`SimError::WorkerPanic`] for a panic inside
     /// a device worker.
@@ -533,6 +535,13 @@ impl ServeEngine {
     /// `--threads 1` bisection path.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
         self.fleet.check("ServeEngine", requests)?;
+        if self.overload.queue_bound == Some(0) {
+            return Err(SimError::InvalidParameter {
+                message: "OverloadControl::queue_bound is Some(0), which sheds every request; \
+                          a bounded queue must hold at least one (None leaves it unbounded)"
+                    .to_string(),
+            });
+        }
         let nan_slos = self.tenant_slos.iter().filter(|(_, slo)| slo.is_nan());
         if let Some((tenant, _)) = nan_slos.min_by_key(|(tenant, _)| *tenant) {
             return Err(SimError::InvalidParameter {
@@ -2184,6 +2193,32 @@ mod tests {
             let engine = fresh().with_recovery_control(recovery);
             rejects(&engine, &reqs, ["RecoveryControl", word]);
         }
+        // So do a fault plan naming a device outside the fleet or holding a
+        // NaN, which the builders keep, and a zero queue bound.
+        let plan = FaultPlan::seeded(1);
+        for (plan, words) in [
+            (
+                plan.clone().with_device_loss(9, 5.0),
+                ["with_device_loss", "device 9"],
+            ),
+            (
+                plan.clone().with_device_loss(0, nan),
+                ["with_device_loss", "NaN"],
+            ),
+            (
+                plan.clone().with_flaky_device(0, nan),
+                ["with_flaky_device", "NaN"],
+            ),
+            (plan.with_oom_spikes(0, nan), ["with_oom_spikes", "NaN"]),
+        ] {
+            rejects(&fresh().with_fault_plan(plan), &reqs, words);
+        }
+        let zero = OverloadControl {
+            queue_bound: Some(0),
+            ..OverloadControl::disabled()
+        };
+        let engine = fresh().with_overload_control(zero);
+        rejects(&engine, &reqs, ["queue_bound", "Some(0)"]);
     }
 
     #[test]
