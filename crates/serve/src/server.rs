@@ -20,6 +20,12 @@
 //! and (2) scan only the prefix that has arrived: one step costs
 //! O(waiting + in flight), however many later arrivals the device holds.
 //!
+//! Everything one device holds through a round — its queues, clocks, memory
+//! tracker, epoch, makespan and tenant reservations — lives in one
+//! `DeviceState`. An admitted request's [`RequestOutcome`] row is its
+//! running state: admission fills it in, preemptions and resumes add to it,
+//! and leaving the device closes it.
+//!
 //! ## How the fleet advances
 //!
 //! Device timelines share nothing but the plan cache, so
@@ -93,6 +99,16 @@
 //! tracker applies memory effects in event order, which the earliest-start
 //! stepping rule keeps near time order; tiny reorderings across concurrent
 //! streams are an accepted modelling artifact.
+//!
+//! Both modes retire an in-flight request through one path,
+//! `DeviceState::release`, whether it completed, failed mid-run with a
+//! modelled error, or took an injected transient fault. Only an exclusive
+//! run that completed is finalized like the monolithic executor, with a
+//! full [`ExecutionReport`]; every other exit releases what the stream
+//! still holds. In exclusive mode the path then stitches the run's segment
+//! onto the device timeline and evicts the model, so a failed run moves the
+//! epoch exactly like a finished one. A device loss strands everything at
+//! once and stitches whatever segment is open.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
