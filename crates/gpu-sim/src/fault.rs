@@ -139,12 +139,15 @@ impl FaultPlan {
     /// value that is not a finite number: a NaN or infinite loss instant, or
     /// a NaN rate.
     pub fn check(&self, devices: usize) -> SimResult<()> {
-        let entries = (self.device_loss.iter().map(|e| ("with_device_loss", e)))
+        let entries = self
+            .device_loss
+            .iter()
+            .map(|e| ("with_device_loss", e))
             .chain(self.flake.iter().map(|e| ("with_flaky_device", e)))
             .chain(self.oom.iter().map(|e| ("with_oom_spikes", e)));
         for (knob, (&device, &value)) in entries {
             let problem = if device >= devices {
-                format!("names device {device} of a {devices}-device fleet")
+                format!("names device {device}, but the fleet has {devices} devices")
             } else if !value.is_finite() {
                 format!("gives device {device} the value {value}; it must be a finite number")
             } else {
