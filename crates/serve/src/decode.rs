@@ -714,12 +714,14 @@ impl DeviceLoop for DecodeEngine {
             }
             for (abbr, members) in groups {
                 let batch_size = members.len();
-                let model_plans = plans.get(&abbr).expect("active implies compiled");
+                // Needed only on a step-cost miss or when tracing; the
+                // memo hit is the per-token hot path.
+                let model_plans = || plans.get(&abbr).expect("active implies compiled");
                 let key = (abbr.clone(), batch_size);
                 let cost = match step_costs.get(&key) {
                     Some(&cost) => cost,
                     None => {
-                        let plan = &model_plans.step_plan;
+                        let plan = &model_plans().step_plan;
                         match plan.replay(&sim, &mut tracker, batch_size, now) {
                             Ok(cost) => {
                                 step_costs.insert(key, cost);
@@ -745,7 +747,7 @@ impl DeviceLoop for DecodeEngine {
                         &format!("step {abbr} ×{batch_size}"),
                         now,
                         end,
-                        batch_size as u64 * model_plans.kv_bytes_per_token,
+                        batch_size as u64 * model_plans().kv_bytes_per_token,
                     );
                 }
                 let share = 1.0 / batch_size as f64;
