@@ -2,6 +2,9 @@
 # Write every bench oracle of one checkout into one flat directory:
 #
 #   - the `bin/all --quick` JSON documents (table4.json, ..., serve.json);
+#   - table4-full.json, Table 4 over all six of its models: the quick set
+#     never reaches an LC-OPG fallback tier, while Llama2-70B takes the
+#     soft-threshold retry and the greedy backup 161 times;
 #   - bench-<name>.json and bench-<name>.trace.json (the `--trace-out`
 #     Chrome trace) of the serve, fleet_scale, overload, decode and chaos
 #     `--quick` runs. The `bench-` prefix keeps them apart from bin/all's
@@ -40,6 +43,8 @@ bench() {
 }
 
 bench all --json-dir "$out"
+cargo run --release --offline -q -p flashmem-bench --bin table4 -- \
+    --json "$out/table4-full.json" --threads "$threads" >/dev/null
 for name in serve fleet_scale overload decode chaos; do
     bench "$name" --json "$out/bench-$name.json" --trace-out "$out/bench-$name.trace.json"
 done

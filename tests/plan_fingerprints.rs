@@ -7,8 +7,15 @@
 //! with the earlier planner, whose window solves stopped on a 40 ms wall
 //! clock; matching them shows that the node budgets and the proven window
 //! bound changed no plan. A deliberate planner change updates them.
+//!
+//! Those compiles never leave LC-OPG's first tier: every window is proven
+//! optimal at the root, and their only fallbacks are windows with no load
+//! capacity at all. A second, smaller set of golden fingerprints pins the
+//! plans and planner counters of inputs that do reach the soft-threshold
+//! retry, the greedy backup and the node-capped search.
 
 use flashmem::core::cache::Fnv1a;
+use flashmem::core::LcOpgReport;
 use flashmem::prelude::*;
 
 /// FNV-1a over every weight schedule, then every chunk assignment in kernel
@@ -727,6 +734,91 @@ fn compiled_plans_match_their_golden_fingerprints() {
         "{} of {} plans changed:\n{}",
         mismatches.len(),
         GOLDEN.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// `plan_fingerprint` extended with the LC-OPG counters that say which tier
+/// placed each window.
+fn planner_fingerprint(plan: &OverlapPlan, report: &LcOpgReport) -> u64 {
+    Fnv1a::new()
+        .write_u64(plan_fingerprint(plan))
+        .write_u64(report.windows as u64)
+        .write_u64(report.fallback_soft as u64)
+        .write_u64(report.fallback_greedy as u64)
+        .write_u64(report.fallback_preload as u64)
+        .write_u64(report.nodes_explored)
+        .write_str(report.status.name())
+        .finish()
+}
+
+/// (model abbreviation, configuration, planner fingerprint) of plans made by
+/// `LcOpgSolver::plan` on the OnePlus 12.
+///
+/// - Table 4's six models at memory priority. ViT-8B takes the soft-threshold
+///   retry and the greedy backup once, Llama2-70B 161 times.
+/// - GPTN-S and GPTN-1.3B at λ = 0, where preloading can beat the fill, so
+///   windows are searched: GPTN-S has a window that stops at its node cap, and
+///   GPTN-1.3B has a greedy backup that streams its weight.
+const FALLBACK_GOLDEN: &[(&str, &str, u64)] = &[
+    ("GPTN-S", "memory", 0x91a743eb47acc444),
+    ("GPTN-1.3B", "memory", 0x2e55516cb8bc71a3),
+    ("GPTN-2.7B", "memory", 0x088a4e0920c706ce),
+    ("ViT-8B", "memory", 0xf9ec8ca280f3774c),
+    ("Llama2-13B", "memory", 0xc9d45a51e2c6600a),
+    ("Llama2-70B", "memory", 0xb2b3ada9705d0e2a),
+    ("GPTN-S", "memory λ=0", 0x31eab3a7d1255abd),
+    ("GPTN-1.3B", "memory λ=0", 0x03b4b94b64ac7584),
+];
+
+#[test]
+fn fallback_tiers_and_searched_windows_match_their_golden_fingerprints() {
+    let memory = FlashMemConfig::memory_priority();
+    let lambda_zero = memory.clone().with_lambda(0.0);
+    let cells = vec![
+        (ModelZoo::gptneo_small(), "memory", memory.clone()),
+        (ModelZoo::gptneo_1_3b(), "memory", memory.clone()),
+        (ModelZoo::gptneo_2_7b(), "memory", memory.clone()),
+        (ModelZoo::vit_8b(), "memory", memory.clone()),
+        (ModelZoo::llama2_13b(), "memory", memory.clone()),
+        (ModelZoo::llama2_70b(), "memory", memory),
+        (ModelZoo::gptneo_small(), "memory λ=0", lambda_zero.clone()),
+        (ModelZoo::gptneo_1_3b(), "memory λ=0", lambda_zero),
+    ];
+    assert_eq!(cells.len(), FALLBACK_GOLDEN.len());
+
+    let planned = ThreadPool::new().parallel_map(cells, |(model, label, config)| {
+        let (plan, report) = LcOpgSolver::new(DeviceSpec::oneplus_12(), config).plan(model.graph());
+        (
+            model.abbr.clone(),
+            label,
+            planner_fingerprint(&plan, &report),
+            report,
+        )
+    });
+
+    let mismatches: Vec<String> = planned
+        .iter()
+        .zip(FALLBACK_GOLDEN)
+        .filter(|((model, label, got, _), golden)| (model.as_str(), *label, *got) != **golden)
+        .map(|((model, label, got, r), golden)| {
+            format!(
+                "{model} / {label}: {got:#018x}, golden {golden:?} ({} windows, soft {}, \
+                 greedy {}, preload {}, {} nodes, {})",
+                r.windows,
+                r.fallback_soft,
+                r.fallback_greedy,
+                r.fallback_preload,
+                r.nodes_explored,
+                r.status.name()
+            )
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} planner fingerprints changed:\n{}",
+        mismatches.len(),
+        FALLBACK_GOLDEN.len(),
         mismatches.join("\n")
     );
 }
