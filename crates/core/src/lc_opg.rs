@@ -7,15 +7,23 @@
 //! infeasible or low-quality, the tiered fallback of Section 3.2 kicks in:
 //!
 //! 1. **soft thresholding** — retry with the load capacities relaxed by 25%,
-//! 2. **greedy heuristic backup** — fill the window back-to-front within the
-//!    remaining capacity,
+//! 2. **greedy heuristic backup** — the unrelaxed window's back-to-front fill
+//!    ([`crate::opg::back_to_front_fill`]),
 //! 3. **incremental preloading** — put the weight into the preload set `W`.
+//!
+//! The fill also gives every window model its warm-start hint and proven
+//! bound. A failed fill proves that no assignment streams the weight, so the
+//! backup only streams weights whose feasible fill scores worse than
+//! preloading (when λ makes preloading cheap). Soft thresholding relaxes the
+//! load capacities (C3) but not the `M_peak` headroom (C2): every chunk is in
+//! flight at the window's last kernel, so it cannot rescue a weight with more
+//! chunks than the headroom there.
 //!
 //! Every window's CP solve is capped at [`FlashMemConfig::solver_node_limit`]
 //! search nodes, and a plan's windows share a total of
 //! [`FlashMemConfig::solver_node_budget`] nodes (the stand-in for the paper's
-//! 150 s offline limit): once it is spent, remaining weights are scheduled
-//! greedily and the final status degrades from `OPTIMAL` to `FEASIBLE`,
+//! 150 s offline limit): once it is spent, remaining weights are scheduled by
+//! the fill alone and the final status degrades from `OPTIMAL` to `FEASIBLE`,
 //! matching the behaviour reported in Table 4. Both are counts, so a plan is
 //! a pure function of the graph, the device and the configuration; clocks
 //! only fill the report's durations.
@@ -31,7 +39,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::FlashMemConfig;
 use crate::kernel_rewrite::KernelRewriter;
-use crate::opg::{build_weight_window_model, extract_decision, greedy_hint, CandidateSlot};
+use crate::opg::{
+    back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
+};
 use crate::plan::OverlapPlan;
 
 /// Timing and quality report of one LC-OPG run — the columns of Table 4.
@@ -54,9 +64,11 @@ pub struct LcOpgReport {
     pub nodes_explored: u64,
     /// Windows that needed the soft-threshold retry.
     pub fallback_soft: usize,
-    /// Windows resolved by the greedy backup.
+    /// Windows the CP tiers left to the greedy backup.
     pub fallback_greedy: usize,
-    /// Weights pushed into the preload set by the fallback chain.
+    /// Weights pushed into the preload set by the fallback chain, plus
+    /// windows with no load capacity at all, which never enter the chain.
+    /// Those are the one fallback of Table 4's `OPTIMAL` rows.
     pub fallback_preload: usize,
     /// Weights preloaded in total (including structural preloads).
     pub preloaded_weights: usize,
@@ -76,10 +88,8 @@ impl LcOpgReport {
 pub enum PlannerMode {
     /// CP-SAT windows with the tiered fallback (the full LC-OPG).
     Hybrid,
-    /// Pure greedy heuristic (the "greedy heuristic backup" run standalone —
-    /// used for ablations and as the exhausted-budget path).
-    GreedyOnly,
-    /// Preload everything (OPG disabled; the ablation baseline).
+    /// Preload everything (OPG disabled; the ablation baseline), the same as
+    /// [`FlashMemConfig::enable_opg`] set to false.
     FullPreload,
 }
 
@@ -126,6 +136,7 @@ impl LcOpgSolver {
         let inventory = WeightInventory::with_chunk_size(graph, self.config.chunk_bytes);
         let node_to_kernel = node_to_kernel_map(fusion);
         let chunk_bytes = self.config.chunk_bytes;
+        let m_peak_bytes = self.config.m_peak_bytes;
         let num_kernels = fusion.len();
 
         let mut remaining_capacity: Vec<u64> = capacities
@@ -185,30 +196,24 @@ impl LcOpgSolver {
             }
 
             let window_start = consumer_kernel.saturating_sub(self.config.window);
-            let make_candidates = |capacity_scale: f64,
-                                   remaining_capacity: &[u64],
-                                   inflight_bytes: &[u64]| {
+            let candidates = |capacity_scale: f64| {
                 (window_start..consumer_kernel)
-                    .map(|k| {
-                        let headroom = self.config.m_peak_bytes.saturating_sub(inflight_bytes[k])
-                            / chunk_bytes;
-                        CandidateSlot {
-                            kernel: k,
-                            capacity_chunks: (remaining_capacity[k] as f64 * capacity_scale) as u64,
-                            memory_headroom_chunks: headroom,
-                        }
+                    .map(|k| CandidateSlot {
+                        kernel: k,
+                        capacity_chunks: (remaining_capacity[k] as f64 * capacity_scale) as u64,
+                        memory_headroom_chunks: m_peak_bytes.saturating_sub(inflight_bytes[k])
+                            / chunk_bytes,
                     })
                     .collect::<Vec<_>>()
             };
 
-            let budget_exhausted = report.nodes_explored >= budget;
-            let use_cp = self.mode == PlannerMode::Hybrid && !budget_exhausted;
-            if budget_exhausted {
+            let use_cp = report.nodes_explored < budget;
+            if !use_cp {
                 report.status = SolveStatus::Feasible;
             }
 
-            let candidates = make_candidates(1.0, &remaining_capacity, &inflight_bytes);
-            let window_capacity: u64 = candidates
+            let slots = candidates(1.0);
+            let window_capacity: u64 = slots
                 .iter()
                 .map(|c| c.capacity_chunks.min(c.memory_headroom_chunks))
                 .sum();
@@ -219,14 +224,22 @@ impl LcOpgSolver {
                 continue;
             }
 
-            // --- Tier 0: plain CP window ---------------------------------
+            // --- Tier 0: the CP window; Tier 1: soft thresholding, the same
+            // window with load capacities relaxed by 25% -------------------
             let mut decision = None;
-            if use_cp {
+            for capacity_scale in [1.0, 1.25] {
+                if !use_cp || decision.is_some() {
+                    break;
+                }
+                if capacity_scale > 1.0 {
+                    report.fallback_soft += 1;
+                    report.status = SolveStatus::Feasible;
+                }
                 let build_started = Instant::now();
                 let window = build_weight_window_model(
                     consumer_kernel,
                     total_chunks,
-                    &candidates,
+                    &candidates(capacity_scale),
                     &self.config,
                 );
                 let hint = greedy_hint(&window);
@@ -240,53 +253,21 @@ impl LcOpgSolver {
                 if outcome.status == SolveStatus::Feasible {
                     report.status = SolveStatus::Feasible;
                 }
-                if let Some(solution) = outcome.solution {
-                    let d = extract_decision(&window, &solution);
-                    if !d.preload {
-                        decision = Some(d);
-                    }
-                }
+                decision = outcome
+                    .solution
+                    .and_then(|solution| extract_decision(&window, &solution));
             }
 
-            // --- Tier 1: soft thresholding (relax capacities by 25%) ------
-            if decision.is_none() && use_cp {
-                report.fallback_soft += 1;
-                report.status = SolveStatus::Feasible;
-                let relaxed = make_candidates(1.25, &remaining_capacity, &inflight_bytes);
-                let build_started = Instant::now();
-                let window = build_weight_window_model(
-                    consumer_kernel,
-                    total_chunks,
-                    &relaxed,
-                    &self.config,
-                );
-                let hint = greedy_hint(&window);
-                report.build_model += build_started.elapsed();
-                let solve_started = Instant::now();
-                let outcome = window_solver(report.nodes_explored)
-                    .solve_with_hint(&window.model, Some(&hint));
-                report.solve_model += solve_started.elapsed();
-                report.nodes_explored += outcome.nodes_explored;
-                if let Some(solution) = outcome.solution {
-                    let d = extract_decision(&window, &solution);
-                    if !d.preload {
-                        decision = Some(d);
-                    }
-                }
-            }
-
-            // --- Tier 2: greedy heuristic backup --------------------------
+            // --- Tier 2: greedy heuristic backup, the unrelaxed fill ------
             if decision.is_none() {
-                if use_cp {
-                    report.fallback_greedy += 1;
-                    report.status = SolveStatus::Feasible;
-                }
-                decision = greedy_fill(total_chunks, &candidates);
+                report.fallback_greedy += usize::from(use_cp);
+                report.status = SolveStatus::Feasible;
+                decision = back_to_front_fill(total_chunks, &slots);
             }
 
             // --- Tier 3: incremental preloading ----------------------------
             match decision {
-                Some(d) if !d.preload => {
+                Some(d) => {
                     // Commit: update shared capacity and in-flight state.
                     for (kernel, chunks) in &d.assignments {
                         let used = (*chunks).min(remaining_capacity[*kernel]);
@@ -308,7 +289,7 @@ impl LcOpgSolver {
                     );
                     report.streamed_weights += 1;
                 }
-                _ => {
+                None => {
                     plan.add_preload(weight.consumer, consumer_kernel, weight.bytes);
                     report.preloaded_weights += 1;
                     report.fallback_preload += 1;
@@ -346,46 +327,6 @@ pub fn node_to_kernel_map(fusion: &FusionPlan) -> HashMap<NodeId, usize> {
         }
     }
     map
-}
-
-/// Greedy back-to-front fill of a candidate window. Returns `None` if the
-/// window cannot hold the weight (caller then preloads).
-fn greedy_fill(
-    total_chunks: u64,
-    candidates: &[CandidateSlot],
-) -> Option<crate::opg::WindowDecision> {
-    let mut remaining = total_chunks;
-    let mut assignments = Vec::new();
-    // C2 bookkeeping: chunks placed at kernel ℓ stay in flight at every kernel
-    // in [ℓ, consumer), so placing at an *earlier* slot raises the prefix of
-    // every already-filled later slot. Walking back-to-front, the safe amount
-    // for the current slot is the minimum headroom over the suffix (this slot
-    // and all later ones) minus what the suffix already holds.
-    let mut placed_in_suffix: u64 = 0;
-    let mut min_suffix_headroom = u64::MAX;
-    for slot in candidates.iter().rev() {
-        min_suffix_headroom = min_suffix_headroom.min(slot.memory_headroom_chunks);
-        if remaining == 0 {
-            continue;
-        }
-        let memory_room = min_suffix_headroom.saturating_sub(placed_in_suffix);
-        let take = slot.capacity_chunks.min(memory_room).min(remaining);
-        if take > 0 {
-            assignments.push((slot.kernel, take));
-            remaining -= take;
-            placed_in_suffix += take;
-        }
-    }
-    if remaining > 0 {
-        return None;
-    }
-    assignments.sort_by_key(|(k, _)| *k);
-    let disk_load_kernel = assignments.first().map(|(k, _)| *k).unwrap_or(0);
-    Some(crate::opg::WindowDecision {
-        preload: false,
-        assignments,
-        disk_load_kernel,
-    })
 }
 
 #[cfg(test)]
@@ -441,18 +382,6 @@ mod tests {
         let (plan, report) = solver.plan(&graph);
         assert_eq!(plan.streamed_bytes(), 0);
         assert_eq!(report.streamed_weights, 0);
-    }
-
-    #[test]
-    fn greedy_only_mode_also_produces_valid_plans() {
-        let graph = small_model();
-        let config = FlashMemConfig::memory_priority();
-        let solver = LcOpgSolver::new(DeviceSpec::oneplus_12(), config.clone())
-            .with_mode(PlannerMode::GreedyOnly);
-        let (plan, _) = solver.plan(&graph);
-        let inventory = WeightInventory::with_chunk_size(&graph, config.chunk_bytes);
-        plan.validate(&inventory, None).unwrap();
-        assert!(plan.streamed_fraction() > 0.0);
     }
 
     #[test]

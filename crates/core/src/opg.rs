@@ -40,19 +40,55 @@ pub struct WeightWindowModel {
     pub z_var: VarId,
     /// The preload indicator (1 ⇒ the weight joins `W`).
     pub preload_var: VarId,
-    /// Total chunks `T(w)` of the weight.
-    pub total_chunks: u64,
+    /// The window's [`back_to_front_fill`]: `None` when no assignment can
+    /// stream the weight.
+    pub fill: Option<WindowDecision>,
 }
 
-/// The outcome of solving one weight window, extracted from a CP solution.
+/// Where a streamed weight's chunks go. A preloaded weight has no decision:
+/// every function here returns `None` for it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowDecision {
-    /// True if the weight should be preloaded (joins `W`).
-    pub preload: bool,
-    /// Chunk allocations `(kernel, chunks)` for streamed weights.
+    /// Chunk allocations `(kernel, chunks)`, in candidate order.
     pub assignments: Vec<(usize, u64)>,
     /// The earliest-load kernel `z_w`.
     pub disk_load_kernel: usize,
+}
+
+/// Fill the candidates from the closest to the consumer backwards, each up to
+/// its load capacity (C3), and stream the weight if that covers its
+/// `total_chunks` without breaking C2.
+///
+/// `candidates` are in execution order, as LC-OPG builds them. A chunk placed
+/// at kernel `ℓ` stays in flight until the consumer, so every chunk not
+/// placed at a later candidate is in flight at `ℓ` and must fit its headroom.
+/// Packing chunks as late as the capacities allow makes that count the
+/// smallest any assignment reaches at every candidate, so `None` proves that
+/// no assignment can stream the weight.
+pub fn back_to_front_fill(
+    total_chunks: u64,
+    candidates: &[CandidateSlot],
+) -> Option<WindowDecision> {
+    let mut remaining = total_chunks;
+    let mut assignments = Vec::new();
+    for slot in candidates.iter().rev() {
+        if remaining > slot.memory_headroom_chunks {
+            return None;
+        }
+        let take = slot.capacity_chunks.min(remaining);
+        if take > 0 {
+            assignments.push((slot.kernel, take));
+            remaining -= take;
+        }
+    }
+    if remaining > 0 {
+        return None;
+    }
+    assignments.reverse();
+    Some(WindowDecision {
+        disk_load_kernel: assignments.first().map_or(0, |&(kernel, _)| kernel),
+        assignments,
+    })
 }
 
 /// Build the CP model for scheduling one weight's chunks over its candidate
@@ -137,7 +173,7 @@ pub fn build_weight_window_model(
         x_vars,
         z_var,
         preload_var,
-        total_chunks,
+        fill: back_to_front_fill(total_chunks, candidates),
     };
     // The optimum below is exact only for candidates in execution order before
     // the consumer, which is how LC-OPG builds every window.
@@ -166,55 +202,44 @@ impl WeightWindowModel {
     /// assignment can stream the weight, and preloading is the optimum.
     fn optimum(&self) -> i64 {
         let (objective, _) = self.model.objective().expect("window models minimise");
-        let preload = CpModel::eval_expr(objective, &self.preload_assignment());
-        match self.back_to_front_fill() {
-            Some(fill) => preload.min(CpModel::eval_expr(objective, &fill)),
-            None => preload,
-        }
+        let score = |decision| CpModel::eval_expr(objective, &self.assignment(decision));
+        let streamed = self.fill.as_ref().map_or(i64::MAX, |f| score(Some(f)));
+        score(None).min(streamed)
     }
 
-    /// The preload assignment: the weight joins `W`. Always feasible.
-    fn preload_assignment(&self) -> Vec<i64> {
-        let mut assignment = vec![0i64; self.model.num_vars()];
-        assignment[self.preload_var.0] = 1;
-        assignment
-    }
-
-    /// Fill candidates from the closest to the consumer backwards, each up to
-    /// its variable's upper bound, with `z_w` at the earliest kernel that
-    /// holds a chunk (the consumer when there is nothing to load). `None`
-    /// when the fill cannot cover the weight or breaks a C2 prefix.
-    fn back_to_front_fill(&self) -> Option<Vec<i64>> {
-        let mut assignment = vec![0i64; self.model.num_vars()];
-        let mut remaining = self.total_chunks as i64;
-        for (_, v) in self.x_vars.iter().rev() {
-            if remaining == 0 {
-                break;
-            }
-            let take = self.model.domain(*v).hi.min(remaining);
-            assignment[v.0] = take;
-            remaining -= take;
+    /// The full assignment of a decision, ordered by variable id: `None` is
+    /// the preload assignment (`p = 1`, every `x = 0`, `z = 0`); a streamed
+    /// decision puts `z_w` at the earliest kernel that holds a chunk, or at
+    /// the consumer when there is nothing to load.
+    fn assignment(&self, decision: Option<&WindowDecision>) -> Vec<i64> {
+        let mut values = vec![0i64; self.model.num_vars()];
+        let Some(decision) = decision else {
+            values[self.preload_var.0] = 1;
+            return values;
+        };
+        for &(kernel, chunks) in &decision.assignments {
+            let (_, x) = self
+                .x_vars
+                .iter()
+                .find(|(k, _)| *k == kernel)
+                .expect("a decision assigns chunks to candidates only");
+            values[x.0] = chunks as i64;
         }
-        assignment[self.z_var.0] = self
-            .x_vars
+        values[self.z_var.0] = decision
+            .assignments
             .iter()
-            .filter(|(_, v)| assignment[v.0] > 0)
             .map(|(k, _)| *k as i64)
             .min()
             .unwrap_or(self.model.domain(self.z_var).hi);
-        (remaining == 0 && self.model.is_feasible(&assignment)).then_some(assignment)
+        values
     }
 }
 
-/// Extract the scheduling decision from a CP solution of a window model.
-pub fn extract_decision(window: &WeightWindowModel, solution: &Solution) -> WindowDecision {
-    let preload = solution.value(window.preload_var) >= 1;
-    if preload {
-        return WindowDecision {
-            preload: true,
-            assignments: Vec::new(),
-            disk_load_kernel: 0,
-        };
+/// Extract the scheduling decision from a CP solution of a window model:
+/// `None` when the solution preloads the weight.
+pub fn extract_decision(window: &WeightWindowModel, solution: &Solution) -> Option<WindowDecision> {
+    if solution.value(window.preload_var) >= 1 {
+        return None;
     }
     let assignments: Vec<(usize, u64)> = window
         .x_vars
@@ -233,22 +258,18 @@ pub fn extract_decision(window: &WeightWindowModel, solution: &Solution) -> Wind
         .map(|(k, _)| *k)
         .min()
         .unwrap_or(solution.value(window.z_var).max(0) as usize);
-    WindowDecision {
-        preload: false,
+    Some(WindowDecision {
         assignments,
         disk_load_kernel,
-    }
+    })
 }
 
-/// A greedy warm-start hint for a window model: the back-to-front fill of
-/// [`WeightWindowModel`]'s candidates when it is feasible, otherwise the
-/// preload assignment. Returns a full assignment vector ordered by variable
-/// id; it is always feasible, and optimal whenever it scores the window's
-/// objective bound.
+/// The warm-start hint of a window model: the assignment of its
+/// back-to-front fill, or of preloading when the weight cannot stream. It is
+/// always feasible, and optimal whenever it scores the window's objective
+/// bound.
 pub fn greedy_hint(window: &WeightWindowModel) -> Vec<i64> {
-    window
-        .back_to_front_fill()
-        .unwrap_or_else(|| window.preload_assignment())
+    window.assignment(window.fill.as_ref())
 }
 
 #[cfg(test)]
@@ -276,8 +297,7 @@ mod tests {
         let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution(), "{:?}", out.status);
-        let decision = extract_decision(&window, &out.solution.unwrap());
-        assert!(!decision.preload);
+        let decision = extract_decision(&window, &out.solution.unwrap()).expect("streams");
         let total: u64 = decision.assignments.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 12);
         // With μ > 0 the solver prefers the latest kernels.
@@ -297,7 +317,7 @@ mod tests {
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
         assert!(out.status.has_solution());
         let decision = extract_decision(&window, &out.solution.unwrap());
-        assert!(decision.preload, "only 5 chunks of capacity for 40 chunks");
+        assert_eq!(decision, None, "only 5 chunks of capacity for 40 chunks");
     }
 
     #[test]
@@ -308,8 +328,7 @@ mod tests {
         let window = build_weight_window_model(4, 20, &slots, &config);
         let out = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit))
             .solve_with_hint(&window.model, Some(&greedy_hint(&window)));
-        let decision = extract_decision(&window, &out.solution.unwrap());
-        assert!(!decision.preload);
+        let decision = extract_decision(&window, &out.solution.unwrap()).expect("streams");
         // The prefix ending at kernel 1 may hold at most 1 chunk.
         let at_1: u64 = decision
             .assignments
@@ -331,7 +350,7 @@ mod tests {
             .solve(&window.model);
         assert_eq!(out.status, SolveStatus::Optimal);
         let solution = out.solution.unwrap();
-        let decision = extract_decision(&window, &solution);
+        let decision = extract_decision(&window, &solution).expect("streams");
         let earliest = decision.assignments.iter().map(|(k, _)| *k).min().unwrap();
         assert!(solution.value(window.z_var) <= earliest as i64);
         assert_eq!(decision.disk_load_kernel, earliest);
@@ -364,8 +383,7 @@ mod tests {
         let window = build_weight_window_model(0, 5, &[], &config);
         let out = CpSolver::new().solve(&window.model);
         assert!(out.status.has_solution());
-        let decision = extract_decision(&window, &out.solution.unwrap());
-        assert!(decision.preload);
+        assert_eq!(extract_decision(&window, &out.solution.unwrap()), None);
     }
 
     #[test]
@@ -378,6 +396,6 @@ mod tests {
         let window_high = build_weight_window_model(3, 20, &slots, &high);
         let out_high = CpSolver::new().solve(&window_high.model);
         let d_high = extract_decision(&window_high, &out_high.solution.unwrap());
-        assert!(!d_high.preload);
+        assert!(d_high.is_some());
     }
 }

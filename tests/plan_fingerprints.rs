@@ -803,8 +803,9 @@ fn fallback_tiers_and_searched_windows_match_their_golden_fingerprints() {
         .filter(|((model, label, got, _), golden)| (model.as_str(), *label, *got) != **golden)
         .map(|((model, label, got, r), golden)| {
             format!(
-                "{model} / {label}: {got:#018x}, golden {golden:?} ({} windows, soft {}, \
+                "{model} / {label}: {got:#018x}, golden {:#018x} ({} windows, soft {}, \
                  greedy {}, preload {}, {} nodes, {})",
+                golden.2,
                 r.windows,
                 r.fallback_soft,
                 r.fallback_greedy,

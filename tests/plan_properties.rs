@@ -1,7 +1,8 @@
 //! Property-style tests over randomly generated models: the planner must
-//! produce constraint-satisfying overlap plans, the fusion passes must
-//! preserve the partition invariant, and the executor's memory accounting
-//! must respect the plan, for *any* well-formed graph — not just the zoo.
+//! produce constraint-satisfying overlap plans, with its node budget spent it
+//! must plan what its CP tiers plan, the fusion passes must preserve the
+//! partition invariant, and the executor's memory accounting must respect
+//! the plan, for *any* well-formed graph — not just the zoo.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
@@ -93,6 +94,33 @@ fn random_models_validate_and_plan_correctly() {
             inventory.total_bytes(),
             "{model:?}"
         );
+    }
+}
+
+/// With its node budget spent, LC-OPG places every window with the
+/// back-to-front fill alone. When no window needed a search, that is the plan
+/// the CP tiers make. GPTN-2.7B at an `M_peak` of 256 MiB streams weights with
+/// more chunks than the headroom at their earliest loading kernel: only the
+/// chunks placed there count against it.
+#[test]
+fn exhausted_budget_plans_what_the_cp_tiers_plan() {
+    let config = FlashMemConfig::memory_priority().with_m_peak_mib(256);
+    let exhausted = FlashMemConfig {
+        solver_node_budget: 0,
+        ..config.clone()
+    };
+    let mut graphs: Vec<Graph> = random_models(12).iter().map(build).collect();
+    graphs.push(ModelZoo::gptneo_2_7b().build());
+    for graph in graphs {
+        for device in [DeviceSpec::oneplus_12(), DeviceSpec::xiaomi_mi_6()] {
+            let name = format!("{} on {}", graph.name(), device.name);
+            let (cp_plan, cp_report) =
+                LcOpgSolver::new(device.clone(), config.clone()).plan(&graph);
+            let (plan, report) = LcOpgSolver::new(device, exhausted.clone()).plan(&graph);
+            assert_eq!(cp_report.nodes_explored, 0, "{name}");
+            assert_eq!(report.status, SolveStatus::Feasible, "{name}");
+            assert!(plan == cp_plan, "{name}");
+        }
     }
 }
 

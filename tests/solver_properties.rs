@@ -1,13 +1,14 @@
 //! Property-style tests for the CP solver: solutions must satisfy the model,
 //! optimal objective values must match brute force on small instances,
-//! propagation must never prune feasible assignments, and the proven bound of
-//! an OPG weight window must equal the optimum an exhaustive search finds.
+//! propagation must never prune feasible assignments, the proven bound of an
+//! OPG weight window must equal the optimum an exhaustive search finds, and
+//! the back-to-front fill must stream exactly the windows that can stream.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
 
 use flashmem::core::opg::{
-    build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
+    back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
 };
 use flashmem::core::FlashMemConfig;
 use flashmem::solver::{
@@ -226,10 +227,37 @@ fn random_windows(cases: usize) -> Vec<RandomWindow> {
         .collect()
 }
 
+/// The windows the OPG properties are checked on: the random corpus plus one
+/// window whose first candidate has less headroom (5) than the weight has
+/// chunks (12). Only the 2 chunks placed there are in flight at it, so the
+/// weight streams; a fill that also charged it with the 10 chunks placed at
+/// the later candidate would preload it.
+fn windows_under_test() -> Vec<RandomWindow> {
+    let mut windows = random_windows(1_000);
+    windows.push(RandomWindow {
+        consumer: 3,
+        total_chunks: 12,
+        slots: vec![
+            CandidateSlot {
+                kernel: 1,
+                capacity_chunks: 5,
+                memory_headroom_chunks: 5,
+            },
+            CandidateSlot {
+                kernel: 2,
+                capacity_chunks: 10,
+                memory_headroom_chunks: 100,
+            },
+        ],
+        config: FlashMemConfig::memory_priority(),
+    });
+    windows
+}
+
 #[test]
 fn opg_window_bound_is_the_exact_optimum() {
     let (mut short, mut breaks_c2, mut hint_misses) = (0, 0, 0);
-    for w in random_windows(1_000) {
+    for w in windows_under_test() {
         let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
         let bound = window
             .model
@@ -244,7 +272,7 @@ fn opg_window_bound_is_the_exact_optimum() {
             .iter()
             .map(|s| s.capacity_chunks.min(s.memory_headroom_chunks))
             .sum();
-        let fill_failed = hint[window.preload_var.0] == 1;
+        let fill_failed = window.fill.is_none();
         short += usize::from(capacity < w.total_chunks);
         breaks_c2 += usize::from(fill_failed && capacity >= w.total_chunks);
         hint_misses += usize::from(hint_score > bound);
@@ -265,6 +293,11 @@ fn opg_window_bound_is_the_exact_optimum() {
         assert_eq!(planned.objective, Some(bound), "{w:?}");
         if hint_score == bound {
             assert_eq!(planned.nodes_explored, 0, "{w:?}");
+            assert_eq!(
+                extract_decision(&window, planned.solution.as_ref().unwrap()),
+                back_to_front_fill(w.total_chunks, &w.slots),
+                "{w:?}"
+            );
         }
         assert_eq!(
             extract_decision(&window, planned.solution.as_ref().unwrap()),
@@ -279,4 +312,34 @@ fn opg_window_bound_is_the_exact_optimum() {
         hint_misses > 0,
         "no window where the search must beat the hint"
     );
+}
+
+#[test]
+fn back_to_front_fill_streams_exactly_the_windows_that_can_stream() {
+    let (mut streams, mut preloads) = (0, 0);
+    for w in windows_under_test() {
+        let fill = back_to_front_fill(w.total_chunks, &w.slots);
+        let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
+        // Every streamed assignment, searched exhaustively: the window model
+        // with its preload indicator pinned to 0 and no bound to stop at.
+        let mut streamed = window.model.clone();
+        streamed.add_eq(LinearExpr::var(window.preload_var), 0);
+        streamed.set_objective_bound(None);
+        let exhaustive =
+            CpSolver::with_config(SolverConfig::with_max_nodes(u64::MAX)).solve(&streamed);
+
+        match &fill {
+            Some(_) => {
+                assert_eq!(exhaustive.status, SolveStatus::Optimal, "{w:?}");
+                assert!(streamed.is_feasible(&greedy_hint(&window)), "{w:?}");
+                streams += 1;
+            }
+            None => {
+                assert_eq!(exhaustive.status, SolveStatus::Infeasible, "{w:?}");
+                preloads += 1;
+            }
+        }
+    }
+    assert!(streams > 0, "no window streams");
+    assert!(preloads > 0, "no window preloads");
 }
