@@ -403,70 +403,12 @@ pub fn run_cached(
     engine.execute(model, &artifact, device)
 }
 
-/// An [`InferenceEngine`] decorator that routes `compile` through a shared
-/// [`ArtifactCache`] and forwards everything else.
-pub struct CachedEngine<E> {
-    inner: E,
-    cache: std::sync::Arc<ArtifactCache>,
-}
-
-impl<E: InferenceEngine> CachedEngine<E> {
-    /// Wrap `inner`, sharing `cache`.
-    pub fn new(inner: E, cache: std::sync::Arc<ArtifactCache>) -> Self {
-        CachedEngine { inner, cache }
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &ArtifactCache {
-        &self.cache
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: InferenceEngine> InferenceEngine for CachedEngine<E> {
-    fn kind(&self) -> crate::engine::FrameworkKind {
-        self.inner.kind()
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn supports(&self, model: &ModelSpec) -> bool {
-        self.inner.supports(model)
-    }
-
-    fn cache_salt(&self) -> u64 {
-        self.inner.cache_salt()
-    }
-
-    fn compile(&self, model: &ModelSpec, device: &DeviceSpec) -> SimResult<CompiledArtifact> {
-        self.cache
-            .compile(&self.inner, model, device)
-            .map(|(artifact, _)| artifact)
-    }
-
-    fn execute(
-        &self,
-        model: &ModelSpec,
-        artifact: &CompiledArtifact,
-        device: &DeviceSpec,
-    ) -> SimResult<ExecutionReport> {
-        self.inner.execute(model, artifact, device)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FlashMemConfig;
     use crate::engine::FlashMemVariant;
     use flashmem_graph::ModelZoo;
-    use std::sync::Arc;
 
     fn engine() -> FlashMemVariant {
         FlashMemVariant::new("FlashMem", FlashMemConfig::memory_priority())
@@ -523,22 +465,6 @@ mod tests {
         assert_ne!(base, ArtifactCache::key_for(&e1, &model_a, &capped));
         // Same display name, different configuration: the salt must split them.
         assert_ne!(base, ArtifactCache::key_for(&e2, &model_a, &dev_a));
-    }
-
-    #[test]
-    fn cached_engine_decorator_shares_one_cache() {
-        let cache = Arc::new(ArtifactCache::new());
-        let wrapped = CachedEngine::new(engine(), Arc::clone(&cache));
-        let model = ModelZoo::gptneo_small();
-        let device = DeviceSpec::oneplus_12();
-        use crate::engine::InferenceEngine as _;
-        let report_a = wrapped.run(&model, &device).unwrap();
-        let report_b = wrapped.run(&model, &device).unwrap();
-        assert_eq!(report_a, report_b);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use flashmem_graph::{FusionPlan, Graph, NodeId};
 use flashmem_profiler::{kernel_for_group, LoweringOptions};
 
 use crate::kernel_rewrite::KernelRewriter;
-use crate::lc_opg::node_to_kernel_map;
 use crate::plan::OverlapPlan;
 
 /// Fixed memory overhead charged for the framework runtime itself (graph
@@ -88,7 +87,6 @@ impl StreamingExecutor {
     /// Compile the execution into a simulator command stream.
     pub fn compile(&self, graph: &Graph, fusion: &FusionPlan, plan: &OverlapPlan) -> CommandStream {
         let mut stream = CommandStream::new();
-        let node_to_kernel = node_to_kernel_map(fusion);
         let transform_factor = self.options.weight_layout.transform_traffic_factor();
 
         // Framework runtime overhead + activation working set, held for the
@@ -296,7 +294,6 @@ impl StreamingExecutor {
                     stream.push(Command::free(&format!("{name}.um_free"), um, &[cmd]));
                 }
             }
-            let _ = &node_to_kernel;
         }
 
         // Safety net: release anything whose consumer never ran (should not

@@ -75,7 +75,7 @@ pub mod runtime;
 /// Deterministic cross-layer event tracing (the `flashmem-trace` crate).
 pub use flashmem_trace as telemetry;
 
-pub use cache::{run_cached, ArtifactCache, CacheStats, CachedEngine};
+pub use cache::{run_cached, ArtifactCache, CacheStats};
 pub use config::FlashMemConfig;
 pub use engine::{
     lower_artifact, run_or_dash, CompiledArtifact, EngineRegistry, FlashMemVariant, FrameworkKind,

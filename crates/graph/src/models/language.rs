@@ -2,7 +2,6 @@
 //! solver-stress models.
 
 use crate::builder::GraphBuilder;
-use crate::graph::NodeId;
 use crate::op::OpKind;
 
 use super::blocks::{transformer_decoder_block, transformer_encoder_block, TransformerBlockConfig};
@@ -332,11 +331,6 @@ pub fn llama2_70b() -> ModelSpec {
         graph,
     )
 }
-
-/// Shared consumer for `NodeId` so the compiler does not warn about the unused
-/// helper in non-test builds.
-#[allow(dead_code)]
-fn _assert_nodeid(_: NodeId) {}
 
 #[cfg(test)]
 mod tests {

@@ -67,9 +67,9 @@ pub mod prelude {
         baseline_registry, standard_registry, NaiveOverlap, PreloadFramework, SmartMem,
     };
     pub use flashmem_core::{
-        AdaptiveFusion, ArtifactCache, CachedEngine, CompiledArtifact, EngineRegistry,
-        ExecutionReport, FlashMem, FlashMemConfig, FlashMemVariant, FrameworkKind, InferenceEngine,
-        LcOpgSolver, OverlapPlan, ThreadPool,
+        AdaptiveFusion, ArtifactCache, CompiledArtifact, EngineRegistry, ExecutionReport, FlashMem,
+        FlashMemConfig, FlashMemVariant, FrameworkKind, InferenceEngine, LcOpgSolver, OverlapPlan,
+        ThreadPool,
     };
     pub use flashmem_gpu_sim::{DeviceSpec, GpuSimulator, MemoryTracker, SimConfig};
     pub use flashmem_graph::{Graph, ModelZoo, OpCategory, OpKind, TensorDesc};
