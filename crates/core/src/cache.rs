@@ -7,7 +7,9 @@
 //! in front of [`InferenceEngine::compile`] and memoises the
 //! [`CompiledArtifact`] under a fingerprint of the engine configuration, the
 //! model and the device, with hit/miss counters that experiment drivers
-//! surface in their reports.
+//! surface in their reports. Each artifact is held behind an `Arc` that
+//! [`ArtifactCache::compile_shared`] hands out on every lookup;
+//! [`ArtifactCache::compile`] clones it for callers that need ownership.
 //!
 //! Compilation is deterministic, so a cached artifact is byte-identical to a
 //! cold compile; the cache changes *when* planning work happens, never what
@@ -183,13 +185,9 @@ impl InFlightCompile {
 
 /// One shard entry: a finished artifact, or a marker that some thread is
 /// compiling this key right now.
-// The size skew (a full artifact vs one `Arc`) is fine: slots live in the
-// shard map, not on the stack, and `InFlight` exists only for the duration
-// of one compile.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Slot {
-    Ready(CompiledArtifact),
+    Ready(Arc<CompiledArtifact>),
     InFlight(Arc<InFlightCompile>),
 }
 
@@ -285,8 +283,10 @@ impl ArtifactCache {
         matches!(shard.map.get(&key), Some(Slot::Ready(_)))
     }
 
-    /// Compile through the cache: returns the artifact plus `true` when it
-    /// was served from the cache, `false` on a cold compile.
+    /// Compile through the cache: returns the shared artifact plus `true`
+    /// when it was served from the cache, `false` on a cold compile. Every
+    /// lookup of a key hands out the same `Arc`, so a warm hit copies no
+    /// plan.
     ///
     /// When another thread is already compiling the same key, this blocks on
     /// its in-flight marker and then returns the finished artifact as a hit
@@ -297,12 +297,12 @@ impl ArtifactCache {
     /// Propagates [`InferenceEngine::compile`] errors; failures are not
     /// cached (a thread waiting on a compile that fails retries the lookup
     /// and surfaces its own error).
-    pub fn compile(
+    pub fn compile_shared(
         &self,
         engine: &dyn InferenceEngine,
         model: &ModelSpec,
         device: &DeviceSpec,
-    ) -> SimResult<(CompiledArtifact, bool)> {
+    ) -> SimResult<(Arc<CompiledArtifact>, bool)> {
         let key = Self::key_for(engine, model, device);
         let shard = self.shard_for(key);
         let flight = loop {
@@ -310,7 +310,7 @@ impl ArtifactCache {
                 let mut shard = shard.lock().expect(POISONED);
                 match shard.map.get(&key) {
                     Some(Slot::Ready(artifact)) => {
-                        let artifact = artifact.clone();
+                        let artifact = Arc::clone(artifact);
                         shard.hits += 1;
                         return Ok((artifact, true));
                     }
@@ -337,15 +337,31 @@ impl ArtifactCache {
             flight,
             armed: true,
         };
-        let artifact = engine.compile(model, device)?; // guard cleans up on Err/panic
+        let artifact = Arc::new(engine.compile(model, device)?); // guard cleans up on Err/panic
         {
             let mut shard = shard.lock().expect(POISONED);
             shard.misses += 1;
-            shard.map.insert(key, Slot::Ready(artifact.clone()));
+            shard.map.insert(key, Slot::Ready(Arc::clone(&artifact)));
             guard.armed = false;
         }
         guard.flight.finish();
         Ok((artifact, false))
+    }
+
+    /// [`Self::compile_shared`] for callers that need an owned artifact:
+    /// the same lookup and counters, plus one deep clone of the plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compile_shared`].
+    pub fn compile(
+        &self,
+        engine: &dyn InferenceEngine,
+        model: &ModelSpec,
+        device: &DeviceSpec,
+    ) -> SimResult<(CompiledArtifact, bool)> {
+        self.compile_shared(engine, model, device)
+            .map(|(artifact, hit)| (CompiledArtifact::clone(&artifact), hit))
     }
 
     /// Counter snapshot, summed over the shards.
@@ -399,7 +415,7 @@ pub fn run_cached(
     model: &ModelSpec,
     device: &DeviceSpec,
 ) -> SimResult<ExecutionReport> {
-    let (artifact, _) = cache.compile(engine, model, device)?;
+    let (artifact, _) = cache.compile_shared(engine, model, device)?;
     engine.execute(model, &artifact, device)
 }
 
@@ -420,18 +436,24 @@ mod tests {
         let model = ModelZoo::gptneo_small();
         let device = DeviceSpec::oneplus_12();
         let engine = engine();
-        let (cold, hit0) = cache.compile(&engine, &model, &device).unwrap();
-        let (warm, hit1) = cache.compile(&engine, &model, &device).unwrap();
+        let (cold, hit0) = cache.compile_shared(&engine, &model, &device).unwrap();
+        let (warm, hit1) = cache.compile_shared(&engine, &model, &device).unwrap();
         assert!(!hit0);
         assert!(hit1);
-        // Artifacts must behave identically: same streamed fraction and the
-        // same execution report on replay.
-        assert_eq!(cold.streamed_fraction(), warm.streamed_fraction());
-        let a = engine.execute(&model, &cold, &device).unwrap();
-        let b = engine.execute(&model, &warm, &device).unwrap();
-        assert_eq!(a, b);
+        // Every lookup of a key shares the one cached artifact.
+        assert!(Arc::ptr_eq(&cold, &warm));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        // The owned lookup is the same lookup plus a deep copy: it counts a
+        // hit, and the copy is equal and replays identically.
+        let (owned, hit2) = cache.compile(&engine, &model, &device).unwrap();
+        assert!(hit2);
+        assert_eq!(format!("{owned:?}"), format!("{cold:?}"));
+        let a = engine.execute(&model, &cold, &device).unwrap();
+        let b = engine.execute(&model, &owned, &device).unwrap();
+        assert_eq!(a, b);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]

@@ -284,6 +284,12 @@ impl MemoryTracker {
         &self.trace
     }
 
+    /// Consume the tracker and keep only its usage trace, without copying
+    /// the samples.
+    pub fn into_trace(self) -> MemoryTrace {
+        self.trace
+    }
+
     /// Discard the trace accumulated so far while keeping live allocations
     /// and capacity state.
     ///

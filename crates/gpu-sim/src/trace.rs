@@ -20,11 +20,13 @@ pub struct MemorySample {
 /// A step-function trace of memory usage over simulated time.
 ///
 /// Samples are recorded at every allocation/free; the value holds until the
-/// next sample. Peak is the maximum sample; the average is time-weighted.
+/// next sample. Peak is the maximum sample, kept as a running maximum so
+/// reading it costs O(1); the average is time-weighted.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryTrace {
     samples: Vec<MemorySample>,
     clamped: u64,
+    peak: u64,
 }
 
 impl MemoryTrace {
@@ -55,6 +57,7 @@ impl MemoryTrace {
             _ => time_ms,
         };
         self.samples.push(MemorySample { time_ms: t, bytes });
+        self.peak = self.peak.max(bytes);
     }
 
     /// Number of samples whose timestamps arrived out of order and were
@@ -78,9 +81,9 @@ impl MemoryTrace {
         &self.samples
     }
 
-    /// Maximum usage seen, in bytes.
+    /// Maximum usage seen, in bytes (0 for an empty trace).
     pub fn peak_bytes(&self) -> u64 {
-        self.samples.iter().map(|s| s.bytes).max().unwrap_or(0)
+        self.peak
     }
 
     /// Time-weighted average usage in bytes over the sampled interval. If the
@@ -396,6 +399,31 @@ mod tests {
             t.record(time, bytes);
         }
         assert_eq!(t.peak_bytes(), 500);
+    }
+
+    #[test]
+    fn running_peak_matches_a_rescan_after_records_and_stitches() {
+        let rescan = |t: &MemoryTrace| t.samples().iter().map(|s| s.bytes).max().unwrap_or(0);
+        assert_eq!(MemoryTrace::new().peak_bytes(), 0);
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x9EA4);
+        for _ in 0..50 {
+            let mut t = MemoryTrace::new();
+            for _ in 0..rng.gen_range_inclusive(0, 40) {
+                // Random times often run backwards, so clamping runs too.
+                let time = rng.gen_f64() * 100.0;
+                if rng.gen_range_inclusive(0, 3) == 0 {
+                    let mut other = MemoryTrace::new();
+                    for _ in 0..rng.gen_range_inclusive(0, 5) {
+                        other.record(rng.gen_f64() * 10.0, rng.gen_range_inclusive(0, 1 << 20));
+                    }
+                    assert_eq!(other.peak_bytes(), rescan(&other));
+                    t.append_shifted(&other, time);
+                } else {
+                    t.record(time, rng.gen_range_inclusive(0, 1 << 20));
+                }
+                assert_eq!(t.peak_bytes(), rescan(&t));
+            }
+        }
     }
 
     #[test]

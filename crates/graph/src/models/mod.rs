@@ -21,6 +21,8 @@ mod vision;
 
 pub use blocks::{transformer_decoder_block, transformer_encoder_block, TransformerBlockConfig};
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::Graph;
@@ -93,6 +95,10 @@ pub struct DecodeSpec {
 }
 
 /// A generated evaluation model: metadata plus the lowered graph.
+///
+/// The graph and the decode split are immutable once built and shared
+/// behind `Arc`s, so cloning a spec (one per serving request) copies its
+/// name strings and two pointers, never the operator graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelSpec {
     /// Full model name, e.g. `"GPTNeo-1.3B"`.
@@ -103,8 +109,8 @@ pub struct ModelSpec {
     pub task: ModelTask,
     /// Table 6 reference statistics.
     pub paper: PaperStats,
-    graph: Graph,
-    decode: Option<Box<DecodeSpec>>,
+    graph: Arc<Graph>,
+    decode: Option<Arc<DecodeSpec>>,
 }
 
 impl ModelSpec {
@@ -120,13 +126,13 @@ impl ModelSpec {
             abbr: abbr.to_string(),
             task,
             paper,
-            graph,
+            graph: Arc::new(graph),
             decode: None,
         }
     }
 
     pub(crate) fn with_decode(mut self, decode: DecodeSpec) -> Self {
-        self.decode = Some(Box::new(decode));
+        self.decode = Some(Arc::new(decode));
         self
     }
 
@@ -142,8 +148,10 @@ impl ModelSpec {
     }
 
     /// Consume the spec and return the graph (convenient for examples).
+    /// The graph is moved out when this spec is its only holder and cloned
+    /// only while other clones of the spec still share it.
     pub fn build(self) -> Graph {
-        self.graph
+        Arc::unwrap_or_clone(self.graph)
     }
 
     /// Generated parameter count in millions.
@@ -374,6 +382,19 @@ mod tests {
             with_decode,
             vec!["GPTN-S", "GPTN-1.3B", "GPTN-2.7B", "Whisp-M"]
         );
+    }
+
+    #[test]
+    fn cloned_specs_share_their_graphs() {
+        let spec = ModelZoo::gptneo_small();
+        let clone = spec.clone();
+        assert!(std::ptr::eq(spec.graph(), clone.graph()));
+        let step = |m: &ModelSpec| m.decode().expect("GPTN-S decodes").step.graph() as *const Graph;
+        assert!(std::ptr::eq(step(&spec), step(&clone)));
+        // A shared graph is cloned out; the last holder moves it out.
+        let built = clone.build();
+        assert_eq!(&built, spec.graph());
+        assert_eq!(spec.build(), built);
     }
 
     #[test]

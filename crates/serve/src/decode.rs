@@ -808,7 +808,7 @@ impl DeviceLoop for DecodeEngine {
                 now,
                 transfer_busy,
                 compute_busy,
-                tracker.trace().clone(),
+                tracker.into_trace(),
             )
         };
         Ok(DeviceRun {
@@ -861,9 +861,15 @@ impl DecodeEngine {
             return Ok(());
         }
         let spec = request.model.decode().expect("validated in the prologue");
-        let (full, _) = self.fleet.cache.compile(engine, &request.model, device)?;
+        let (full, _) = self
+            .fleet
+            .cache
+            .compile_shared(engine, &request.model, device)?;
         let prefill_stream = lower_artifact(&full, &request.model, device, &self.fleet.config);
-        let (step, _) = self.fleet.cache.compile(engine, &spec.step, device)?;
+        let (step, _) = self
+            .fleet
+            .cache
+            .compile_shared(engine, &spec.step, device)?;
         let step_stream = lower_artifact(&step, &spec.step, device, &self.fleet.config);
         plans.insert(
             abbr.clone(),

@@ -607,7 +607,7 @@ impl ServeEngine {
             let mut predict = |model: &ModelSpec, d: usize| -> f64 {
                 *memo.entry((model.abbr.clone(), d)).or_insert_with(|| {
                     let device = &self.fleet.devices[d];
-                    match self.fleet.cache.compile(&engines[d], model, device) {
+                    match self.fleet.cache.compile_shared(&engines[d], model, device) {
                         Ok((artifact, _)) => {
                             predicted_service_ms(&artifact, model, device, &self.fleet.config)
                         }
@@ -939,7 +939,11 @@ impl<'a> DeviceState<'a> {
                 *service_memo
                     .entry(request.model.abbr.clone())
                     .or_insert_with(|| {
-                        match serve.fleet.cache.compile(&engine, &request.model, device) {
+                        match serve
+                            .fleet
+                            .cache
+                            .compile_shared(&engine, &request.model, device)
+                        {
                             Ok((artifact, _)) => predicted_service_ms(
                                 &artifact,
                                 &request.model,
@@ -1335,12 +1339,11 @@ impl<'a> DeviceState<'a> {
         // counters.
         let estimate = match self.estimate_memo.get(&seq) {
             Some(&estimate) => estimate,
-            None => match self
-                .serve
-                .fleet
-                .cache
-                .compile(&self.engine, &request.model, self.device)
-            {
+            None => match self.serve.fleet.cache.compile_shared(
+                &self.engine,
+                &request.model,
+                self.device,
+            ) {
                 Ok((artifact, _)) => {
                     let estimate = estimate_resident_bytes(&artifact, &request.model);
                     self.estimate_memo.insert(seq, estimate);
@@ -1525,7 +1528,7 @@ impl<'a> DeviceState<'a> {
         let artifact = match serve
             .fleet
             .cache
-            .compile(&self.engine, &request.model, device)
+            .compile_shared(&self.engine, &request.model, device)
         {
             Ok((artifact, _)) => artifact,
             Err(error) => {
@@ -1918,7 +1921,7 @@ impl<'a> DeviceState<'a> {
         let memory_trace = if self.exclusive {
             self.stitched
         } else {
-            self.tracker.trace().clone()
+            self.tracker.into_trace()
         };
         let report = DeviceReport {
             requests: self.assigned,

@@ -770,6 +770,33 @@ mod tests {
     }
 
     #[test]
+    fn generated_requests_share_the_callers_graphs() {
+        // Requests hold their model's graph by reference: generating a
+        // workload copies no operator graph.
+        let shares = |models: &[ModelSpec], requests: &[ServeRequest]| {
+            requests.iter().all(|r| {
+                models
+                    .iter()
+                    .any(|m| std::ptr::eq(m.graph(), r.model.graph()))
+            })
+        };
+        let models = models();
+        let requests = spec(ArrivalPattern::Steady { interval_ms: 1.0 }).generate(&models);
+        assert!(shares(&models, &requests));
+        let models = vec![ModelZoo::gptneo_small(), ModelZoo::whisper_medium()];
+        let requests = DecodeWorkloadSpec {
+            pattern: ArrivalPattern::Steady { interval_ms: 1.0 },
+            requests: 12,
+            tenants: 2,
+            prompt_tokens: (4, 8),
+            output_tokens: (2, 4),
+            seed: 7,
+        }
+        .generate(&models);
+        assert!(shares(&models, &requests));
+    }
+
+    #[test]
     fn decode_workload_clamps_inverted_and_zero_ranges() {
         let spec = DecodeWorkloadSpec {
             pattern: ArrivalPattern::Steady { interval_ms: 1.0 },
