@@ -79,7 +79,7 @@ fn bench_simulator_engine() {
     group("simulator");
     bench("simulator_500_kernels_500_transfers", 20, || {
         let mut sim = GpuSimulator::new(device.clone(), SimConfig::default());
-        sim.execute(&stream).unwrap()
+        sim.execute(stream.clone()).unwrap()
     });
 }
 

@@ -470,11 +470,12 @@ pub fn execute_command_stream(
     device: &DeviceSpec,
 ) -> SimResult<ExecutionReport> {
     let mut sim = GpuSimulator::new(device.clone(), SimConfig::default());
-    let outcome = sim.execute(stream)?;
+    // The artifact keeps its stream, so the run steps a copy.
+    let outcome = sim.execute(stream.clone())?;
     Ok(ExecutionReport::from_outcome(
         framework,
         &model.abbr,
-        &outcome,
+        outcome,
         0.0,
     ))
 }
@@ -501,7 +502,7 @@ pub fn execute_naive_plan(
     Ok(ExecutionReport::from_outcome(
         framework,
         &model.abbr,
-        &outcome,
+        outcome,
         plan.streamed_fraction(),
     ))
 }

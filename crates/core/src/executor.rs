@@ -323,7 +323,7 @@ impl StreamingExecutor {
     ) -> SimResult<flashmem_gpu_sim::engine::ExecutionOutcome> {
         let stream = self.compile(graph, fusion, plan);
         let mut sim = GpuSimulator::new(self.device.clone(), SimConfig::default());
-        sim.execute(&stream)
+        sim.execute(stream)
     }
 
     /// Execute against an existing memory tracker (multi-model scenarios).
@@ -340,7 +340,7 @@ impl StreamingExecutor {
     ) -> SimResult<flashmem_gpu_sim::engine::ExecutionOutcome> {
         let stream = self.compile(graph, fusion, plan);
         let mut sim = GpuSimulator::new(self.device.clone(), SimConfig::default());
-        sim.execute_with_tracker(&stream, tracker)
+        sim.execute_with_tracker(stream, tracker)
     }
 }
 

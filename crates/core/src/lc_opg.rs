@@ -1,23 +1,31 @@
 //! The Load-Capacity-aware OPG solver (LC-OPG, Section 3.2).
 //!
-//! LC-OPG drives the per-weight window models of [`crate::opg`] over the whole
+//! LC-OPG schedules the per-weight windows of [`crate::opg`] over the whole
 //! model in execution order, maintaining the shared per-kernel load capacities
 //! (C3) and the in-flight memory budget `M_peak` (C2) between windows — the
-//! paper's *incremental scheduling over a rolling window*. When a window is
-//! infeasible or low-quality, the tiered fallback of Section 3.2 kicks in:
+//! paper's *incremental scheduling over a rolling window*.
+//!
+//! A window is decided in closed form from its back-to-front fill
+//! ([`crate::opg::back_to_front_fill`]), which is the best streamed
+//! assignment when one exists (see [`crate::opg::WindowObjective::optimum`]).
+//! A failed fill proves that no assignment streams the weight, so the window
+//! preloads; a fill that scores no worse than preloading is the window's
+//! optimum and streams. Only a feasible fill that scores worse than
+//! preloading, which takes a λ that makes preloading cheap, builds a CP
+//! window model. Its search starts from the fill as a warm-start hint and
+//! stops at preloading's score, the proven bound, or at its node cap, which
+//! may leave a streamed incumbent. When a window preloads, the tiered
+//! fallback of Section 3.2 kicks in:
 //!
 //! 1. **soft thresholding** — retry with the load capacities relaxed by 25%,
-//! 2. **greedy heuristic backup** — the unrelaxed window's back-to-front fill
-//!    ([`crate::opg::back_to_front_fill`]),
+//! 2. **greedy heuristic backup** — the unrelaxed window's fill,
 //! 3. **incremental preloading** — put the weight into the preload set `W`.
 //!
-//! The fill also gives every window model its warm-start hint and proven
-//! bound. A failed fill proves that no assignment streams the weight, so the
-//! backup only streams weights whose feasible fill scores worse than
-//! preloading (when λ makes preloading cheap). Soft thresholding relaxes the
-//! load capacities (C3) but not the `M_peak` headroom (C2): every chunk is in
-//! flight at the window's last kernel, so it cannot rescue a weight with more
-//! chunks than the headroom there.
+//! The backup therefore only streams weights whose feasible fill scores worse
+//! than preloading. Soft thresholding relaxes the load capacities (C3) but
+//! not the `M_peak` headroom (C2): every chunk is in flight at the window's
+//! last kernel, so it cannot rescue a weight with more chunks than the
+//! headroom there.
 //!
 //! Every window's CP solve is capped at [`FlashMemConfig::solver_node_limit`]
 //! search nodes, and a plan's windows share a total of
@@ -41,6 +49,7 @@ use crate::config::FlashMemConfig;
 use crate::kernel_rewrite::KernelRewriter;
 use crate::opg::{
     back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
+    WindowObjective,
 };
 use crate::plan::OverlapPlan;
 
@@ -50,15 +59,20 @@ pub struct LcOpgReport {
     /// Time spent preparing the graph, fusion plan and capacities
     /// ("Process nodes" in Table 4).
     pub process_nodes: Duration,
-    /// Time spent building CP models ("Build model").
+    /// Time spent building CP models ("Build model"), in searched windows
+    /// only.
     pub build_model: Duration,
-    /// Time spent in the CP solver ("Solve model").
+    /// Time spent in the CP solver ("Solve model"), in searched windows only.
     pub solve_model: Duration,
     /// Final status: `Optimal` when every window solved to optimality within
     /// budget, otherwise `Feasible`.
     pub status: SolveStatus,
     /// Number of weight windows processed.
     pub windows: usize,
+    /// CP window models built and searched, one per capacity scale whose
+    /// feasible fill scored worse than preloading; every other window is
+    /// decided in closed form.
+    pub searched_windows: usize,
     /// Search nodes the CP solves explored, summed over every window — a
     /// deterministic measure of solver work.
     pub nodes_explored: u64,
@@ -153,6 +167,7 @@ impl LcOpgSolver {
             solve_model: Duration::ZERO,
             status: SolveStatus::Optimal,
             windows: 0,
+            searched_windows: 0,
             nodes_explored: 0,
             fallback_soft: 0,
             fallback_greedy: 0,
@@ -224,8 +239,9 @@ impl LcOpgSolver {
                 continue;
             }
 
-            // --- Tier 0: the CP window; Tier 1: soft thresholding, the same
+            // --- Tier 0: the window; Tier 1: soft thresholding, the same
             // window with load capacities relaxed by 25% -------------------
+            let objective = WindowObjective::new(consumer_kernel, total_chunks, &self.config);
             let mut decision = None;
             for capacity_scale in [1.0, 1.25] {
                 if !use_cp || decision.is_some() {
@@ -235,27 +251,38 @@ impl LcOpgSolver {
                     report.fallback_soft += 1;
                     report.status = SolveStatus::Feasible;
                 }
-                let build_started = Instant::now();
-                let window = build_weight_window_model(
-                    consumer_kernel,
-                    total_chunks,
-                    &candidates(capacity_scale),
-                    &self.config,
-                );
-                let hint = greedy_hint(&window);
-                report.build_model += build_started.elapsed();
+                let scaled = candidates(capacity_scale);
+                decision = match back_to_front_fill(total_chunks, &scaled) {
+                    // No assignment streams the weight: preloading is optimal.
+                    None => None,
+                    Some(fill) if objective.prefers(&fill) => Some(fill),
+                    // Preloading is optimal, but a node-capped search may
+                    // stop on a streamed incumbent first.
+                    Some(_) => {
+                        report.searched_windows += 1;
+                        let build_started = Instant::now();
+                        let window = build_weight_window_model(
+                            consumer_kernel,
+                            total_chunks,
+                            &scaled,
+                            &self.config,
+                        );
+                        let hint = greedy_hint(&window);
+                        report.build_model += build_started.elapsed();
 
-                let solve_started = Instant::now();
-                let outcome = window_solver(report.nodes_explored)
-                    .solve_with_hint(&window.model, Some(&hint));
-                report.solve_model += solve_started.elapsed();
-                report.nodes_explored += outcome.nodes_explored;
-                if outcome.status == SolveStatus::Feasible {
-                    report.status = SolveStatus::Feasible;
-                }
-                decision = outcome
-                    .solution
-                    .and_then(|solution| extract_decision(&window, &solution));
+                        let solve_started = Instant::now();
+                        let outcome = window_solver(report.nodes_explored)
+                            .solve_with_hint(&window.model, Some(&hint));
+                        report.solve_model += solve_started.elapsed();
+                        report.nodes_explored += outcome.nodes_explored;
+                        if outcome.status == SolveStatus::Feasible {
+                            report.status = SolveStatus::Feasible;
+                        }
+                        outcome
+                            .solution
+                            .and_then(|solution| extract_decision(&window, &solution))
+                    }
+                };
             }
 
             // --- Tier 2: greedy heuristic backup, the unrelaxed fill ------
@@ -455,12 +482,14 @@ mod tests {
     }
 
     #[test]
-    fn every_window_hint_is_proven_optimal_at_the_root() {
+    fn every_window_is_decided_in_closed_form() {
         let (_, report) =
             LcOpgSolver::new(DeviceSpec::oneplus_12(), FlashMemConfig::memory_priority())
                 .plan(&small_model());
         assert_eq!(report.status, SolveStatus::Optimal);
+        assert_eq!(report.searched_windows, 0);
         assert_eq!(report.nodes_explored, 0);
+        assert_eq!(report.build_model + report.solve_model, Duration::ZERO);
     }
 
     #[test]

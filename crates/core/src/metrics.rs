@@ -50,11 +50,11 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
-    /// Build a report from a simulator outcome.
+    /// Build a report from a simulator outcome, moving its memory trace.
     pub fn from_outcome(
         framework: &str,
         model: &str,
-        outcome: &ExecutionOutcome,
+        outcome: ExecutionOutcome,
         streamed_weight_fraction: f64,
     ) -> Self {
         ExecutionReport {
@@ -72,7 +72,7 @@ impl ExecutionReport {
             energy_j: outcome.energy.energy_j,
             overlap_fraction: outcome.timeline.overlap_fraction(),
             streamed_weight_fraction: streamed_weight_fraction.clamp(0.0, 1.0),
-            memory_trace: outcome.memory_trace.clone(),
+            memory_trace: outcome.memory_trace,
         }
     }
 

@@ -11,6 +11,13 @@
 //! model is built per weight over a rolling window of candidate kernels; the
 //! [`crate::lc_opg::LcOpgSolver`] drives the windows in execution order and
 //! maintains the shared capacity / memory state between them.
+//!
+//! A window's optimum has a closed form. Its [`back_to_front_fill`] is the
+//! best streamed assignment, or proves that none exists, so the optimum is
+//! the better of the fill and preloading, both scored from the slots by
+//! [`WindowObjective`]. LC-OPG builds a [`WeightWindowModel`] only for a
+//! window whose feasible fill scores worse than preloading; its node-capped
+//! search may then stop on a streamed incumbent.
 
 use flashmem_solver::{CpModel, LinearExpr, Solution, VarId};
 use serde::{Deserialize, Serialize};
@@ -150,45 +157,103 @@ pub fn build_weight_window_model(
     // (C3 — per-layer capacity — is enforced through the x-variable upper
     // bounds above.)
 
-    // Objective: λ·T(w)·preload + (1−λ)·(i_w − z_w) + μ·Σ (i_w − 1 − ℓ)·x_ℓ.
-    // Coefficients are scaled to integers; the constant i_w term is irrelevant
-    // to the argmin but kept for interpretability of the objective value.
-    let preload_cost = ((config.lambda * 1_000.0) as i64).max(1) * t.max(1);
-    let distance_cost = (((1.0 - config.lambda) * 100.0) as i64).max(1);
-    let chunk_distance_cost = (config.mu * 10.0) as i64;
-    let mut objective = LinearExpr::new()
-        .plus(preload_var, preload_cost)
-        .plus(z_var, -distance_cost)
-        .plus_const(distance_cost * consumer_kernel as i64);
-    if chunk_distance_cost > 0 {
-        for (kernel, v) in &x_vars {
-            let dist = (consumer_kernel as i64 - 1 - *kernel as i64).max(0);
-            objective = objective.plus(*v, chunk_distance_cost * dist);
-        }
+    let objective = WindowObjective::new(consumer_kernel, total_chunks, config);
+    model.minimize(objective.expr(preload_var, z_var, &x_vars));
+    let fill = back_to_front_fill(total_chunks, candidates);
+    // The optimum is exact only for candidates in execution order before the
+    // consumer, which is how LC-OPG builds every window.
+    let in_order = candidates.windows(2).all(|p| p[0].kernel < p[1].kernel)
+        && candidates.iter().all(|s| s.kernel < consumer_kernel);
+    if in_order {
+        model.set_objective_bound(Some(objective.optimum(fill.as_ref())));
     }
-    model.minimize(objective);
-
-    let mut window = WeightWindowModel {
+    WeightWindowModel {
         model,
         x_vars,
         z_var,
         preload_var,
-        fill: back_to_front_fill(total_chunks, candidates),
-    };
-    // The optimum below is exact only for candidates in execution order before
-    // the consumer, which is how LC-OPG builds every window.
-    let in_order = candidates.windows(2).all(|p| p[0].kernel < p[1].kernel)
-        && candidates.iter().all(|s| s.kernel < consumer_kernel);
-    if in_order {
-        let optimum = window.optimum();
-        window.model.set_objective_bound(Some(optimum));
+        fill,
     }
-    window
 }
 
-impl WeightWindowModel {
-    /// The window's optimal objective value, the better of preloading and the
-    /// back-to-front fill.
+/// The objective of one weight's window,
+/// `λ·T(w)·p + (1−λ)·(i_w − z_w) + μ·Σ (i_w − 1 − ℓ)·x_ℓ`, with its
+/// coefficients scaled to integers once for both of its readers: the window
+/// model's objective and the closed-form scores of preloading and the fill.
+///
+/// The constant `(1−λ)·i_w` term is irrelevant to the argmin but keeps the
+/// values interpretable as loading distances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowObjective {
+    consumer_kernel: usize,
+    preload_cost: i64,
+    distance_cost: i64,
+    chunk_distance_cost: i64,
+}
+
+impl WindowObjective {
+    /// The objective of a `total_chunks` weight consumed by kernel
+    /// `consumer_kernel` (`i_w`) under `config`'s `λ` and `μ`.
+    pub fn new(consumer_kernel: usize, total_chunks: u64, config: &FlashMemConfig) -> Self {
+        WindowObjective {
+            consumer_kernel,
+            preload_cost: ((config.lambda * 1_000.0) as i64).max(1) * (total_chunks as i64).max(1),
+            distance_cost: (((1.0 - config.lambda) * 100.0) as i64).max(1),
+            chunk_distance_cost: ((config.mu * 10.0) as i64).max(0),
+        }
+    }
+
+    /// `i_w − 1 − ℓ`, the kernels a chunk transformed at `kernel` waits.
+    fn chunk_distance(&self, kernel: usize) -> i64 {
+        (self.consumer_kernel as i64 - 1 - kernel as i64).max(0)
+    }
+
+    /// The objective over a window model's variables.
+    fn expr(&self, preload_var: VarId, z_var: VarId, x_vars: &[(usize, VarId)]) -> LinearExpr {
+        let mut expr = LinearExpr::new()
+            .plus(preload_var, self.preload_cost)
+            .plus(z_var, -self.distance_cost)
+            .plus_const(self.distance_cost * self.consumer_kernel as i64);
+        if self.chunk_distance_cost > 0 {
+            for &(kernel, v) in x_vars {
+                expr = expr.plus(v, self.chunk_distance_cost * self.chunk_distance(kernel));
+            }
+        }
+        expr
+    }
+
+    /// The objective value of a decision, computed from its chunks alone:
+    /// `None` preloads (`p = 1`, `z_w = 0`); a streamed decision has `p = 0`
+    /// and `z_w` at its earliest kernel, or at the consumer when it loads
+    /// nothing. This is the value the window model's objective takes on
+    /// [`greedy_hint`] for the same decision.
+    pub fn score(&self, decision: Option<&WindowDecision>) -> i64 {
+        let consumer = self.consumer_kernel as i64;
+        let Some(decision) = decision else {
+            return self.preload_cost + self.distance_cost * consumer;
+        };
+        let earliest = decision
+            .assignments
+            .iter()
+            .map(|&(kernel, _)| kernel as i64)
+            .min()
+            .unwrap_or(consumer);
+        let waiting: i64 = decision
+            .assignments
+            .iter()
+            .map(|&(kernel, chunks)| self.chunk_distance(kernel) * chunks as i64)
+            .sum();
+        self.distance_cost * (consumer - earliest) + self.chunk_distance_cost * waiting
+    }
+
+    /// True when `fill` scores no worse than preloading, which makes it the
+    /// window's optimum: LC-OPG streams it without building a model.
+    pub fn prefers(&self, fill: &WindowDecision) -> bool {
+        self.score(Some(fill)) <= self.score(None)
+    }
+
+    /// The window's optimal objective value, the better of preloading and
+    /// its back-to-front `fill`.
     ///
     /// Preloading has one assignment (`p = 1`, every `x = 0`, `z = 0`). Every
     /// streamed assignment places `T(w)` chunks under the same per-kernel
@@ -198,15 +263,16 @@ impl WeightWindowModel {
     /// is `(1−λ)·(i_w − z_w)`, smallest at the latest `z_w`, plus
     /// `μ·Σ (i_w − 1 − ℓ)·x_ℓ`, a non-negative combination of the prefix sums
     /// because the distance falls as `ℓ` grows; the fill minimises both. A
-    /// fill that breaks a C2 prefix or cannot cover `T(w)` proves that no
-    /// assignment can stream the weight, and preloading is the optimum.
-    fn optimum(&self) -> i64 {
-        let (objective, _) = self.model.objective().expect("window models minimise");
-        let score = |decision| CpModel::eval_expr(objective, &self.assignment(decision));
-        let streamed = self.fill.as_ref().map_or(i64::MAX, |f| score(Some(f)));
-        score(None).min(streamed)
+    /// fill that breaks a C2 prefix or cannot cover `T(w)` (`None`) proves
+    /// that no assignment can stream the weight, and preloading is the
+    /// optimum.
+    pub fn optimum(&self, fill: Option<&WindowDecision>) -> i64 {
+        let streamed = fill.map_or(i64::MAX, |f| self.score(Some(f)));
+        self.score(None).min(streamed)
     }
+}
 
+impl WeightWindowModel {
     /// The full assignment of a decision, ordered by variable id: `None` is
     /// the preload assignment (`p = 1`, every `x = 0`, `z = 0`); a streamed
     /// decision puts `z_w` at the earliest kernel that holds a chunk, or at

@@ -138,7 +138,7 @@ impl FlashMem {
         Ok(ExecutionReport::from_outcome(
             "FlashMem",
             &compiled.model_name,
-            &outcome,
+            outcome,
             compiled.streamed_fraction(),
         ))
     }
@@ -164,7 +164,7 @@ impl FlashMem {
         Ok(ExecutionReport::from_outcome(
             "FlashMem",
             &compiled.model_name,
-            &outcome,
+            outcome,
             compiled.streamed_fraction(),
         ))
     }

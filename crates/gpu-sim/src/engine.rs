@@ -691,8 +691,18 @@ impl StreamStepper {
 
     /// Finalize a fully stepped stream into the same [`ExecutionOutcome`]
     /// the monolithic executor produces: samples the tracker at the makespan
-    /// and summarises timeline, memory and energy.
+    /// and summarises timeline, memory and energy. The outcome's memory trace
+    /// is a copy of the tracker's, which stays with the caller.
     pub fn finish(self, sim: &GpuSimulator, tracker: &mut MemoryTracker) -> ExecutionOutcome {
+        let mut outcome = self.summarise(sim, tracker);
+        if sim.config.record_trace {
+            outcome.memory_trace = tracker.trace().clone();
+        }
+        outcome
+    }
+
+    /// [`StreamStepper::finish`] with an empty memory trace.
+    fn summarise(self, sim: &GpuSimulator, tracker: &mut MemoryTracker) -> ExecutionOutcome {
         let total = self.makespan_ms();
         tracker.sample(total);
         let init = self.first_kernel_start.unwrap_or(total);
@@ -704,11 +714,7 @@ impl StreamStepper {
             peak_memory_bytes: tracker.peak_bytes(),
             average_memory_bytes: tracker.average_bytes(),
             timeline: self.timeline,
-            memory_trace: if sim.config.record_trace {
-                tracker.trace().clone()
-            } else {
-                MemoryTrace::new()
-            },
+            memory_trace: MemoryTrace::new(),
             energy,
         }
     }
@@ -975,14 +981,24 @@ impl GpuSimulator {
     }
 
     /// Execute a command stream with a fresh memory tracker sized for the
-    /// device.
+    /// device, whose memory trace moves into the outcome. Takes an owned
+    /// [`CommandStream`] or an `Arc` shared with other runs.
     ///
     /// # Errors
     ///
     /// Propagates stream validation errors and out-of-memory conditions.
-    pub fn execute(&mut self, stream: &CommandStream) -> SimResult<ExecutionOutcome> {
+    pub fn execute(
+        &mut self,
+        stream: impl Into<Arc<CommandStream>>,
+    ) -> SimResult<ExecutionOutcome> {
         let mut tracker = MemoryTracker::for_device(&self.device);
-        self.execute_with_tracker(stream, &mut tracker)
+        let mut outcome = self
+            .run_alone(stream, &mut tracker)?
+            .summarise(self, &mut tracker);
+        if self.config.record_trace {
+            outcome.memory_trace = tracker.into_trace();
+        }
+        Ok(outcome)
     }
 
     /// Execute a command stream against a caller-provided memory tracker
@@ -997,15 +1013,24 @@ impl GpuSimulator {
     ///   Xiaomi Mi 6), not a simulator bug.
     pub fn execute_with_tracker(
         &mut self,
-        stream: &CommandStream,
+        stream: impl Into<Arc<CommandStream>>,
         tracker: &mut MemoryTracker,
     ) -> SimResult<ExecutionOutcome> {
-        let mut stepper = StreamStepper::new(stream.clone())?;
+        Ok(self.run_alone(stream, tracker)?.finish(self, tracker))
+    }
+
+    /// Step a stream to its end on idle queues.
+    fn run_alone(
+        &self,
+        stream: impl Into<Arc<CommandStream>>,
+        tracker: &mut MemoryTracker,
+    ) -> SimResult<StreamStepper> {
+        let mut stepper = StreamStepper::new(stream)?;
         let mut clocks = QueueClocks::new();
         while !stepper.is_done() {
             stepper.step(self, &mut clocks, tracker, 0.0)?;
         }
-        Ok(stepper.finish(self, tracker))
+        Ok(stepper)
     }
 }
 
@@ -1026,7 +1051,7 @@ mod tests {
     #[test]
     fn empty_stream_is_free() {
         let mut sim = simulator();
-        let out = sim.execute(&CommandStream::new()).unwrap();
+        let out = sim.execute(CommandStream::new()).unwrap();
         assert_eq!(out.total_time_ms, 0.0);
         assert_eq!(out.peak_memory_bytes, 0);
     }
@@ -1043,7 +1068,7 @@ mod tests {
             &[],
         ));
         s.push(Command::kernel("k", small_kernel("k"), 0, &[a]));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         let events = out.timeline.events();
         assert_eq!(events.len(), 2);
         assert!(events[1].start_ms >= events[0].end_ms);
@@ -1063,7 +1088,7 @@ mod tests {
             &[],
         ));
         s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         assert!(out.timeline.overlap_fraction() > 0.0);
         // Makespan is shorter than the serial sum.
         let serial: f64 = out.timeline.events().iter().map(|e| e.duration_ms()).sum();
@@ -1088,7 +1113,7 @@ mod tests {
             MemoryTier::UnifiedMemory,
             &[],
         ));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         let e = out.timeline.events();
         assert!(e[1].start_ms >= e[0].end_ms);
     }
@@ -1120,7 +1145,7 @@ mod tests {
             MemoryTier::UnifiedMemory,
             &[f],
         ));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         assert_eq!(out.peak_memory_bytes, 100 << 20);
         assert!(out.average_memory_bytes < out.peak_memory_bytes as f64);
     }
@@ -1136,7 +1161,7 @@ mod tests {
             device.app_budget_bytes + 1,
             &[],
         ));
-        assert!(matches!(sim.execute(&s), Err(SimError::OutOfMemory { .. })));
+        assert!(matches!(sim.execute(s), Err(SimError::OutOfMemory { .. })));
     }
 
     #[test]
@@ -1145,7 +1170,7 @@ mod tests {
         let mut s = CommandStream::new();
         s.push(Command::barrier("b", &[5]));
         assert!(matches!(
-            sim.execute(&s),
+            sim.execute(s),
             Err(SimError::UnknownDependency { .. })
         ));
     }
@@ -1176,7 +1201,7 @@ mod tests {
             &[],
         ));
         s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         // Both occupy the compute queue, so they serialize.
         let e = out.timeline.events();
         assert!(e[1].start_ms >= e[0].end_ms);
@@ -1190,8 +1215,8 @@ mod tests {
         plain.push(Command::kernel("k", k.clone(), 0, &[]));
         let mut loaded = CommandStream::new();
         loaded.push(Command::kernel("k", k, 64 << 20, &[]));
-        let a = sim.execute(&plain).unwrap().total_time_ms;
-        let b = sim.execute(&loaded).unwrap().total_time_ms;
+        let a = sim.execute(plain).unwrap().total_time_ms;
+        let b = sim.execute(loaded).unwrap().total_time_ms;
         assert!(b > a);
     }
 
@@ -1236,7 +1261,7 @@ mod tests {
     fn stepping_to_completion_matches_monolithic_execution() {
         let stream = streaming_like_stream();
         let mut sim = simulator();
-        let expected = sim.execute(&stream).unwrap();
+        let expected = sim.execute(stream.clone()).unwrap();
 
         let sim2 = simulator();
         let mut tracker = MemoryTracker::for_device(sim2.device());
@@ -1282,7 +1307,7 @@ mod tests {
         // (the whole point of sharing the dual queues), yet neither stream
         // can finish faster than it would alone.
         let mut solo_sim = simulator();
-        let solo = solo_sim.execute(&streaming_like_stream()).unwrap();
+        let solo = solo_sim.execute(streaming_like_stream()).unwrap();
         let shared_makespan = a.makespan_ms().max(b.makespan_ms());
         assert!(shared_makespan < 2.0 * solo.total_time_ms);
         assert!(a.makespan_ms() >= solo.total_time_ms - 1e-9);
@@ -1427,7 +1452,7 @@ mod tests {
     fn suspend_resume_is_bit_identical_at_every_boundary() {
         let stream = streaming_like_stream();
         let mut sim = simulator();
-        let expected = sim.execute(&stream).unwrap();
+        let expected = sim.execute(stream.clone()).unwrap();
 
         for suspend_at in 0..stream.len() {
             let sim = simulator();
@@ -1552,7 +1577,7 @@ mod tests {
         let mut sim = simulator();
         let mut s = CommandStream::new();
         s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
-        let out = sim.execute(&s).unwrap();
+        let out = sim.execute(s).unwrap();
         assert!(out.energy.energy_j > 0.0);
         assert!(out.energy.average_power_w > sim.device().idle_power_w);
     }

@@ -41,7 +41,7 @@
 //!     .with_launch(LaunchDims::new([256, 256, 1], [8, 8, 1]));
 //! stream.push(Command::kernel("mm0", kernel, 0, &[load]));
 //!
-//! let outcome = sim.execute(&stream)?;
+//! let outcome = sim.execute(stream)?;
 //! assert!(outcome.total_time_ms > 0.0);
 //! # Ok(())
 //! # }

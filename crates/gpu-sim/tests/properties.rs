@@ -155,7 +155,7 @@ fn command_streams_schedule_without_time_travel() {
             prev = Some(stream.push(Command::kernel(&format!("k{i}"), kernel, 0, &[load])));
         }
         let mut sim = GpuSimulator::new(DeviceSpec::oneplus_12(), SimConfig::default());
-        let outcome = sim.execute(&stream).unwrap();
+        let outcome = sim.execute(stream).unwrap();
         // Every event respects causality and the makespan covers all events.
         for event in outcome.timeline.events() {
             assert!(event.end_ms >= event.start_ms);

@@ -1747,7 +1747,7 @@ impl<'a> DeviceState<'a> {
             let report = ExecutionReport::from_outcome(
                 "FlashMem",
                 &meta.row.model,
-                &outcome,
+                outcome,
                 meta.streamed_fraction,
             );
             self.stitched

@@ -49,7 +49,7 @@ fn uninterrupted_report(
             .expect("steps");
     }
     let outcome = stepper.finish(&sim, &mut tracker);
-    ExecutionReport::from_outcome("FlashMem", "model", &outcome, 0.5)
+    ExecutionReport::from_outcome("FlashMem", "model", outcome, 0.5)
 }
 
 #[test]
@@ -83,7 +83,7 @@ fn suspend_resume_report_is_byte_identical_to_uninterrupted_run() {
                 .expect("steps");
         }
         let outcome = stepper.finish(&sim, &mut tracker);
-        let resumed = ExecutionReport::from_outcome("FlashMem", "model", &outcome, 0.5);
+        let resumed = ExecutionReport::from_outcome("FlashMem", "model", outcome, 0.5);
         // ExecutionReport is PartialEq over every float field, the whole
         // timeline and the whole memory trace: only bit equality passes.
         assert_eq!(
@@ -129,7 +129,7 @@ fn no_commands_lost_under_repeated_evicting_preemption() {
     assert_eq!(stepper.remaining(), 0);
     let outcome = stepper.finish(&sim, &mut tracker);
     assert_eq!(outcome.total_time_ms, expected.integrated_latency_ms);
-    let resumed_report = ExecutionReport::from_outcome("FlashMem", "model", &outcome, 0.5);
+    let resumed_report = ExecutionReport::from_outcome("FlashMem", "model", outcome, 0.5);
     assert_eq!(resumed_report.load_busy_ms, expected.load_busy_ms);
     assert_eq!(resumed_report.kernel_busy_ms, expected.kernel_busy_ms);
     assert_eq!(resumed_report.transform_busy_ms, expected.transform_busy_ms);

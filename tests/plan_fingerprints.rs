@@ -8,11 +8,12 @@
 //! clock; matching them shows that the node budgets and the proven window
 //! bound changed no plan. A deliberate planner change updates them.
 //!
-//! Those compiles never leave LC-OPG's first tier: every window is proven
-//! optimal at the root, and their only fallbacks are windows with no load
-//! capacity at all. A second, smaller set of golden fingerprints pins the
-//! plans and planner counters of inputs that do reach the soft-threshold
-//! retry, the greedy backup and the node-capped search.
+//! Those compiles never leave LC-OPG's first tier: every window is decided
+//! in closed form, without building a CP model, and their only fallbacks are
+//! windows with no load capacity at all. A second, smaller set of golden
+//! fingerprints pins the plans and planner counters of inputs that do reach
+//! the soft-threshold retry, the greedy backup and the node-capped search,
+//! and how many windows each searches.
 
 use flashmem::core::cache::Fnv1a;
 use flashmem::core::LcOpgReport;
@@ -712,20 +713,23 @@ fn compiled_plans_match_their_golden_fingerprints() {
             .with_config(config)
             .compile(model.graph());
         (
-            model.abbr.clone(),
-            device.name.clone(),
-            preset,
-            plan_fingerprint(&compiled.plan),
+            (
+                model.abbr.clone(),
+                device.name.clone(),
+                preset,
+                plan_fingerprint(&compiled.plan),
+            ),
+            compiled.planner_report.searched_windows,
         )
     });
 
     let mismatches: Vec<String> = fingerprints
         .iter()
         .zip(GOLDEN)
-        .filter(|((model, device, preset, got), golden)| {
+        .filter(|(((model, device, preset, got), _), golden)| {
             (model.as_str(), device.as_str(), *preset, *got) != **golden
         })
-        .map(|((model, device, preset, got), golden)| {
+        .map(|(((model, device, preset, got), _), golden)| {
             format!("{model} / {device} / {preset}: {got:#018x}, golden {golden:?}")
         })
         .collect();
@@ -736,6 +740,15 @@ fn compiled_plans_match_their_golden_fingerprints() {
         GOLDEN.len(),
         mismatches.join("\n")
     );
+    // Every window of these compiles is decided in closed form.
+    let searched: Vec<String> = fingerprints
+        .iter()
+        .filter(|(_, searched)| *searched > 0)
+        .map(|((model, device, preset, _), searched)| {
+            format!("{model} / {device} / {preset}: {searched} searched windows")
+        })
+        .collect();
+    assert!(searched.is_empty(), "{}", searched.join("\n"));
 }
 
 /// `plan_fingerprint` extended with the LC-OPG counters that say which tier
@@ -752,23 +765,26 @@ fn planner_fingerprint(plan: &OverlapPlan, report: &LcOpgReport) -> u64 {
         .finish()
 }
 
-/// (model abbreviation, configuration, planner fingerprint) of plans made by
-/// `LcOpgSolver::plan` on the OnePlus 12.
+/// (model abbreviation, configuration, planner fingerprint, searched
+/// windows) of plans made by `LcOpgSolver::plan` on the OnePlus 12. The
+/// searched-window count is checked beside the fingerprint, not hashed
+/// into it.
 ///
 /// - Table 4's six models at memory priority. ViT-8B takes the soft-threshold
-///   retry and the greedy backup once, Llama2-70B 161 times.
+///   retry and the greedy backup once, Llama2-70B 161 times; no window of
+///   theirs is searched.
 /// - GPTN-S and GPTN-1.3B at λ = 0, where preloading can beat the fill, so
 ///   windows are searched: GPTN-S has a window that stops at its node cap, and
 ///   GPTN-1.3B has a greedy backup that streams its weight.
-const FALLBACK_GOLDEN: &[(&str, &str, u64)] = &[
-    ("GPTN-S", "memory", 0x91a743eb47acc444),
-    ("GPTN-1.3B", "memory", 0x2e55516cb8bc71a3),
-    ("GPTN-2.7B", "memory", 0x088a4e0920c706ce),
-    ("ViT-8B", "memory", 0xf9ec8ca280f3774c),
-    ("Llama2-13B", "memory", 0xc9d45a51e2c6600a),
-    ("Llama2-70B", "memory", 0xb2b3ada9705d0e2a),
-    ("GPTN-S", "memory λ=0", 0x31eab3a7d1255abd),
-    ("GPTN-1.3B", "memory λ=0", 0x03b4b94b64ac7584),
+const FALLBACK_GOLDEN: &[(&str, &str, u64, usize)] = &[
+    ("GPTN-S", "memory", 0x91a743eb47acc444, 0),
+    ("GPTN-1.3B", "memory", 0x2e55516cb8bc71a3, 0),
+    ("GPTN-2.7B", "memory", 0x088a4e0920c706ce, 0),
+    ("ViT-8B", "memory", 0xf9ec8ca280f3774c, 0),
+    ("Llama2-13B", "memory", 0xc9d45a51e2c6600a, 0),
+    ("Llama2-70B", "memory", 0xb2b3ada9705d0e2a, 0),
+    ("GPTN-S", "memory λ=0", 0x31eab3a7d1255abd, 1),
+    ("GPTN-1.3B", "memory λ=0", 0x03b4b94b64ac7584, 5),
 ];
 
 #[test]
@@ -800,12 +816,16 @@ fn fallback_tiers_and_searched_windows_match_their_golden_fingerprints() {
     let mismatches: Vec<String> = planned
         .iter()
         .zip(FALLBACK_GOLDEN)
-        .filter(|((model, label, got, _), golden)| (model.as_str(), *label, *got) != **golden)
+        .filter(|((model, label, got, r), golden)| {
+            (model.as_str(), *label, *got, r.searched_windows) != **golden
+        })
         .map(|((model, label, got, r), golden)| {
             format!(
-                "{model} / {label}: {got:#018x}, golden {:#018x} ({} windows, soft {}, \
-                 greedy {}, preload {}, {} nodes, {})",
+                "{model} / {label}: {got:#018x}, golden {:#018x}; {} searched windows, \
+                 golden {} ({} windows, soft {}, greedy {}, preload {}, {} nodes, {})",
                 golden.2,
+                r.searched_windows,
+                golden.3,
                 r.windows,
                 r.fallback_soft,
                 r.fallback_greedy,

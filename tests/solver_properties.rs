@@ -1,7 +1,8 @@
 //! Property-style tests for the CP solver: solutions must satisfy the model,
 //! optimal objective values must match brute force on small instances,
 //! propagation must never prune feasible assignments, the proven bound of an
-//! OPG weight window must equal the optimum an exhaustive search finds, and
+//! OPG weight window must equal the optimum an exhaustive search finds (and
+//! LC-OPG's closed-form decision must be the one that search returns), and
 //! the back-to-front fill must stream exactly the windows that can stream.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
@@ -9,6 +10,7 @@
 
 use flashmem::core::opg::{
     back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
+    WindowObjective,
 };
 use flashmem::core::FlashMemConfig;
 use flashmem::solver::{
@@ -257,6 +259,7 @@ fn windows_under_test() -> Vec<RandomWindow> {
 #[test]
 fn opg_window_bound_is_the_exact_optimum() {
     let (mut short, mut breaks_c2, mut hint_misses) = (0, 0, 0);
+    let (mut closed_preloads, mut closed_streams, mut searched) = (0, 0, 0);
     for w in windows_under_test() {
         let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
         let bound = window
@@ -266,6 +269,20 @@ fn opg_window_bound_is_the_exact_optimum() {
         let hint = greedy_hint(&window);
         let (objective, _) = window.model.objective().expect("windows minimise");
         let hint_score = CpModel::eval_expr(objective, &hint);
+
+        // The slot-computed scores are the model objective on the same
+        // assignments: the fill's on the hint, preloading's on p = 1.
+        let scores = WindowObjective::new(w.consumer, w.total_chunks, &w.config);
+        let mut preload = vec![0; window.model.num_vars()];
+        preload[window.preload_var.0] = 1;
+        assert_eq!(
+            scores.score(None),
+            CpModel::eval_expr(objective, &preload),
+            "{w:?}"
+        );
+        if let Some(fill) = &window.fill {
+            assert_eq!(scores.score(Some(fill)), hint_score, "{w:?}");
+        }
 
         let capacity: u64 = w
             .slots
@@ -299,11 +316,33 @@ fn opg_window_bound_is_the_exact_optimum() {
                 "{w:?}"
             );
         }
+        let exhaustive_decision = extract_decision(&window, exhaustive.solution.as_ref().unwrap());
         assert_eq!(
             extract_decision(&window, planned.solution.as_ref().unwrap()),
-            extract_decision(&window, exhaustive.solution.as_ref().unwrap()),
+            exhaustive_decision,
             "{w:?}"
         );
+
+        // LC-OPG's closed form, from the slots alone: a failed fill preloads,
+        // a fill that scores no worse than preloading streams, and only the
+        // rest build and search the model.
+        let closed_form = match back_to_front_fill(w.total_chunks, &w.slots) {
+            None => {
+                closed_preloads += 1;
+                Some(None)
+            }
+            Some(fill) if scores.prefers(&fill) => {
+                closed_streams += 1;
+                Some(Some(fill))
+            }
+            Some(_) => {
+                searched += 1;
+                None
+            }
+        };
+        if let Some(decision) = closed_form {
+            assert_eq!(decision, exhaustive_decision, "{w:?}");
+        }
     }
     // Every case the bound distinguishes occurs in the corpus.
     assert!(short > 0, "no window with T(w) above its capacity");
@@ -312,6 +351,10 @@ fn opg_window_bound_is_the_exact_optimum() {
         hint_misses > 0,
         "no window where the search must beat the hint"
     );
+    // So does every path of the closed form.
+    assert!(closed_preloads > 0, "no window preloads in closed form");
+    assert!(closed_streams > 0, "no window streams in closed form");
+    assert!(searched > 0, "no window needs a search");
 }
 
 #[test]
