@@ -9,6 +9,8 @@
 //! they support at all. [`FrameworkProfile`] captures those differences and
 //! [`PreloadFramework`] compiles them onto the simulator.
 
+use std::sync::Arc;
+
 use flashmem_core::engine::{
     execute_command_stream, CompiledArtifact, FrameworkKind, InferenceEngine,
 };
@@ -393,9 +395,9 @@ impl InferenceEngine for PreloadFramework {
                 message: format!("{} does not support {}", self.name(), model.abbr),
             });
         }
-        Ok(CompiledArtifact::Preload(
+        Ok(CompiledArtifact::Preload(Arc::new(
             self.compile_stream(model.graph()),
-        ))
+        )))
     }
 
     fn execute(

@@ -12,6 +12,8 @@
 //! implement the trait in `flashmem-baselines`, which also assembles the full
 //! standard registry.
 
+use std::sync::Arc;
+
 use flashmem_gpu_sim::engine::{CommandStream, GpuSimulator, SimConfig};
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::{DeviceSpec, SimError};
@@ -119,8 +121,9 @@ impl std::fmt::Display for FrameworkKind {
 pub enum CompiledArtifact {
     /// A FlashMem compilation: refined fusion, overlap plan and reports.
     Streaming(CompiledModel),
-    /// A preloading framework's full load → transform → execute schedule.
-    Preload(CommandStream),
+    /// A preloading framework's full load → transform → execute schedule,
+    /// shared with every run that replays it.
+    Preload(Arc<CommandStream>),
     /// A naive streaming plan sharing FlashMem's executor.
     NaivePlan {
         /// The fusion plan the naive strategy executes.
@@ -162,7 +165,8 @@ impl CompiledArtifact {
 /// Lower a compiled artifact to the command stream a device replays.
 ///
 /// A FlashMem artifact lowers through the [`StreamingExecutor`] its
-/// configuration implies; a preload artifact *is* a command stream; a naive
+/// configuration implies; a preload artifact *is* a command stream, which
+/// this returns as an owned copy; a naive
 /// plan lowers like a configuration without kernel rewriting, as in the
 /// Figure 9 strawmen.
 ///
@@ -182,7 +186,7 @@ pub fn lower_artifact(
             &compiled.plan,
         ),
         CompiledArtifact::NaivePlan { fusion, plan } => (false, fusion, plan),
-        CompiledArtifact::Preload(stream) => return stream.clone(),
+        CompiledArtifact::Preload(stream) => return CommandStream::clone(stream),
     };
     StreamingExecutor::for_kernel_rewriting(device.clone(), kernel_rewriting).compile(
         model.graph(),
@@ -466,12 +470,11 @@ impl InferenceEngine for FlashMemVariant {
 pub fn execute_command_stream(
     framework: &str,
     model: &ModelSpec,
-    stream: &CommandStream,
+    stream: &Arc<CommandStream>,
     device: &DeviceSpec,
 ) -> SimResult<ExecutionReport> {
     let mut sim = GpuSimulator::new(device.clone(), SimConfig::default());
-    // The artifact keeps its stream, so the run steps a copy.
-    let outcome = sim.execute(stream.clone())?;
+    let outcome = sim.execute(Arc::clone(stream))?;
     Ok(ExecutionReport::from_outcome(
         framework,
         &model.abbr,
@@ -578,7 +581,7 @@ mod tests {
         let device = DeviceSpec::oneplus_12();
         let engine = FlashMem::new(device.clone());
         let model = ModelZoo::gptneo_small();
-        let bogus = CompiledArtifact::Preload(CommandStream::new());
+        let bogus = CompiledArtifact::Preload(Arc::new(CommandStream::new()));
         assert!(matches!(
             engine.execute(&model, &bogus, &device),
             Err(SimError::InvalidParameter { .. })

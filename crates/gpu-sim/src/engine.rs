@@ -248,12 +248,10 @@ impl CommandStream {
     }
 }
 
-/// Simulator configuration knobs.
+/// Simulator configuration knobs. Whether a run keeps its memory series is
+/// a property of its [`MemoryTracker`] ([`MemoryTracker::with_series`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Record a memory usage trace (needed for Figure 6-style plots; small
-    /// overhead, on by default).
-    pub record_trace: bool,
     /// Charge the per-transfer DMA setup cost (on by default).
     pub charge_transfer_setup: bool,
 }
@@ -261,7 +259,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            record_trace: true,
             charge_transfer_setup: true,
         }
     }
@@ -284,7 +281,8 @@ pub struct ExecutionOutcome {
     pub average_memory_bytes: f64,
     /// Per-event timeline.
     pub timeline: Timeline,
-    /// Memory usage trace over time.
+    /// Memory usage trace over time: the running tracker's, handed over,
+    /// so it carries a series exactly when that tracker kept one.
     pub memory_trace: MemoryTrace,
     /// Power/energy summary.
     pub energy: EnergyReport,
@@ -691,18 +689,10 @@ impl StreamStepper {
 
     /// Finalize a fully stepped stream into the same [`ExecutionOutcome`]
     /// the monolithic executor produces: samples the tracker at the makespan
-    /// and summarises timeline, memory and energy. The outcome's memory trace
-    /// is a copy of the tracker's, which stays with the caller.
+    /// and summarises timeline, memory and energy. The tracker's trace moves
+    /// into the outcome without a copy
+    /// ([`MemoryTracker::take_trace`]), and the tracker starts an empty one.
     pub fn finish(self, sim: &GpuSimulator, tracker: &mut MemoryTracker) -> ExecutionOutcome {
-        let mut outcome = self.summarise(sim, tracker);
-        if sim.config.record_trace {
-            outcome.memory_trace = tracker.trace().clone();
-        }
-        outcome
-    }
-
-    /// [`StreamStepper::finish`] with an empty memory trace.
-    fn summarise(self, sim: &GpuSimulator, tracker: &mut MemoryTracker) -> ExecutionOutcome {
         let total = self.makespan_ms();
         tracker.sample(total);
         let init = self.first_kernel_start.unwrap_or(total);
@@ -714,7 +704,7 @@ impl StreamStepper {
             peak_memory_bytes: tracker.peak_bytes(),
             average_memory_bytes: tracker.average_bytes(),
             timeline: self.timeline,
-            memory_trace: MemoryTrace::new(),
+            memory_trace: tracker.take_trace(),
             energy,
         }
     }
@@ -981,8 +971,8 @@ impl GpuSimulator {
     }
 
     /// Execute a command stream with a fresh memory tracker sized for the
-    /// device, whose memory trace moves into the outcome. Takes an owned
-    /// [`CommandStream`] or an `Arc` shared with other runs.
+    /// device, whose memory trace, series included, moves into the outcome.
+    /// Takes an owned [`CommandStream`] or an `Arc` shared with other runs.
     ///
     /// # Errors
     ///
@@ -991,18 +981,13 @@ impl GpuSimulator {
         &mut self,
         stream: impl Into<Arc<CommandStream>>,
     ) -> SimResult<ExecutionOutcome> {
-        let mut tracker = MemoryTracker::for_device(&self.device);
-        let mut outcome = self
-            .run_alone(stream, &mut tracker)?
-            .summarise(self, &mut tracker);
-        if self.config.record_trace {
-            outcome.memory_trace = tracker.into_trace();
-        }
-        Ok(outcome)
+        self.execute_with_tracker(stream, &mut MemoryTracker::for_device(&self.device))
     }
 
     /// Execute a command stream against a caller-provided memory tracker
     /// (used by multi-model scenarios that keep memory across executions).
+    /// The tracker's trace moves into the outcome, as in
+    /// [`StreamStepper::finish`]; its live allocations stay.
     ///
     /// # Errors
     ///

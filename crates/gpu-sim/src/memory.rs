@@ -4,7 +4,8 @@
 //! and 8): **peak** memory and **average** memory over the execution timeline.
 //! [`MemoryPool`] tracks live allocations inside a single tier (unified or
 //! texture memory); [`MemoryTracker`] aggregates the pools and records a
-//! time-stamped usage trace from which both statistics are derived.
+//! time-stamped usage trace that keeps both statistics as running values,
+//! and the series itself when the tracker is built to keep it.
 
 use std::collections::HashMap;
 
@@ -156,13 +157,18 @@ impl MemoryPool {
 /// The *total footprint* at any instant is the sum of bytes live in all pools;
 /// peak and average are computed over the recorded trace, matching how the
 /// paper reports "Peak" and "Avg." memory in Table 1 and "Average Memory" in
-/// Table 8.
+/// Table 8. The trace keeps its series unless the tracker is built
+/// [`with_series(false)`](Self::with_series), which a long serving run uses
+/// so its memory does not grow with the work it simulates.
 #[derive(Debug, Clone)]
 pub struct MemoryTracker {
     unified: MemoryPool,
     texture: MemoryPool,
     trace: MemoryTrace,
     budget: u64,
+    /// Largest footprint recorded since [`take_recent_peak`](Self::take_recent_peak)
+    /// last ran.
+    recent_peak: u64,
 }
 
 impl MemoryTracker {
@@ -174,7 +180,16 @@ impl MemoryTracker {
             texture: MemoryPool::new("texture", MemoryTier::TextureMemory, texture_capacity),
             trace: MemoryTrace::new(),
             budget,
+            recent_peak: 0,
         }
+    }
+
+    /// Keep the usage trace's series (`true`, the default) or only its
+    /// running statistics (builder style). Either way the peak, the
+    /// average and every other statistic stay exact.
+    pub fn with_series(mut self, keep: bool) -> Self {
+        self.trace = MemoryTrace::empty(keep);
+        self
     }
 
     /// Build a tracker from a device spec, using the device's app budget.
@@ -238,7 +253,7 @@ impl MemoryTracker {
                 })
             }
         };
-        self.trace.record(now_ms, self.total_in_use());
+        self.record(now_ms);
         Ok(id)
     }
 
@@ -258,15 +273,30 @@ impl MemoryTracker {
                 })
             }
         };
-        self.trace.record(now_ms, self.total_in_use());
+        self.record(now_ms);
         Ok(bytes)
     }
 
     /// Record the current occupancy without changing it (useful to extend the
     /// trace to the end of an execution).
     pub fn sample(&mut self, now_ms: f64) {
+        self.record(now_ms);
+    }
+
+    /// Record the current occupancy into the trace and the recent peak.
+    fn record(&mut self, now_ms: f64) {
         let total = self.total_in_use();
         self.trace.record(now_ms, total);
+        self.recent_peak = self.recent_peak.max(total);
+    }
+
+    /// The largest footprint recorded since the previous call (or since the
+    /// tracker was built), 0 if nothing was recorded since; the next window
+    /// starts empty. A caller that folds this into every live request at
+    /// each request boundary gets each request's peak over its own lifetime
+    /// without keeping the series.
+    pub fn take_recent_peak(&mut self) -> u64 {
+        std::mem::take(&mut self.recent_peak)
     }
 
     /// Peak total footprint observed so far, in bytes.
@@ -279,7 +309,7 @@ impl MemoryTracker {
         self.trace.average_bytes()
     }
 
-    /// The full usage trace (for Figure 6-style plots).
+    /// The usage trace (for Figure 6-style plots when it keeps its series).
     pub fn trace(&self) -> &MemoryTrace {
         &self.trace
     }
@@ -288,6 +318,14 @@ impl MemoryTracker {
     /// the samples.
     pub fn into_trace(self) -> MemoryTrace {
         self.trace
+    }
+
+    /// Hand over the trace accumulated so far, without copying its samples,
+    /// and start an empty one that keeps a series exactly when it did. Live
+    /// allocations and capacity state stay.
+    pub fn take_trace(&mut self) -> MemoryTrace {
+        let fresh = MemoryTrace::empty(self.trace.keeps_series());
+        std::mem::replace(&mut self.trace, fresh)
     }
 
     /// Discard the trace accumulated so far while keeping live allocations
@@ -299,14 +337,14 @@ impl MemoryTracker {
     /// [`MemoryTrace::record`]'s monotonic-time clamping pushes the new
     /// run's (smaller) local timestamps forward onto the old run's end.
     pub fn reset_trace(&mut self) {
-        self.trace = MemoryTrace::new();
+        self.take_trace();
     }
 
     /// Drop every live allocation in both pools (model eviction).
     pub fn evict_all(&mut self, now_ms: f64) {
         self.unified.clear();
         self.texture.clear();
-        self.trace.record(now_ms, 0);
+        self.record(now_ms);
     }
 }
 

@@ -20,19 +20,68 @@ pub struct MemorySample {
 /// A step-function trace of memory usage over simulated time.
 ///
 /// Samples are recorded at every allocation/free; the value holds until the
-/// next sample. Peak is the maximum sample, kept as a running maximum so
-/// reading it costs O(1); the average is time-weighted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// next sample. Every statistic — the sample count, the clamp count, the
+/// peak and the time-weighted average — is a running value that
+/// [`record`](Self::record) updates in O(1), bit-identical to a rescan of
+/// the samples. A trace built with [`new`](Self::new) also keeps the
+/// samples themselves (the series behind Figure 6); one built with
+/// [`without_series`](Self::without_series) keeps only the statistics, so
+/// its memory does not grow with the run it records.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryTrace {
-    samples: Vec<MemorySample>,
+    /// The recorded samples, when the trace keeps its series.
+    series: Option<Vec<MemorySample>>,
+    len: usize,
     clamped: u64,
     peak: u64,
+    /// Timestamp of the first sample.
+    first_ms: f64,
+    /// The latest sample, after clamping.
+    last: MemorySample,
+    /// `Σ bytes·dt` over consecutive samples, summed in record order.
+    weighted: f64,
+}
+
+impl Default for MemoryTrace {
+    fn default() -> Self {
+        MemoryTrace::new()
+    }
 }
 
 impl MemoryTrace {
-    /// Create an empty trace.
+    /// Create an empty trace that keeps its series.
     pub fn new() -> Self {
-        MemoryTrace::default()
+        MemoryTrace::empty(true)
+    }
+
+    /// Create an empty trace that keeps only its running statistics: its
+    /// [`samples`](Self::samples) stay empty however much it records.
+    pub fn without_series() -> Self {
+        MemoryTrace {
+            series: None,
+            len: 0,
+            clamped: 0,
+            peak: 0,
+            first_ms: 0.0,
+            last: MemorySample {
+                time_ms: 0.0,
+                bytes: 0,
+            },
+            weighted: 0.0,
+        }
+    }
+
+    /// An empty trace that keeps its series when `keep_series` is set.
+    pub(crate) fn empty(keep_series: bool) -> Self {
+        MemoryTrace {
+            series: keep_series.then(Vec::new),
+            ..MemoryTrace::without_series()
+        }
+    }
+
+    /// True if the trace keeps its samples, not just their statistics.
+    pub fn keeps_series(&self) -> bool {
+        self.series.is_some()
     }
 
     /// Record that total usage is `bytes` from `time_ms` onwards.
@@ -49,15 +98,26 @@ impl MemoryTrace {
             time_ms.is_finite(),
             "memory trace timestamps must be finite, got {time_ms}"
         );
-        let t = match self.samples.last() {
-            Some(last) if time_ms < last.time_ms => {
+        let time_ms = if self.len == 0 {
+            self.first_ms = time_ms;
+            time_ms
+        } else {
+            let last = self.last;
+            let t = if time_ms < last.time_ms {
                 self.clamped += 1;
                 last.time_ms
-            }
-            _ => time_ms,
+            } else {
+                time_ms
+            };
+            self.weighted += last.bytes as f64 * (t - last.time_ms);
+            t
         };
-        self.samples.push(MemorySample { time_ms: t, bytes });
+        self.last = MemorySample { time_ms, bytes };
+        self.len += 1;
         self.peak = self.peak.max(bytes);
+        if let Some(series) = &mut self.series {
+            series.push(self.last);
+        }
     }
 
     /// Number of samples whose timestamps arrived out of order and were
@@ -66,19 +126,20 @@ impl MemoryTrace {
         self.clamped
     }
 
-    /// Number of samples recorded.
+    /// Number of samples recorded, kept or not.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len
     }
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
-    /// The recorded samples in chronological order.
+    /// The recorded samples in chronological order; empty for a trace that
+    /// keeps no series.
     pub fn samples(&self) -> &[MemorySample] {
-        &self.samples
+        self.series.as_deref().unwrap_or(&[])
     }
 
     /// Maximum usage seen, in bytes (0 for an empty trace).
@@ -89,35 +150,29 @@ impl MemoryTrace {
     /// Time-weighted average usage in bytes over the sampled interval. If the
     /// trace has fewer than two samples the last (or zero) value is returned.
     pub fn average_bytes(&self) -> f64 {
-        match self.samples.len() {
+        match self.len {
             0 => 0.0,
-            1 => self.samples[0].bytes as f64,
+            1 => self.last.bytes as f64,
             _ => {
-                let start = self.samples.first().unwrap().time_ms;
-                let end = self.samples.last().unwrap().time_ms;
-                let span = end - start;
+                let span = self.last.time_ms - self.first_ms;
                 if span <= 0.0 {
-                    return self.samples.last().unwrap().bytes as f64;
+                    return self.last.bytes as f64;
                 }
-                let mut weighted = 0.0;
-                for pair in self.samples.windows(2) {
-                    let dt = pair[1].time_ms - pair[0].time_ms;
-                    weighted += pair[0].bytes as f64 * dt;
-                }
-                weighted / span
+                self.weighted / span
             }
         }
     }
 
-    /// Resample the step function at `points` evenly spaced instants between
+    /// Resample the kept series at `points` evenly spaced instants between
     /// the first and last timestamps — convenient for plotting Figure 6-style
-    /// curves with a fixed number of points.
+    /// curves with a fixed number of points. Empty without a series.
     pub fn resample(&self, points: usize) -> Vec<MemorySample> {
-        if self.samples.is_empty() || points == 0 {
+        let samples = self.samples();
+        if samples.is_empty() || points == 0 {
             return Vec::new();
         }
-        let start = self.samples.first().unwrap().time_ms;
-        let end = self.samples.last().unwrap().time_ms;
+        let start = samples[0].time_ms;
+        let end = samples[samples.len() - 1].time_ms;
         let mut out = Vec::with_capacity(points);
         for i in 0..points {
             let t = if points == 1 {
@@ -133,10 +188,11 @@ impl MemoryTrace {
         out
     }
 
-    /// Value of the step function at time `t` (last sample at or before `t`).
+    /// Value of the step function at time `t` (last kept sample at or before
+    /// `t`; 0 without a series).
     pub fn value_at(&self, t: f64) -> u64 {
         let mut value = 0;
-        for s in &self.samples {
+        for s in self.samples() {
             if s.time_ms <= t {
                 value = s.bytes;
             } else {
@@ -147,13 +203,18 @@ impl MemoryTrace {
     }
 
     /// Append another trace, shifting its timestamps by `offset_ms`. Used to
-    /// stitch per-model traces into one multi-model timeline. The source
+    /// stitch per-model traces into one multi-model timeline, so `other`
+    /// must keep its series (a debug assertion checks it). The source
     /// trace's clamp count carries over: a sample that was clamped while
     /// `other` was recorded stays an out-of-order event after stitching, on
     /// top of any clamping the stitch itself performs at the seam.
     pub fn append_shifted(&mut self, other: &MemoryTrace, offset_ms: f64) {
+        debug_assert!(
+            other.keeps_series() || other.is_empty(),
+            "stitching needs the source trace's samples"
+        );
         self.clamped += other.clamped;
-        for s in &other.samples {
+        for s in other.samples() {
             self.record(s.time_ms + offset_ms, s.bytes);
         }
     }
@@ -401,27 +462,107 @@ mod tests {
         assert_eq!(t.peak_bytes(), 500);
     }
 
+    /// The trace as it was before its statistics ran: every sample kept,
+    /// and each statistic a rescan of them.
+    #[derive(Default)]
+    struct Rescan {
+        samples: Vec<MemorySample>,
+        clamped: u64,
+    }
+
+    impl Rescan {
+        fn record(&mut self, time_ms: f64, bytes: u64) {
+            let t = match self.samples.last() {
+                Some(last) if time_ms < last.time_ms => {
+                    self.clamped += 1;
+                    last.time_ms
+                }
+                _ => time_ms,
+            };
+            self.samples.push(MemorySample { time_ms: t, bytes });
+        }
+
+        fn append_shifted(&mut self, other: &Rescan, offset_ms: f64) {
+            self.clamped += other.clamped;
+            for s in &other.samples {
+                self.record(s.time_ms + offset_ms, s.bytes);
+            }
+        }
+
+        fn peak(&self) -> u64 {
+            self.samples.iter().map(|s| s.bytes).max().unwrap_or(0)
+        }
+
+        fn average(&self) -> f64 {
+            match self.samples.len() {
+                0 => 0.0,
+                1 => self.samples[0].bytes as f64,
+                n => {
+                    let span = self.samples[n - 1].time_ms - self.samples[0].time_ms;
+                    if span <= 0.0 {
+                        return self.samples[n - 1].bytes as f64;
+                    }
+                    let mut weighted = 0.0;
+                    for pair in self.samples.windows(2) {
+                        let dt = pair[1].time_ms - pair[0].time_ms;
+                        weighted += pair[0].bytes as f64 * dt;
+                    }
+                    weighted / span
+                }
+            }
+        }
+    }
+
+    /// `t` keeps the reference's samples and reports its rescans bit for
+    /// bit.
+    fn assert_rescans(t: &MemoryTrace, reference: &Rescan) {
+        assert!(t.keeps_series());
+        assert_eq!(t.samples(), reference.samples.as_slice());
+        assert_eq!(t.len(), reference.samples.len());
+        assert_eq!(t.clamped(), reference.clamped);
+        assert_eq!(t.peak_bytes(), reference.peak());
+        assert_eq!(t.average_bytes().to_bits(), reference.average().to_bits());
+    }
+
     #[test]
     fn running_peak_matches_a_rescan_after_records_and_stitches() {
-        let rescan = |t: &MemoryTrace| t.samples().iter().map(|s| s.bytes).max().unwrap_or(0);
         assert_eq!(MemoryTrace::new().peak_bytes(), 0);
         let mut rng = crate::rng::SplitMix64::seed_from_u64(0x9EA4);
         for _ in 0..50 {
+            // The same calls go to a trace with a series, one without and
+            // the reference.
             let mut t = MemoryTrace::new();
+            let mut bare = MemoryTrace::without_series();
+            let mut reference = Rescan::default();
             for _ in 0..rng.gen_range_inclusive(0, 40) {
                 // Random times often run backwards, so clamping runs too.
                 let time = rng.gen_f64() * 100.0;
                 if rng.gen_range_inclusive(0, 3) == 0 {
                     let mut other = MemoryTrace::new();
+                    let mut other_reference = Rescan::default();
                     for _ in 0..rng.gen_range_inclusive(0, 5) {
-                        other.record(rng.gen_f64() * 10.0, rng.gen_range_inclusive(0, 1 << 20));
+                        let (time, bytes) =
+                            (rng.gen_f64() * 10.0, rng.gen_range_inclusive(0, 1 << 20));
+                        other.record(time, bytes);
+                        other_reference.record(time, bytes);
                     }
-                    assert_eq!(other.peak_bytes(), rescan(&other));
+                    assert_rescans(&other, &other_reference);
                     t.append_shifted(&other, time);
+                    bare.append_shifted(&other, time);
+                    reference.append_shifted(&other_reference, time);
                 } else {
-                    t.record(time, rng.gen_range_inclusive(0, 1 << 20));
+                    let bytes = rng.gen_range_inclusive(0, 1 << 20);
+                    t.record(time, bytes);
+                    bare.record(time, bytes);
+                    reference.record(time, bytes);
                 }
-                assert_eq!(t.peak_bytes(), rescan(&t));
+                assert_rescans(&t, &reference);
+                // Without a series: the same statistics, no samples.
+                assert!(!bare.keeps_series() && bare.samples().is_empty());
+                assert_eq!(bare.len(), t.len());
+                assert_eq!(bare.clamped(), t.clamped());
+                assert_eq!(bare.peak_bytes(), t.peak_bytes());
+                assert_eq!(bare.average_bytes().to_bits(), t.average_bytes().to_bits());
             }
         }
     }

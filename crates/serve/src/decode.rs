@@ -337,6 +337,16 @@ impl DecodeEngine {
         self
     }
 
+    /// Keep each device's memory series (builder style), as
+    /// [`ServeEngine::with_memory_series`](crate::ServeEngine::with_memory_series)
+    /// does: every [`DeviceReport::memory_trace`] is then `Some`. Off by
+    /// default, when a device's memory costs O(1) however many steps it
+    /// runs; peaks are exact either way.
+    pub fn with_memory_series(mut self) -> Self {
+        self.fleet.memory_series = true;
+        self
+    }
+
     /// Configure event tracing (builder style). Off by default; when
     /// enabled the report's trace carries [`TraceKind::Prefill`] spans and
     /// [`TraceKind::BatchJoin`]/[`TraceKind::BatchLeave`] instants on each
@@ -501,7 +511,7 @@ impl DeviceLoop for DecodeEngine {
         let faults_armed = !self.fleet.fault_plan.is_empty();
         let mut faults = 0_u32;
         let mut trace = TraceRecorder::new(self.fleet.trace);
-        let mut tracker = MemoryTracker::for_device(device);
+        let mut tracker = self.fleet.tracker(device);
         let mut waiting = assigned;
         waiting.sort_by(|a, b| {
             a.1.arrival_ms
@@ -808,7 +818,8 @@ impl DeviceLoop for DecodeEngine {
                 now,
                 transfer_busy,
                 compute_busy,
-                tracker.into_trace(),
+                tracker.peak_bytes() as f64 / MIB,
+                self.fleet.memory_series.then(|| tracker.into_trace()),
             )
         };
         Ok(DeviceRun {

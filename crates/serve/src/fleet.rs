@@ -43,6 +43,7 @@ use flashmem_core::telemetry::{FleetTrace, TraceConfig, TraceKind, TraceLane, Tr
 use flashmem_core::{FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::engine::{GpuSimulator, SimConfig};
 use flashmem_gpu_sim::error::SimResult;
+use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::{DeviceSpec, FaultPlan, SimError};
 
 use crate::metrics::{
@@ -53,7 +54,8 @@ use crate::policy::RecoveryControl;
 use crate::request::{check_arrivals, FailureCause, ServeRequest};
 
 /// The settings both engines share: the devices, the planner
-/// configuration, the plan cache, tracing, fault injection and recovery.
+/// configuration, the plan cache, tracing, fault injection, recovery and
+/// whether device memory series are kept.
 pub(crate) struct Fleet {
     pub(crate) devices: Vec<DeviceSpec>,
     pub(crate) config: FlashMemConfig,
@@ -61,6 +63,10 @@ pub(crate) struct Fleet {
     pub(crate) trace: TraceConfig,
     pub(crate) fault_plan: FaultPlan,
     pub(crate) recovery: RecoveryControl,
+    /// Keep every device's memory series for its
+    /// [`DeviceReport::memory_trace`] (and, in exclusive serving, each
+    /// request's). Off, a device's memory costs O(1) however long it runs.
+    pub(crate) memory_series: bool,
 }
 
 /// What an engine plugs into the runner: its per-device loop and the hook
@@ -225,8 +231,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl Fleet {
-    /// A fleet with a private plan cache, tracing off, no fault injection
-    /// and recovery off.
+    /// A fleet with a private plan cache, tracing off, no fault injection,
+    /// recovery off and no memory series.
     pub(crate) fn new(devices: Vec<DeviceSpec>, config: FlashMemConfig) -> Self {
         Fleet {
             devices,
@@ -235,7 +241,14 @@ impl Fleet {
             trace: TraceConfig::disabled(),
             fault_plan: FaultPlan::default(),
             recovery: RecoveryControl::disabled(),
+            memory_series: false,
         }
+    }
+
+    /// A device's memory tracker: it keeps its series only under
+    /// [`memory_series`](Self::memory_series).
+    pub(crate) fn tracker(&self, device: &DeviceSpec) -> MemoryTracker {
+        MemoryTracker::for_device(device).with_series(self.memory_series)
     }
 
     /// The FlashMem runtime `device`'s compiles go through.

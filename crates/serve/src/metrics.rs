@@ -9,7 +9,8 @@
 //!   preempted and how much suspension/re-residency time that cost, and
 //!   whether it met its SLO deadline.
 //! * [`DeviceReport`] — one row per fleet device: makespan, dual-queue busy
-//!   fractions and the stitched memory trace.
+//!   fractions, peak memory and, when the engine keeps it, the stitched
+//!   memory series.
 //! * [`LatencySummary`] — nearest-rank p50/p95/p99 plus mean and max over
 //!   the completed requests.
 //! * [`PriorityLatency`] — the same latency summary broken down per priority
@@ -27,8 +28,6 @@ use flashmem_gpu_sim::{DeviceSpec, SimError};
 
 use crate::fleet::Carry;
 use crate::request::{FailureCause, RejectCause, ServeRequest};
-
-const MIB: f64 = 1024.0 * 1024.0;
 
 /// Token-level result of a generative request served through the decode
 /// path (prefill pass + per-token decode steps). `None` on one-shot
@@ -116,7 +115,13 @@ pub struct RequestOutcome {
     /// Peak device memory footprint (MB) observed while the request was
     /// resident. Under concurrent policies this is the *device* footprint
     /// during the request's window, which is the quantity capacity planning
-    /// cares about.
+    /// cares about: the largest sample since its admission (or since its
+    /// failover landed), kept as a running maximum that the device folds
+    /// in at every request boundary, so it needs no memory series. In
+    /// exclusive mode it is the peak of the request's own
+    /// [`report`](Self::report), and for a generative request the device's
+    /// peak when the request left. 0 for a one-shot request that did not
+    /// complete.
     pub peak_memory_mb: f64,
     /// Where the end-to-end latency went: queue wait, compile, exposed
     /// transfer, compute, suspension, and a residual stall term. The phases
@@ -329,7 +334,8 @@ pub struct DeviceReport {
     pub transfer_busy_fraction: f64,
     /// Compute-queue busy time over the makespan.
     pub compute_busy_fraction: f64,
-    /// Peak memory footprint of the device over the whole run, in MB.
+    /// Peak memory footprint of the device over the whole run, in MB: the
+    /// tracker's running peak, exact with or without a memory series.
     pub peak_memory_mb: f64,
     /// High-water mark of the device's admission queue: the largest number
     /// of arrived-but-unadmitted requests simultaneously waiting on this
@@ -339,22 +345,27 @@ pub struct DeviceReport {
     /// pins.
     pub queue_depth_high_water: usize,
     /// The device's memory trace over the whole serving run (the multi-model
-    /// Figure 6 curve generalised to many tenants).
-    pub memory_trace: MemoryTrace,
+    /// Figure 6 curve generalised to many tenants), series included. `Some`
+    /// only when the engine was built `with_memory_series()`
+    /// ([`ServeEngine`](crate::ServeEngine::with_memory_series),
+    /// [`DecodeEngine`](crate::DecodeEngine::with_memory_series)); without
+    /// it the device keeps no samples.
+    pub memory_trace: Option<MemoryTrace>,
 }
 
 impl DeviceReport {
     /// The report of a device whose timeline ran to `makespan_ms` with these
-    /// queue busy times and memory trace: each busy fraction is its busy
-    /// time over the makespan (0 for an empty timeline) and the peak is the
-    /// trace's. The request counts and the queue high-water mark start at
+    /// queue busy times, memory peak and (optional) memory trace: each busy
+    /// fraction is its busy time over the makespan (0 for an empty
+    /// timeline). The request counts and the queue high-water mark start at
     /// zero for the caller to fill in.
     pub(crate) fn new(
         device: String,
         makespan_ms: f64,
         transfer_busy_ms: f64,
         compute_busy_ms: f64,
-        memory_trace: MemoryTrace,
+        peak_memory_mb: f64,
+        memory_trace: Option<MemoryTrace>,
     ) -> Self {
         let fraction = |busy_ms: f64| {
             if makespan_ms > 0.0 {
@@ -372,22 +383,24 @@ impl DeviceReport {
             compute_busy_ms,
             transfer_busy_fraction: fraction(transfer_busy_ms),
             compute_busy_fraction: fraction(compute_busy_ms),
-            peak_memory_mb: memory_trace.peak_bytes() as f64 / MIB,
+            peak_memory_mb,
             queue_depth_high_water: 0,
             memory_trace,
         }
     }
 
     /// Fold one recovery round's report into this accumulated one: counts and
-    /// busy time sum, high-water marks take the max, and the memory traces
-    /// stitch (round timelines never overlap — a re-dispatch ready floor is
-    /// never below the destination's cumulative makespan), so the busy
-    /// fractions and the peak are those of the merged timeline. A request
-    /// that ran attempts on several devices counts toward `requests` on
-    /// each.
+    /// busy time sum, high-water marks and peaks take the max, and the
+    /// memory series, when kept, stitch (round timelines never overlap — a
+    /// re-dispatch ready floor is never below the destination's cumulative
+    /// makespan), so the busy fractions and the peak are those of the
+    /// merged timeline. A request that ran attempts on several devices
+    /// counts toward `requests` on each.
     pub(crate) fn absorb_round(&mut self, round: DeviceReport) {
-        let mut memory_trace = std::mem::take(&mut self.memory_trace);
-        memory_trace.append_shifted(&round.memory_trace, 0.0);
+        let mut memory_trace = self.memory_trace.take();
+        if let (Some(trace), Some(round_trace)) = (&mut memory_trace, &round.memory_trace) {
+            trace.append_shifted(round_trace, 0.0);
+        }
         *self = DeviceReport {
             requests: self.requests + round.requests,
             completed: self.completed + round.completed,
@@ -399,6 +412,7 @@ impl DeviceReport {
                 self.makespan_ms.max(round.makespan_ms),
                 self.transfer_busy_ms + round.transfer_busy_ms,
                 self.compute_busy_ms + round.compute_busy_ms,
+                self.peak_memory_mb.max(round.peak_memory_mb),
                 memory_trace,
             )
         };

@@ -90,7 +90,8 @@ impl MultiModelRunner {
 
     /// Run `iterations` rounds over the FIFO `queue` of models by delegating
     /// to the serving scheduler under the FIFO policy (one in-flight
-    /// inference, eviction between invocations).
+    /// inference, eviction between invocations). The engine keeps its
+    /// memory series, and the stitched trace moves into the report.
     ///
     /// # Errors
     ///
@@ -110,8 +111,8 @@ impl MultiModelRunner {
             .flat_map(|_| queue.iter())
             .map(|model| ServeRequest::new(model.clone(), "fifo"))
             .collect();
-        let engine = ServeEngine::new(vec![device], self.config.clone());
-        let serve_report = engine.run(&requests)?;
+        let engine = ServeEngine::new(vec![device], self.config.clone()).with_memory_series();
+        let mut serve_report = engine.run(&requests)?;
 
         let mut invocations = Vec::with_capacity(serve_report.outcomes.len());
         let mut clock_ms = 0.0;
@@ -145,7 +146,10 @@ impl MultiModelRunner {
             } else {
                 0.0
             },
-            memory_trace: serve_report.devices[0].memory_trace.clone(),
+            memory_trace: serve_report.devices[0]
+                .memory_trace
+                .take()
+                .expect("the runner keeps the memory series"),
         })
     }
 }

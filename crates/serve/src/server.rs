@@ -109,6 +109,17 @@
 //! onto the device timeline and evicts the model, so a failed run moves the
 //! epoch exactly like a finished one. A device loss strands everything at
 //! once and stitches whatever segment is open.
+//!
+//! ## Memory
+//!
+//! A device keeps its memory series — every sample, in the tracker, the
+//! stitched trace and each exclusive request's report — only under
+//! [`ServeEngine::with_memory_series`]. Without it the device's memory
+//! state is O(1) and every peak stays exact: the device report's is the
+//! tracker's running peak (in exclusive mode, the largest stitched
+//! segment's), and a concurrent request's is a running maximum that the
+//! device folds into every request on it before a request enters and
+//! before a completed request's peak is read.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -182,7 +193,8 @@ pub fn estimate_resident_bytes(artifact: &CompiledArtifact, model: &ModelSpec) -
 ///
 /// Returns 0.0 for a stream that fails validation, and the makespan reached
 /// so far if stepping fails mid-stream (e.g. the model alone exceeds the
-/// device budget — admission will surface that as its own failure).
+/// device budget — admission will surface that as its own failure). Only
+/// the makespan is read, so the throwaway tracker keeps no memory series.
 pub fn predicted_service_ms(
     artifact: &CompiledArtifact,
     model: &ModelSpec,
@@ -191,7 +203,7 @@ pub fn predicted_service_ms(
 ) -> f64 {
     let stream = lower_artifact(artifact, model, device, config);
     let sim = GpuSimulator::new(device.clone(), SimConfig::default());
-    let mut tracker = MemoryTracker::for_device(device);
+    let mut tracker = MemoryTracker::for_device(device).with_series(false);
     let mut clocks = QueueClocks::new();
     let Ok(mut stepper) = StreamStepper::new(stream) else {
         return 0.0;
@@ -237,7 +249,9 @@ pub(crate) struct FlightMeta {
     /// Command count of the lowered stream, for scaling `predicted_ms` to
     /// a partially executed remainder.
     total_commands: usize,
-    trace_start: usize,
+    /// The largest device footprint recorded since the request entered the
+    /// device, as of the last fold ([`DeviceState::fold_recent_peak`]).
+    peak_bytes: u64,
     order: usize,
     /// Global time at which the current running segment began (admission or
     /// last resume, after any reload penalty) — the open edge of the event
@@ -402,6 +416,18 @@ impl ServeEngine {
     /// untraced run.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.fleet.trace = trace;
+        self
+    }
+
+    /// Keep the memory series (builder style): every device report's
+    /// [`memory_trace`](DeviceReport::memory_trace) is then `Some`, and in
+    /// exclusive mode each request's report carries its run's series too
+    /// (Figure 6 plots them). Off by default: a device then keeps only
+    /// running statistics, so its memory does not grow with the requests it
+    /// serves. Peaks are exact either way, and nothing else in the report
+    /// moves.
+    pub fn with_memory_series(mut self) -> Self {
+        self.fleet.memory_series = true;
         self
     }
 
@@ -841,9 +867,13 @@ struct DeviceState<'a> {
     epoch: f64,
     clocks: QueueClocks,
     tracker: MemoryTracker,
-    /// Exclusive mode's memory trace: each request's run-local segment
-    /// stitched onto the device timeline at its epoch.
-    stitched: MemoryTrace,
+    /// Exclusive mode's memory trace, kept only with the memory series:
+    /// each request's run-local segment stitched onto the device timeline
+    /// at its epoch.
+    stitched: Option<MemoryTrace>,
+    /// Exclusive mode's device peak: the largest peak of the segments
+    /// stitched so far.
+    stitched_peak: u64,
     makespan: f64,
     transfer_busy: f64,
     compute_busy: f64,
@@ -961,6 +991,7 @@ impl<'a> DeviceState<'a> {
         }
 
         let slots = serve.policy.max_in_flight().max(1);
+        let exclusive = slots == 1 && serve.policy.preemption().is_none();
         let mut state = DeviceState {
             serve,
             index,
@@ -972,11 +1003,12 @@ impl<'a> DeviceState<'a> {
             carry,
             stolen,
             slots,
-            exclusive: slots == 1 && serve.policy.preemption().is_none(),
+            exclusive,
             epoch: 0.0,
             clocks: QueueClocks::new(),
-            tracker: MemoryTracker::for_device(device),
-            stitched: MemoryTrace::new(),
+            tracker: serve.fleet.tracker(device),
+            stitched: (exclusive && serve.fleet.memory_series).then(MemoryTrace::new),
+            stitched_peak: 0,
             makespan: 0.0,
             transfer_busy: 0.0,
             compute_busy: 0.0,
@@ -1002,8 +1034,8 @@ impl<'a> DeviceState<'a> {
         // Failed-over suspensions seed the suspended list: the ordinary
         // resume path re-acquires their residency (charging the reload
         // penalty) once their backoff floor passes. Their tenant reservation
-        // is held while suspended, exactly like a preemption's, and their
-        // row now reports this device.
+        // is held while suspended, exactly like a preemption's, their row
+        // now reports this device, and their peak starts over here.
         for seed in seeds {
             let SeededSuspension {
                 mut meta,
@@ -1017,7 +1049,8 @@ impl<'a> DeviceState<'a> {
                 .or_insert(0) += meta.row.resident_estimate_bytes;
             meta.row.device = device.name.clone();
             meta.row.device_index = index;
-            meta.trace_start = state.tracker.trace().len();
+            state.fold_recent_peak();
+            meta.peak_bytes = 0;
             meta.order = state.admit_order;
             state.admit_order += 1;
             state.suspended.push(Suspended {
@@ -1617,12 +1650,13 @@ impl<'a> DeviceState<'a> {
         row.cache_hit = cache_hit;
         row.resident_estimate_bytes = estimate;
         row.admission_laxity_ms = admission_laxity_ms;
+        self.fold_recent_peak();
         let meta = FlightMeta {
             row,
             streamed_fraction: artifact.streamed_fraction(),
             predicted_ms,
             total_commands,
-            trace_start: self.tracker.trace().len(),
+            peak_bytes: 0,
             order: self.admit_order,
             run_start_ms: start_ms,
             transfer_intervals: Vec::new(),
@@ -1725,6 +1759,30 @@ impl<'a> DeviceState<'a> {
         Ok(())
     }
 
+    /// Fold the tracker's peak since the last fold into every request on
+    /// the device, in flight or suspended, and return it for a request
+    /// that is leaving. Runs before a request enters and before a completed
+    /// request's peak is read, so each request's running peak covers
+    /// exactly the samples recorded while it was on the device.
+    fn fold_recent_peak(&mut self) -> u64 {
+        let recent = self.tracker.take_recent_peak();
+        let metas = self.in_flight.iter_mut().map(|f| &mut f.meta);
+        for meta in metas.chain(self.suspended.iter_mut().map(|s| &mut s.meta)) {
+            meta.peak_bytes = meta.peak_bytes.max(recent);
+        }
+        recent
+    }
+
+    /// Stitch `segment`, an exclusive run's memory trace in run-local time,
+    /// onto the device timeline at the current epoch: its peak always, its
+    /// samples when the device keeps its series.
+    fn stitch(&mut self, segment: &MemoryTrace) {
+        self.stitched_peak = self.stitched_peak.max(segment.peak_bytes());
+        if let Some(stitched) = &mut self.stitched {
+            stitched.append_shifted(segment, self.epoch);
+        }
+    }
+
     /// Retire in-flight request `chosen` at stream-local `now_local`: the
     /// one path a one-shot request leaves a live device by. It releases
     /// what the stream still holds — an exclusive run that completed is
@@ -1742,7 +1800,8 @@ impl<'a> DeviceState<'a> {
         let done = matches!(exit, Exit::Done);
         if done && self.exclusive {
             // The request ran in run-local time against a freshly reset
-            // trace: finalize exactly like the monolithic executor.
+            // trace: finalize exactly like the monolithic executor, which
+            // hands the trace over to the report.
             let outcome = stepper.finish(&self.sim, &mut self.tracker);
             let report = ExecutionReport::from_outcome(
                 "FlashMem",
@@ -1750,8 +1809,7 @@ impl<'a> DeviceState<'a> {
                 outcome,
                 meta.streamed_fraction,
             );
-            self.stitched
-                .append_shifted(&report.memory_trace, self.epoch);
+            self.stitch(&report.memory_trace);
             meta.row.peak_memory_mb = report.peak_memory_mb;
             meta.row.report = Some(report);
         } else {
@@ -1761,19 +1819,20 @@ impl<'a> DeviceState<'a> {
             }
             stepper.release_remaining(&mut self.tracker, at)?;
             if done {
-                let samples = &self.tracker.trace().samples()[meta.trace_start..];
-                let peak = samples.iter().map(|s| s.bytes).max().unwrap_or(0);
-                meta.row.peak_memory_mb = peak as f64 / MIB;
+                meta.peak_bytes = meta.peak_bytes.max(self.fold_recent_peak());
+                meta.row.peak_memory_mb = meta.peak_bytes as f64 / MIB;
             }
             if self.exclusive {
-                self.stitched
-                    .append_shifted(self.tracker.trace(), self.epoch);
+                let segment = self.tracker.take_trace();
+                self.stitch(&segment);
             }
         }
         if self.exclusive {
             self.epoch = completion;
             self.tracker.evict_all(completion);
-            self.stitched.record(completion, 0);
+            if let Some(stitched) = &mut self.stitched {
+                stitched.record(completion, 0);
+            }
             self.clocks.reset();
         }
         let running = Some((TraceKind::Running, meta.run_start_ms));
@@ -1909,8 +1968,8 @@ impl<'a> DeviceState<'a> {
             self.orphan(row, None);
         }
         if self.exclusive {
-            self.stitched
-                .append_shifted(self.tracker.trace(), self.epoch);
+            let segment = self.tracker.take_trace();
+            self.stitch(&segment);
         }
         Ok(())
     }
@@ -1918,10 +1977,14 @@ impl<'a> DeviceState<'a> {
     /// What the round hands the merge: its rows, orphans and trace, and the
     /// device report — in exclusive mode over the stitched device timeline.
     fn finish(self) -> DeviceRun<Stranded> {
-        let memory_trace = if self.exclusive {
-            self.stitched
+        let (peak, memory_trace) = if self.exclusive {
+            (self.stitched_peak, self.stitched)
         } else {
-            self.tracker.into_trace()
+            let series = self.serve.fleet.memory_series;
+            (
+                self.tracker.peak_bytes(),
+                series.then(|| self.tracker.into_trace()),
+            )
         };
         let report = DeviceReport {
             requests: self.assigned,
@@ -1932,6 +1995,7 @@ impl<'a> DeviceState<'a> {
                 self.makespan,
                 self.transfer_busy,
                 self.compute_busy,
+                peak as f64 / MIB,
                 memory_trace,
             )
         };

@@ -29,7 +29,8 @@
 //!   preemptive policies ever preempt.
 //! * **Determinism** — the same seed reproduces a byte-identical
 //!   `ServeReport` (full `Debug` form of every outcome float, trace sample
-//!   and counter; only cache-*warmth* telemetry — the process-wide
+//!   and counter: every run the harness compares keeps its memory series;
+//!   only cache-*warmth* telemetry — the process-wide
 //!   plan-cache tallies and each outcome's `cache_hit` flag, which record
 //!   which scenarios happened to run (and so warm keys) first across the
 //!   whole harness, not scheduler behaviour —
@@ -203,7 +204,8 @@ fn run_case(case: &FuzzCase, policy: Box<dyn SchedulePolicy>) -> ServeReport {
         .collect();
     let mut engine = ServeEngine::new(fleet, FlashMemConfig::memory_priority())
         .with_policy(policy)
-        .with_cache(shared_cache());
+        .with_cache(shared_cache())
+        .with_memory_series();
     for (tenant, slo) in case.slos.iter().enumerate() {
         if let Some(deadline) = slo {
             engine = engine.with_tenant_slo(format!("tenant-{tenant}"), *deadline);
@@ -691,6 +693,7 @@ fn run_decode_case(case: &DecodeFuzzCase, pool: &ThreadPool) -> ServeReport {
         .collect();
     DecodeEngine::new(fleet, FlashMemConfig::memory_priority())
         .with_cache(shared_cache())
+        .with_memory_series()
         .with_batching(case.batch)
         .run_on(pool, &case.requests)
         .expect("decode fuzz run succeeds")
@@ -976,6 +979,7 @@ fn run_chaos_case(case: &ChaosFuzzCase, pool: &ThreadPool) -> ServeReport {
         .collect();
     ServeEngine::new(fleet, FlashMemConfig::memory_priority())
         .with_cache(shared_cache())
+        .with_memory_series()
         .with_fault_plan(case.plan.clone())
         .with_recovery_control(case.recovery)
         .run_on(pool, &case.requests)
@@ -1239,6 +1243,7 @@ fn decode_requests_re_prefill_after_device_loss() {
     let fleet = vec![DeviceSpec::oneplus_12(), DeviceSpec::oneplus_12()];
     let report = DecodeEngine::new(fleet, FlashMemConfig::memory_priority())
         .with_cache(shared_cache())
+        .with_memory_series()
         .with_fault_plan(FaultPlan::seeded(5).with_device_loss(0, 400.0))
         .with_recovery_control(RecoveryControl::disabled().with_failover())
         .run_on(&ThreadPool::with_threads(1), &requests)
@@ -1268,6 +1273,7 @@ fn decode_requests_re_prefill_after_device_loss() {
         FlashMemConfig::memory_priority(),
     )
     .with_cache(shared_cache())
+    .with_memory_series()
     .with_fault_plan(FaultPlan::seeded(5).with_device_loss(0, 400.0))
     .with_recovery_control(RecoveryControl::disabled().with_failover())
     .run_on(&ThreadPool::with_threads(4), &requests)
@@ -1300,6 +1306,7 @@ fn decode_engine_quarantines_a_flaky_device() {
             FlashMemConfig::memory_priority(),
         )
         .with_cache(shared_cache())
+        .with_memory_series()
         .with_fault_plan(FaultPlan::seeded(11).with_flaky_device(1, 0.2))
         .with_recovery_control(
             RecoveryControl::disabled()

@@ -6,7 +6,8 @@
 //! 2. the priority policy never exhibits priority inversion;
 //! 3. plan-cache hits return artifacts identical to cold compiles;
 //!
-//! plus affinity-sharding and tenant-cap behaviour.
+//! plus affinity-sharding and tenant-cap behaviour, and exclusive reports
+//! of failed-over work.
 
 use flashmem_core::{ArtifactCache, FlashMem, FlashMemConfig, InferenceEngine};
 use flashmem_gpu_sim::memory::MemoryTracker;
@@ -14,8 +15,8 @@ use flashmem_gpu_sim::trace::MemoryTrace;
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{ModelSpec, ModelZoo};
 use flashmem_serve::{
-    AffinityPolicy, ArrivalPattern, InvocationResult, MultiModelReport, MultiModelRunner,
-    PriorityPolicy, ServeEngine, ServeRequest, WorkloadSpec,
+    AffinityPolicy, ArrivalPattern, FaultPlan, InvocationResult, MultiModelReport,
+    MultiModelRunner, PriorityPolicy, RecoveryControl, ServeEngine, ServeRequest, WorkloadSpec,
 };
 
 /// The legacy `MultiModelRunner::run_fifo` of flashmem-core PR 1, kept
@@ -295,4 +296,66 @@ fn tenant_cap_serializes_a_tenants_concurrent_requests() {
         "capped tenant overlapped: [{:.0},{:.0}] vs [{:.0},{:.0}]",
         a.start_ms, a.completion_ms, b.start_ms, b.completion_ms
     );
+}
+
+#[test]
+fn exclusive_failover_resumes_report_only_their_own_run() {
+    // Two of three FIFO phones die at once and fail their in-flight work
+    // over to the third, so one resumed request there follows another's
+    // completion in the same round. Each exclusive report must cover its
+    // own run only: a report still holding the earlier run's samples
+    // would show that run's peak, above its own model's solo peak.
+    let device = DeviceSpec::oneplus_12();
+    let config = FlashMemConfig::memory_priority();
+    let models = vec![
+        ModelZoo::gptneo_small(),
+        ModelZoo::vit(),
+        ModelZoo::resnet50(),
+    ];
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 90.0,
+        },
+        requests: 24,
+        tenants: 2,
+        priority_levels: 1,
+        seed: 31,
+    }
+    .generate(&models);
+    let report = ServeEngine::new(vec![device.clone(); 3], config.clone())
+        .with_recovery_control(RecoveryControl::disabled().with_failover())
+        .with_fault_plan(
+            FaultPlan::seeded(7)
+                .with_device_loss(0, 700.0)
+                .with_device_loss(1, 700.0),
+        )
+        .run(&requests)
+        .expect("failover run succeeds");
+    let runtime = FlashMem::new(device).with_config(config);
+    let solo_peak = |abbr: &str| {
+        let model = models
+            .iter()
+            .find(|m| m.abbr == abbr)
+            .expect("served model");
+        runtime.run(model).expect("solo run").peak_memory_mb
+    };
+    let resumed = report
+        .outcomes
+        .iter()
+        .filter(|o| o.failed_over && o.succeeded())
+        .count();
+    assert!(
+        resumed >= 2,
+        "only {resumed} failed-over requests completed"
+    );
+    for o in report.outcomes.iter().filter(|o| o.succeeded()) {
+        let run = o.report.as_ref().expect("exclusive outcomes carry reports");
+        assert!(
+            run.peak_memory_mb <= solo_peak(&o.model),
+            "#{} ({}) reports a {} MB peak, above its solo run",
+            o.seq,
+            o.model,
+            run.peak_memory_mb
+        );
+    }
 }

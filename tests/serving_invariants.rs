@@ -33,6 +33,14 @@
 //! retiring a request were merged into one path, so matching them shows the
 //! merge moved no simulated result.
 //!
+//! The fingerprinted runs keep their memory series
+//! (`with_memory_series()`), so the fingerprints hash every sample of every
+//! device trace and of every exclusive request's trace. Each scenario also
+//! runs without the series at both widths: the outcomes and device reports
+//! must equal the series run's, with every device trace `None` and every
+//! request trace holding the same statistics and no samples. That pins the
+//! O(1) case: a device that is not asked for its series keeps none.
+//!
 //! A seventh test pins that a fault-free run is the same run with or without
 //! recovery armed.
 
@@ -58,6 +66,31 @@ const FIFO_TRACE_GOLDEN: u64 = 0x0a97def83da335e8;
 const DECODE_TRACE_GOLDEN: u64 = 0xc304345be61177d1;
 const FIFO_FAULTS_TRACE_GOLDEN: u64 = 0xac2c52e68e2db6fc;
 const DECODE_FAULTS_TRACE_GOLDEN: u64 = 0xf1b72fd4737caf3d;
+
+/// The serving engines' memory-series opt-in, applied when `keep` is set.
+trait KeepSeries: Sized {
+    fn keep_series(self, keep: bool) -> Self;
+}
+
+impl KeepSeries for ServeEngine {
+    fn keep_series(self, keep: bool) -> Self {
+        if keep {
+            self.with_memory_series()
+        } else {
+            self
+        }
+    }
+}
+
+impl KeepSeries for DecodeEngine {
+    fn keep_series(self, keep: bool) -> Self {
+        if keep {
+            self.with_memory_series()
+        } else {
+            self
+        }
+    }
+}
 
 fn hash_option(h: Fnv1a, value: Option<f64>) -> Fnv1a {
     match value {
@@ -155,7 +188,8 @@ fn hash_device(h: Fnv1a, d: &DeviceReport) -> Fnv1a {
         .write_f64(d.compute_busy_fraction)
         .write_f64(d.peak_memory_mb)
         .write_u64(d.queue_depth_high_water as u64);
-    hash_memory_trace(h, &d.memory_trace)
+    let trace = d.memory_trace.as_ref();
+    hash_memory_trace(h, trace.expect("fingerprinted runs keep the memory series"))
 }
 
 /// FNV-1a over every outcome in submission order, every device report in
@@ -212,22 +246,66 @@ fn assert_partition(name: &str, report: &ServeReport, submitted: usize) {
     assert_eq!(report.failed_by_cause().total(), failed, "{name}");
 }
 
-/// Run a scenario at pool widths 1 and 4, each on a freshly built engine
-/// (so both start from a cold plan cache), check that the two reports are
-/// identical and partition their requests, and compare the fingerprint with
-/// the recorded one. Then run it traced at both widths: the reports must not
-/// move, the two Chrome exports must be byte-identical, and their
-/// fingerprint must match `trace_golden`. Returns the width-1 report and the
-/// width-1 trace.
+/// `bare`, a run without the memory series, is `series`, the same run with
+/// it, minus the samples: every device trace is `None`, every request trace
+/// reports the same statistics from no samples, and nothing else moves.
+fn assert_same_without_series(name: &str, series: &ServeReport, bare: &ServeReport) {
+    let mut devices = series.devices.clone();
+    for device in &mut devices {
+        assert!(
+            device.memory_trace.is_some(),
+            "{name}: the series run reports no device trace"
+        );
+        device.memory_trace = None;
+    }
+    assert!(
+        bare.devices == devices,
+        "{name}: device reports without the memory series differ"
+    );
+    assert_eq!(bare.outcomes.len(), series.outcomes.len(), "{name}");
+    for (bare, series) in bare.outcomes.iter().zip(&series.outcomes) {
+        let (mut bare, mut series) = (bare.clone(), series.clone());
+        if let (Some(b), Some(s)) = (&mut bare.report, &mut series.report) {
+            let (b, s) = (&mut b.memory_trace, &mut s.memory_trace);
+            let statistics = |t: &MemoryTrace| {
+                (
+                    t.len(),
+                    t.clamped(),
+                    t.peak_bytes(),
+                    t.average_bytes().to_bits(),
+                )
+            };
+            assert!(s.keeps_series() && !b.keeps_series() && b.samples().is_empty());
+            assert_eq!(statistics(b), statistics(s), "{name} #{}", bare.seq);
+            *b = MemoryTrace::without_series();
+            *s = MemoryTrace::without_series();
+        }
+        assert!(
+            bare == series,
+            "{name} #{}: outcome without the memory series differs",
+            bare.seq
+        );
+    }
+}
+
+/// Run a scenario with its memory series at pool widths 1 and 4, each on a
+/// freshly built engine (so both start from a cold plan cache), check that
+/// the two reports are identical and partition their requests, and compare
+/// the fingerprint with the recorded one. Then run it without the series at
+/// both widths: the reports must match, minus the samples. Then run it
+/// traced at both widths: the reports must not move, the two Chrome exports
+/// must be byte-identical, and their fingerprint must match `trace_golden`.
+/// `run` takes the pool, the trace configuration and whether to keep the
+/// memory series. Returns the width-1 report and the width-1 trace.
 fn check(
     name: &str,
     submitted: usize,
     golden: u64,
     trace_golden: u64,
-    run: impl Fn(&ThreadPool, TraceConfig) -> ServeReport,
+    run: impl Fn(&ThreadPool, TraceConfig, bool) -> ServeReport,
 ) -> (ServeReport, FleetTrace) {
-    let serial = run(&ThreadPool::with_threads(1), TraceConfig::disabled());
-    let wide = run(&ThreadPool::with_threads(4), TraceConfig::disabled());
+    let serial = run(&ThreadPool::with_threads(1), TraceConfig::disabled(), true);
+    let wide = run(&ThreadPool::with_threads(4), TraceConfig::disabled(), true);
     assert_partition(name, &serial, submitted);
     assert!(
         serial.outcomes == wide.outcomes,
@@ -243,9 +321,21 @@ fn check(
         hash, golden,
         "{name}: serving fingerprint {hash:#018x} differs from the recorded {golden:#018x}"
     );
+    for threads in [1, 4] {
+        let bare = run(
+            &ThreadPool::with_threads(threads),
+            TraceConfig::disabled(),
+            false,
+        );
+        assert_same_without_series(&format!("{name} at width {threads}"), &serial, &bare);
+    }
 
     let [serial_trace, wide_trace] = [1, 4].map(|threads| {
-        let traced = run(&ThreadPool::with_threads(threads), TraceConfig::enabled());
+        let traced = run(
+            &ThreadPool::with_threads(threads),
+            TraceConfig::enabled(),
+            true,
+        );
         assert!(
             traced.outcomes == serial.outcomes && traced.devices == serial.devices,
             "{name}: tracing changed the report at width {threads}"
@@ -291,7 +381,7 @@ fn edf_with_tenant_slos_matches_its_fingerprint() {
         requests.len(),
         EDF_GOLDEN,
         EDF_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             SLO_MS
                 .iter()
                 .enumerate()
@@ -306,6 +396,7 @@ fn edf_with_tenant_slos_matches_its_fingerprint() {
                     },
                 )
                 .with_trace(trace)
+                .keep_series(series)
                 .run_on(pool, &requests)
                 .expect("edf run")
         },
@@ -383,10 +474,11 @@ fn preemptive_overload_recovery_matches_its_fingerprint() {
         requests.len(),
         CHAOS_GOLDEN,
         CHAOS_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             preemptive_overload_engine(&fleet)
                 .with_recovery_control(recovery_kit())
                 .with_trace(trace)
+                .keep_series(series)
                 .with_fault_plan(
                     FaultPlan::seeded(0x5EED)
                         .with_device_loss(0, 900.0)
@@ -482,12 +574,13 @@ fn exclusive_fifo_matches_its_fingerprint() {
         requests.len(),
         FIFO_GOLDEN,
         FIFO_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             ServeEngine::new(
                 vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
                 FlashMemConfig::memory_priority(),
             )
             .with_trace(trace)
+            .keep_series(series)
             .run_on(pool, &requests)
             .expect("fifo run")
         },
@@ -516,7 +609,7 @@ fn continuous_batching_decode_matches_its_fingerprint() {
         requests.len(),
         DECODE_GOLDEN,
         DECODE_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             DecodeEngine::new(
                 vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
                 FlashMemConfig::memory_priority(),
@@ -526,6 +619,7 @@ fn continuous_batching_decode_matches_its_fingerprint() {
                 ..BatchConfig::default()
             })
             .with_trace(trace)
+            .keep_series(series)
             .run_on(pool, &requests)
             .expect("decode run")
         },
@@ -562,7 +656,7 @@ fn exclusive_fifo_under_faults_matches_its_fingerprint() {
         requests.len(),
         FIFO_FAULTS_GOLDEN,
         FIFO_FAULTS_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             ServeEngine::new(fleet.clone(), FlashMemConfig::memory_priority())
                 .with_tenant_cap("tenant-1", 150 * MIB)
                 .with_recovery_control(
@@ -577,6 +671,7 @@ fn exclusive_fifo_under_faults_matches_its_fingerprint() {
                         .with_oom_spikes(1, 0.0004),
                 )
                 .with_trace(trace)
+                .keep_series(series)
                 .run_on(pool, &requests)
                 .expect("fifo-faults run")
         },
@@ -637,7 +732,7 @@ fn continuous_batching_decode_under_faults_matches_its_fingerprint() {
         requests.len(),
         DECODE_FAULTS_GOLDEN,
         DECODE_FAULTS_TRACE_GOLDEN,
-        |pool, trace| {
+        |pool, trace, series| {
             DecodeEngine::new(
                 vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
                 FlashMemConfig::memory_priority(),
@@ -659,6 +754,7 @@ fn continuous_batching_decode_under_faults_matches_its_fingerprint() {
                     .with_flaky_device(1, 0.02),
             )
             .with_trace(trace)
+            .keep_series(series)
             .run_on(pool, &requests)
             .expect("decode-faults run")
         },
