@@ -45,7 +45,9 @@ pub struct ExecutionReport {
     pub overlap_fraction: f64,
     /// Fraction of weight bytes streamed during execution (vs preloaded).
     pub streamed_weight_fraction: f64,
-    /// The memory usage trace over the run.
+    /// The memory usage trace over the run; it carries its samples when the
+    /// run's tracker kept them (always for a solo run, and for a serve
+    /// request only when the engine keeps its memory series).
     pub memory_trace: MemoryTrace,
 }
 
