@@ -14,9 +14,15 @@
 //! fingerprints pins the plans and planner counters of inputs that do reach
 //! the soft-threshold retry, the greedy backup and the node-capped search,
 //! and how many windows each searches.
+//!
+//! Each golden compile is also lowered with `lower_artifact`, and the
+//! command streams of a model × device's three presets hash to one more
+//! constant, so a change to lowering that moves any command shows here.
 
 use flashmem::core::cache::Fnv1a;
-use flashmem::core::LcOpgReport;
+use flashmem::core::{lower_artifact, LcOpgReport};
+use flashmem::gpu_sim::cache::AccessPattern;
+use flashmem::gpu_sim::engine::{CommandKind, CommandStream};
 use flashmem::prelude::*;
 
 /// FNV-1a over every weight schedule, then every chunk assignment in kernel
@@ -40,6 +46,73 @@ fn plan_fingerprint(plan: &OverlapPlan) -> u64 {
                 .write_u64(a.weight.0 as u64)
                 .write_u64(a.chunks)
                 .write_u64(a.bytes);
+        }
+    }
+    h.finish()
+}
+
+/// FNV-1a over a lowered command stream: every command's kind, numbers and
+/// dependencies, and the labels of the commands that run on a queue
+/// (transfers, transforms and kernels), which are what Chrome traces show.
+/// Alloc, free and barrier labels are not hashed.
+fn stream_fingerprint(stream: &CommandStream) -> u64 {
+    let mut h = Fnv1a::new().write_u64(stream.len() as u64);
+    for cmd in stream.commands() {
+        h = match &cmd.kind {
+            CommandKind::Alloc { tier, bytes } => {
+                h.write_u64(0).write_u64(*tier as u64).write_u64(*bytes)
+            }
+            CommandKind::Free { alloc } => h.write_u64(1).write_u64(*alloc as u64),
+            CommandKind::Barrier => h.write_u64(2),
+            CommandKind::Transfer { bytes, from, to } => h
+                .write_u64(3)
+                .write_u64(*bytes)
+                .write_u64(*from as u64)
+                .write_u64(*to as u64)
+                .write_str(&cmd.label),
+            CommandKind::Transform {
+                bytes,
+                traffic_factor,
+                queue,
+            } => h
+                .write_u64(4)
+                .write_u64(*bytes)
+                .write_f64(*traffic_factor)
+                .write_u64(*queue as u64)
+                .write_str(&cmd.label),
+            CommandKind::Kernel {
+                desc,
+                extra_load_bytes,
+            } => {
+                let (pattern, stride) = match desc.access_pattern {
+                    AccessPattern::RowStreaming => (0, 0),
+                    AccessPattern::Tiled2d => (1, 0),
+                    AccessPattern::Strided { stride_texels } => (2, stride_texels),
+                    AccessPattern::Random => (3, 0),
+                };
+                let mut k = h
+                    .write_u64(5)
+                    .write_str(&desc.name)
+                    .write_u64(desc.category as u64)
+                    .write_f64(desc.flops)
+                    .write_u64(desc.bytes_in)
+                    .write_u64(desc.bytes_out);
+                for d in desc.launch.gws.iter().chain(&desc.launch.lws) {
+                    k = k.write_u64(*d);
+                }
+                k.write_u64(desc.weight_layout as u64)
+                    .write_u64(pattern)
+                    .write_u64(stride)
+                    .write_u64(u64::from(desc.fp16))
+                    .write_u64(u64::from(desc.pipelined))
+                    .write_f64(desc.divergence_penalty)
+                    .write_u64(*extra_load_bytes)
+                    .write_str(&cmd.label)
+            }
+        };
+        h = h.write_u64(cmd.deps.len() as u64);
+        for &dep in &cmd.deps {
+            h = h.write_u64(dep as u64);
         }
     }
     h.finish()
@@ -710,26 +783,30 @@ fn compiled_plans_match_their_golden_fingerprints() {
 
     let fingerprints = ThreadPool::new().parallel_map(cells, |(model, device, preset, config)| {
         let compiled = FlashMem::new(device.clone())
-            .with_config(config)
+            .with_config(config.clone())
             .compile(model.graph());
+        let plan = plan_fingerprint(&compiled.plan);
+        let searched = compiled.planner_report.searched_windows;
+        let stream = lower_artifact(
+            &CompiledArtifact::Streaming(compiled),
+            &model,
+            &device,
+            &config,
+        );
         (
-            (
-                model.abbr.clone(),
-                device.name.clone(),
-                preset,
-                plan_fingerprint(&compiled.plan),
-            ),
-            compiled.planner_report.searched_windows,
+            (model.abbr.clone(), device.name.clone(), preset, plan),
+            searched,
+            stream_fingerprint(&stream),
         )
     });
 
     let mismatches: Vec<String> = fingerprints
         .iter()
         .zip(GOLDEN)
-        .filter(|(((model, device, preset, got), _), golden)| {
+        .filter(|(((model, device, preset, got), _, _), golden)| {
             (model.as_str(), device.as_str(), *preset, *got) != **golden
         })
-        .map(|(((model, device, preset, got), _), golden)| {
+        .map(|(((model, device, preset, got), _, _), golden)| {
             format!("{model} / {device} / {preset}: {got:#018x}, golden {golden:?}")
         })
         .collect();
@@ -743,13 +820,128 @@ fn compiled_plans_match_their_golden_fingerprints() {
     // Every window of these compiles is decided in closed form.
     let searched: Vec<String> = fingerprints
         .iter()
-        .filter(|(_, searched)| *searched > 0)
-        .map(|((model, device, preset, _), searched)| {
+        .filter(|(_, searched, _)| *searched > 0)
+        .map(|((model, device, preset, _), searched, _)| {
             format!("{model} / {device} / {preset}: {searched} searched windows")
         })
         .collect();
     assert!(searched.is_empty(), "{}", searched.join("\n"));
+
+    // The lowered streams of a model × device's presets fold into one hash.
+    let streams: Vec<(&str, &str, u64)> = fingerprints
+        .chunks(presets.len())
+        .map(|cell| {
+            let ((model, device, _, _), _, _) = &cell[0];
+            let hash = cell
+                .iter()
+                .fold(Fnv1a::new(), |h, (_, _, stream)| h.write_u64(*stream))
+                .finish();
+            (model.as_str(), device.as_str(), hash)
+        })
+        .collect();
+    assert_eq!(streams.len(), STREAM_GOLDEN.len());
+    let moved: Vec<String> = streams
+        .iter()
+        .zip(STREAM_GOLDEN)
+        .filter(|(got, golden)| *got != *golden)
+        .map(|((model, device, got), golden)| {
+            format!(
+                "    (\"{model}\", \"{device}\", {got:#018x}), // golden {:#018x}",
+                golden.2
+            )
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{} of {} lowered streams changed:\n{}",
+        moved.len(),
+        STREAM_GOLDEN.len(),
+        moved.join("\n")
+    );
 }
+
+/// (model abbreviation, device, stream fingerprint) in `GOLDEN`'s model ×
+/// device order: the `stream_fingerprint`s of the memory, balanced and
+/// latency compiles, folded in that order.
+const STREAM_GOLDEN: &[(&str, &str, u64)] = &[
+    ("GPTN-S", "OnePlus 12", 0x0df4f144681521ae),
+    ("GPTN-S", "OnePlus 11", 0x9355e19748e581cf),
+    ("GPTN-S", "Google Pixel 8", 0x51560f7f273a3aba),
+    ("GPTN-S", "Xiaomi Mi 6", 0x66335f061f217e32),
+    ("GPTN-S", "Samsung Galaxy A54", 0xd3d34715118b882e),
+    ("GPTN-S", "Samsung Galaxy Tab S9", 0x9b6d90a3f4b06fd9),
+    ("GPTN-S", "Ryzen 7840U Laptop", 0x0fe4d0fb11c8244e),
+    ("GPTN-1.3B", "OnePlus 12", 0xb2c4cd0d9892a1dd),
+    ("GPTN-1.3B", "OnePlus 11", 0xadb8a1cd443f3401),
+    ("GPTN-1.3B", "Google Pixel 8", 0xaf095edd3d6cbb1c),
+    ("GPTN-1.3B", "Xiaomi Mi 6", 0x3cb9846918dcb1c1),
+    ("GPTN-1.3B", "Samsung Galaxy A54", 0xd9c8c53fac5914be),
+    ("GPTN-1.3B", "Samsung Galaxy Tab S9", 0xba27a5c4c051cad2),
+    ("GPTN-1.3B", "Ryzen 7840U Laptop", 0x0b0ba06980a134e8),
+    ("GPTN-2.7B", "OnePlus 12", 0xcbc67eaa489ad4bf),
+    ("GPTN-2.7B", "OnePlus 11", 0x5c4afed17f4367a0),
+    ("GPTN-2.7B", "Google Pixel 8", 0x4c4ec57a25b8531b),
+    ("GPTN-2.7B", "Xiaomi Mi 6", 0x90ce37c8563504fa),
+    ("GPTN-2.7B", "Samsung Galaxy A54", 0xe09bd9f6d7077cf8),
+    ("GPTN-2.7B", "Samsung Galaxy Tab S9", 0x7d8a8a215d78f69a),
+    ("GPTN-2.7B", "Ryzen 7840U Laptop", 0xbbf9a68c27827c75),
+    ("ResNet", "OnePlus 12", 0xa2cdfe36bd8561ad),
+    ("ResNet", "OnePlus 11", 0x56362328ee3df4ad),
+    ("ResNet", "Google Pixel 8", 0xd929042867de08b0),
+    ("ResNet", "Xiaomi Mi 6", 0x5d32cb9139299277),
+    ("ResNet", "Samsung Galaxy A54", 0x8220ecdb6252bdc6),
+    ("ResNet", "Samsung Galaxy Tab S9", 0x07b419b4685fd913),
+    ("ResNet", "Ryzen 7840U Laptop", 0x569a80a7fc04d63d),
+    ("SAM-2", "OnePlus 12", 0x8fc4565378215954),
+    ("SAM-2", "OnePlus 11", 0x18c498050eac9f67),
+    ("SAM-2", "Google Pixel 8", 0x53e2d1fb78e4463e),
+    ("SAM-2", "Xiaomi Mi 6", 0xdc96b2c78560a068),
+    ("SAM-2", "Samsung Galaxy A54", 0xf345354e44f2cfc9),
+    ("SAM-2", "Samsung Galaxy Tab S9", 0xc1a2450df3185b29),
+    ("SAM-2", "Ryzen 7840U Laptop", 0x66d7ea59a2fc47ec),
+    ("ViT", "OnePlus 12", 0x56c6062045d71626),
+    ("ViT", "OnePlus 11", 0x3c1b05ad29c1087a),
+    ("ViT", "Google Pixel 8", 0x30a530f2509ce5d2),
+    ("ViT", "Xiaomi Mi 6", 0x3eeb2960d7db7ad0),
+    ("ViT", "Samsung Galaxy A54", 0x47195fc304cc6d8a),
+    ("ViT", "Samsung Galaxy Tab S9", 0x5caaf7a7baaa239b),
+    ("ViT", "Ryzen 7840U Laptop", 0x6ec03c4dc9997860),
+    ("DeepViT", "OnePlus 12", 0x6f414cd75d57e136),
+    ("DeepViT", "OnePlus 11", 0xf6a622c233f50ffe),
+    ("DeepViT", "Google Pixel 8", 0xf83ee2b3ae1e38a6),
+    ("DeepViT", "Xiaomi Mi 6", 0x05cb3f22b9a09fcf),
+    ("DeepViT", "Samsung Galaxy A54", 0x174b5b0138670513),
+    ("DeepViT", "Samsung Galaxy Tab S9", 0x4bac80d535ced7dc),
+    ("DeepViT", "Ryzen 7840U Laptop", 0x838d5ae382d4a5a0),
+    ("SD-UNet", "OnePlus 12", 0xdbcb2aaafa851946),
+    ("SD-UNet", "OnePlus 11", 0xc2e30f955a842352),
+    ("SD-UNet", "Google Pixel 8", 0x541f081c27153071),
+    ("SD-UNet", "Xiaomi Mi 6", 0x2137f3681a95d8d3),
+    ("SD-UNet", "Samsung Galaxy A54", 0xef612f4752dcb291),
+    ("SD-UNet", "Samsung Galaxy Tab S9", 0x9ad06c16d2fe60b4),
+    ("SD-UNet", "Ryzen 7840U Laptop", 0xb2fcfd759f046868),
+    ("Whisp-M", "OnePlus 12", 0x637a8bdba2ad8673),
+    ("Whisp-M", "OnePlus 11", 0x5ac6e068e229c5e5),
+    ("Whisp-M", "Google Pixel 8", 0x4771907eaee8320d),
+    ("Whisp-M", "Xiaomi Mi 6", 0x12c5734eff6944fe),
+    ("Whisp-M", "Samsung Galaxy A54", 0xe340558c93931229),
+    ("Whisp-M", "Samsung Galaxy Tab S9", 0xed9f2ab7ebb6f52d),
+    ("Whisp-M", "Ryzen 7840U Laptop", 0x35f65287f0033d2c),
+    ("DepA-S", "OnePlus 12", 0x39d0dfaf732ffe79),
+    ("DepA-S", "OnePlus 11", 0x1f0eda597ff36b79),
+    ("DepA-S", "Google Pixel 8", 0xc9c1aa65fcb6a492),
+    ("DepA-S", "Xiaomi Mi 6", 0x41404f3973abca1e),
+    ("DepA-S", "Samsung Galaxy A54", 0xeeab2aad5651b44c),
+    ("DepA-S", "Samsung Galaxy Tab S9", 0x9437f087843658ec),
+    ("DepA-S", "Ryzen 7840U Laptop", 0x146f3d50b95e231e),
+    ("DepA-L", "OnePlus 12", 0x217d5822b20a2394),
+    ("DepA-L", "OnePlus 11", 0x3eb0f80d37e57a62),
+    ("DepA-L", "Google Pixel 8", 0x2bca920f2727c9fc),
+    ("DepA-L", "Xiaomi Mi 6", 0x81b848ff2f744e5d),
+    ("DepA-L", "Samsung Galaxy A54", 0x3583b3dee0f15cdf),
+    ("DepA-L", "Samsung Galaxy Tab S9", 0x9f479ccb2a158711),
+    ("DepA-L", "Ryzen 7840U Laptop", 0xf618deb0bbdca6dd),
+];
 
 /// `plan_fingerprint` extended with the LC-OPG counters that say which tier
 /// placed each window.
