@@ -65,67 +65,68 @@ impl AdaptiveFusion {
     /// kernels, offer at least `(1 + α)` times the fused load capacity.
     /// Returns the refined plan and a report.
     pub fn refine(&self, graph: &Graph, plan: &FusionPlan) -> (FusionPlan, AdaptiveFusionReport) {
-        let profiler = CapacityProfiler::new(self.device.clone()).with_options(self.options);
-        let capacity_before = total_capacity(&profiler.capacities(graph, plan));
+        let (refined, report, _) = self.refine_with_capacities(graph, plan);
+        (refined, report)
+    }
 
-        let mut refined = plan.clone();
+    /// [`refine`](Self::refine), also returning the refined plan's load
+    /// capacities, equal to profiling the refined plan afresh.
+    ///
+    /// The input plan is profiled once. A group's capacity depends only on
+    /// the group and the graph, so a candidate's fused capacity is its entry
+    /// in that profile and only the two halves of a candidate are priced.
+    /// The refined plan's capacities are the input profile with each split
+    /// entry replaced by its halves.
+    pub fn refine_with_capacities(
+        &self,
+        graph: &Graph,
+        plan: &FusionPlan,
+    ) -> (FusionPlan, AdaptiveFusionReport, Vec<LoadCapacity>) {
+        let profiler = CapacityProfiler::new(self.device.clone()).with_options(self.options);
+        let profile = profiler.capacities(graph, plan);
+
+        let mut groups = Vec::with_capacity(plan.len());
+        let mut capacities = Vec::with_capacity(plan.len());
         let mut candidates = 0usize;
         let mut splits = 0usize;
-
-        // Work over a snapshot of group indices; splits shift indices, so walk
-        // from the end to keep earlier indices stable.
-        let mut index = refined.len();
-        while index > 0 {
-            index -= 1;
-            let group = refined.groups()[index].clone();
-            if group.is_singleton() {
-                continue;
-            }
+        for (group, fused) in plan.groups().iter().zip(&profile) {
             // Rule 2: hierarchical fusions are retained intact.
-            if group.dominant_category(graph) == OpCategory::Hierarchical {
-                continue;
+            let candidate =
+                !group.is_singleton() && group.dominant_category(graph) != OpCategory::Hierarchical;
+            if candidate {
+                candidates += 1;
+                let halves = split_point(graph, group).and_then(|at| group.split_at(at));
+                if let Some((left, right)) = halves {
+                    // Capacity check: C_v1 + C_v2 ≥ (1 + α) · C_fused.
+                    let left_capacity = profiler.capacity(graph, &left, groups.len());
+                    let right_capacity = profiler.capacity(graph, &right, groups.len() + 1);
+                    let split_capacity =
+                        left_capacity.capacity_bytes + right_capacity.capacity_bytes;
+                    if (split_capacity as f64)
+                        >= (1.0 + self.config.alpha) * fused.capacity_bytes as f64
+                    {
+                        groups.extend([left, right]);
+                        capacities.extend([left_capacity, right_capacity]);
+                        splits += 1;
+                        continue;
+                    }
+                }
             }
-            candidates += 1;
-
-            let Some(split_after) = split_point(graph, &group) else {
-                continue;
-            };
-            let Some((left, right)) = group.split_at(split_after) else {
-                continue;
-            };
-
-            // Capacity check: C_v1 + C_v2 ≥ (1 + α) · C_fused.
-            let fused_capacity = group_capacity(&profiler, graph, &group);
-            let split_capacity =
-                group_capacity(&profiler, graph, &left) + group_capacity(&profiler, graph, &right);
-            if (split_capacity as f64) >= (1.0 + self.config.alpha) * fused_capacity as f64 {
-                refined.split_group(index, split_after);
-                splits += 1;
-            }
+            capacities.push(LoadCapacity {
+                kernel_index: groups.len(),
+                ..*fused
+            });
+            groups.push(group.clone());
         }
 
-        let capacity_after = total_capacity(&profiler.capacities(graph, &refined));
-        (
-            refined,
-            AdaptiveFusionReport {
-                splits,
-                candidates,
-                capacity_before,
-                capacity_after,
-            },
-        )
+        let report = AdaptiveFusionReport {
+            splits,
+            candidates,
+            capacity_before: total_capacity(&profile),
+            capacity_after: total_capacity(&capacities),
+        };
+        (FusionPlan::from_groups(groups), report, capacities)
     }
-}
-
-/// Capacity of a single group evaluated in isolation (a one-group plan is not
-/// a valid partition of the graph; it is only used to price that kernel).
-fn group_capacity(profiler: &CapacityProfiler, graph: &Graph, group: &FusionGroup) -> u64 {
-    let plan = FusionPlan::from_groups(vec![group.clone()]);
-    profiler
-        .capacities(graph, &plan)
-        .first()
-        .map(|c| c.capacity_bytes)
-        .unwrap_or(0)
 }
 
 /// Operator-specific splitting rule (Section 4.3): split a reusable+elemental

@@ -9,7 +9,7 @@ use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{FusionPlan, Graph, ModelSpec};
-use flashmem_profiler::CapacityProfiler;
+use flashmem_profiler::{CapacityProfiler, LoadCapacity};
 
 use crate::config::FlashMemConfig;
 use crate::executor::StreamingExecutor;
@@ -87,23 +87,30 @@ impl FlashMem {
         )
     }
 
+    /// The offline stage before planning: default fusion, adaptive fusion
+    /// when enabled, and the load capacities of the resulting fusion plan.
+    /// Each kernel is profiled once: adaptive fusion returns the refined
+    /// plan's capacities, equal to profiling that plan afresh.
+    pub fn fuse_and_profile(
+        &self,
+        graph: &Graph,
+    ) -> (FusionPlan, Option<AdaptiveFusionReport>, Vec<LoadCapacity>) {
+        let fusion = FusionPlan::default_fusion(graph);
+        if self.config.enable_adaptive_fusion {
+            let pass = AdaptiveFusion::new(self.device.clone(), self.config.clone());
+            let (refined, report, capacities) = pass.refine_with_capacities(graph, &fusion);
+            return (refined, Some(report), capacities);
+        }
+        let capacities = CapacityProfiler::new(self.device.clone())
+            .with_options(self.rewriter().lowering_options())
+            .capacities(graph, &fusion);
+        (fusion, None, capacities)
+    }
+
     /// Compile a graph: fusion, adaptive fusion, capacity profiling and
     /// LC-OPG planning (the offline stage).
     pub fn compile(&self, graph: &Graph) -> CompiledModel {
-        let mut fusion = FusionPlan::default_fusion(graph);
-        let mut fusion_report = None;
-        if self.config.enable_adaptive_fusion {
-            let pass = AdaptiveFusion::new(self.device.clone(), self.config.clone());
-            let (refined, report) = pass.refine(graph, &fusion);
-            fusion = refined;
-            fusion_report = Some(report);
-        }
-
-        let options = self.rewriter().lowering_options();
-        let capacities = CapacityProfiler::new(self.device.clone())
-            .with_options(options)
-            .capacities(graph, &fusion);
-
+        let (fusion, fusion_report, capacities) = self.fuse_and_profile(graph);
         let mode = if self.config.enable_opg {
             PlannerMode::Hybrid
         } else {

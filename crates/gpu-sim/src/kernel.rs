@@ -272,6 +272,12 @@ impl KernelCostModel {
     /// weight data are being streamed/transformed concurrently by the same
     /// SMs (the pipelined-loading interference model).
     pub fn latency_with_extra_load_ms(&self, kernel: &KernelDesc, extra_load_bytes: u64) -> f64 {
+        self.roofline(kernel).latency_ms(extra_load_bytes)
+    }
+
+    /// Price the part of `kernel`'s latency that does not depend on the
+    /// extra load: its compute and memory phases.
+    fn roofline(&self, kernel: &KernelDesc) -> Roofline {
         let flops = self.device.flops_for(kernel.fp16);
         let occupancy = kernel.launch.occupancy();
         // Compute phase: ideal FLOP time degraded by occupancy and divergence.
@@ -304,61 +310,92 @@ impl KernelCostModel {
         let overlap = if kernel.pipelined { 0.95 } else { 0.60 };
         let serial = compute_ms + memory_ms;
         let parallel = compute_ms.max(memory_ms);
-        let mut base = overlap * parallel + (1.0 - overlap) * serial;
-
-        // Interference from concurrently streamed weight chunks.
-        if extra_load_bytes > 0 {
-            let own = kernel.total_bytes().max(1) as f64;
-            let ratio = extra_load_bytes as f64 / own;
-            let mut sensitivity = kernel.category.overlap_sensitivity();
-            if kernel.pipelined {
-                // The branch-free pipelined template hides a good part of the
-                // extra traffic behind arithmetic.
-                sensitivity *= 0.55;
-            }
-            base *= 1.0 + sensitivity * ratio;
-            // The streamed bytes also have to physically move UM→TM; charge the
-            // part that cannot be hidden behind compute.
-            let stream_ms = extra_load_bytes as f64 / self.device.texture_bw * 1e3;
-            let hidden = (parallel - memory_ms).max(0.0);
-            base += (stream_ms - hidden).max(0.0) * 0.15;
+        let mut sensitivity = kernel.category.overlap_sensitivity();
+        if kernel.pipelined {
+            // The branch-free pipelined template hides a good part of the
+            // extra traffic behind arithmetic.
+            sensitivity *= 0.55;
         }
-
-        base + self.device.kernel_launch_overhead_ms
+        Roofline {
+            base_ms: overlap * parallel + (1.0 - overlap) * serial,
+            hidden_ms: (parallel - memory_ms).max(0.0),
+            own_bytes: kernel.total_bytes().max(1) as f64,
+            sensitivity,
+            texture_bw: self.device.texture_bw,
+            launch_overhead_ms: self.device.kernel_launch_overhead_ms,
+        }
     }
 
     /// Relative latency increase caused by streaming `extra_load_bytes`
     /// concurrently, as a fraction (0.2 == 20% slower). This is the quantity
     /// plotted on Figure 2's thresholds.
     pub fn overlap_penalty(&self, kernel: &KernelDesc, extra_load_bytes: u64) -> f64 {
-        let base = self.latency_ms(kernel);
-        if base <= 0.0 {
-            return 0.0;
-        }
-        self.latency_with_extra_load_ms(kernel, extra_load_bytes) / base - 1.0
+        self.roofline(kernel).penalty(extra_load_bytes)
     }
 
     /// Maximum number of extra bytes that can be streamed during this kernel
     /// while keeping the latency penalty below `max_penalty` (e.g. 0.2 for the
-    /// 20% threshold). Found by bisection on the monotone penalty function.
+    /// 20% threshold). Found by bisection on the monotone penalty function;
+    /// the kernel's roofline is priced once for all probes.
     pub fn max_extra_load_bytes(&self, kernel: &KernelDesc, max_penalty: f64) -> u64 {
         if max_penalty <= 0.0 {
             return 0;
         }
+        let roofline = self.roofline(kernel);
         let mut lo = 0u64;
         let mut hi = kernel.total_bytes().max(1) * 16;
-        if self.overlap_penalty(kernel, hi) <= max_penalty {
+        if roofline.penalty(hi) <= max_penalty {
             return hi;
         }
         while hi - lo > 1024 {
             let mid = lo + (hi - lo) / 2;
-            if self.overlap_penalty(kernel, mid) <= max_penalty {
+            if roofline.penalty(mid) <= max_penalty {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
         lo
+    }
+}
+
+/// The extra-load-independent terms of one kernel's latency, so that a
+/// probe of another extra load evaluates only the interference term.
+#[derive(Debug, Clone, Copy)]
+struct Roofline {
+    /// Latency of the compute and memory phases, without launch overhead.
+    base_ms: f64,
+    /// Compute time that can hide streamed bytes.
+    hidden_ms: f64,
+    /// The kernel's own traffic, at least one byte.
+    own_bytes: f64,
+    /// Slowdown per unit of extra load relative to the kernel's own traffic.
+    sensitivity: f64,
+    texture_bw: f64,
+    launch_overhead_ms: f64,
+}
+
+impl Roofline {
+    fn latency_ms(&self, extra_load_bytes: u64) -> f64 {
+        let mut base = self.base_ms;
+        // Interference from concurrently streamed weight chunks.
+        if extra_load_bytes > 0 {
+            let ratio = extra_load_bytes as f64 / self.own_bytes;
+            base *= 1.0 + self.sensitivity * ratio;
+            // The streamed bytes also have to physically move UM→TM; charge the
+            // part that cannot be hidden behind compute.
+            let stream_ms = extra_load_bytes as f64 / self.texture_bw * 1e3;
+            base += (stream_ms - self.hidden_ms).max(0.0) * 0.15;
+        }
+        base + self.launch_overhead_ms
+    }
+
+    fn penalty(&self, extra_load_bytes: u64) -> f64 {
+        let base = self.latency_ms(0);
+        if base <= 0.0 {
+            return 0.0;
+        }
+        self.latency_ms(extra_load_bytes) / base - 1.0
     }
 }
 

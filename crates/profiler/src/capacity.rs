@@ -14,7 +14,7 @@
 
 use flashmem_gpu_sim::kernel::{KernelCostModel, KernelDesc};
 use flashmem_gpu_sim::DeviceSpec;
-use flashmem_graph::{FusionPlan, Graph};
+use flashmem_graph::{FusionGroup, FusionPlan, Graph};
 use serde::{Deserialize, Serialize};
 
 use crate::gbrt::{GbrtConfig, GbrtModel};
@@ -50,7 +50,7 @@ pub enum CapacityPolicy {
 /// The load-capacity profiler: computes `C_ℓ` for every kernel of a model.
 #[derive(Debug, Clone)]
 pub struct CapacityProfiler {
-    device: DeviceSpec,
+    cost: KernelCostModel,
     options: LoweringOptions,
     policy: CapacityPolicy,
     model: Option<GbrtModel>,
@@ -60,7 +60,7 @@ impl CapacityProfiler {
     /// A profiler using the paper's static per-class thresholds.
     pub fn new(device: DeviceSpec) -> Self {
         CapacityProfiler {
-            device,
+            cost: KernelCostModel::new(device),
             options: LoweringOptions::flashmem(),
             policy: CapacityPolicy::StaticThresholds,
             model: None,
@@ -76,7 +76,8 @@ impl CapacityProfiler {
     /// Switch to predicted capacities, training the GBRT regressor on a fresh
     /// profiling sweep of the device (the offline stage of Figure 3/4).
     pub fn with_trained_model(mut self, max_penalty: f64) -> Self {
-        let samples = KernelSampler::new(self.device.clone(), SamplingConfig::default()).collect();
+        let samples =
+            KernelSampler::new(self.cost.device().clone(), SamplingConfig::default()).collect();
         let features: Vec<Vec<f64>> = samples.iter().map(KernelSample::features).collect();
         let targets: Vec<f64> = samples.iter().map(|s| s.latency_ms).collect();
         self.model = Some(GbrtModel::fit(&features, &targets, &GbrtConfig::default()));
@@ -96,37 +97,38 @@ impl CapacityProfiler {
 
     /// Compute the capacity of every fusion group of `plan` over `graph`.
     pub fn capacities(&self, graph: &Graph, plan: &FusionPlan) -> Vec<LoadCapacity> {
-        let cost = KernelCostModel::new(self.device.clone());
         plan.groups()
             .iter()
             .enumerate()
-            .map(|(idx, group)| {
-                let kernel = kernel_for_group(graph, group, &self.options);
-                let baseline = cost.latency_ms(&kernel);
-                let capacity = match self.policy {
-                    CapacityPolicy::StaticThresholds => {
-                        self.static_capacity(graph, group, &kernel, &cost)
-                    }
-                    CapacityPolicy::Predicted { max_penalty } => {
-                        self.predicted_capacity(&kernel, baseline, max_penalty)
-                    }
-                };
-                LoadCapacity {
-                    kernel_index: idx,
-                    capacity_bytes: capacity,
-                    baseline_latency_ms: baseline,
-                }
-            })
+            .map(|(idx, group)| self.capacity(graph, group, idx))
             .collect()
     }
 
-    fn static_capacity(
+    /// The capacity of one fusion group as kernel `kernel_index` of a plan.
+    /// Only `kernel_index` depends on the plan: the capacity and baseline
+    /// latency depend on the group and the graph alone.
+    pub fn capacity(
         &self,
         graph: &Graph,
-        group: &flashmem_graph::FusionGroup,
-        kernel: &KernelDesc,
-        cost: &KernelCostModel,
-    ) -> u64 {
+        group: &FusionGroup,
+        kernel_index: usize,
+    ) -> LoadCapacity {
+        let kernel = kernel_for_group(graph, group, &self.options);
+        let baseline = self.cost.latency_ms(&kernel);
+        let capacity = match self.policy {
+            CapacityPolicy::StaticThresholds => self.static_capacity(graph, group, &kernel),
+            CapacityPolicy::Predicted { max_penalty } => {
+                self.predicted_capacity(&kernel, baseline, max_penalty)
+            }
+        };
+        LoadCapacity {
+            kernel_index,
+            capacity_bytes: capacity,
+            baseline_latency_ms: baseline,
+        }
+    }
+
+    fn static_capacity(&self, graph: &Graph, group: &FusionGroup, kernel: &KernelDesc) -> u64 {
         // The class threshold is a *latency-increase budget* (Figure 2):
         // hierarchical kernels tolerate none, reusable kernels 20%, elemental
         // kernels 300% (their absolute latency is tiny). The capacity is the
@@ -135,7 +137,7 @@ impl CapacityProfiler {
         if threshold <= 0.0 {
             return 0;
         }
-        cost.max_extra_load_bytes(kernel, threshold)
+        self.cost.max_extra_load_bytes(kernel, threshold)
     }
 
     fn predicted_capacity(&self, kernel: &KernelDesc, baseline: f64, max_penalty: f64) -> u64 {
