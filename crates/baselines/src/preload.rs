@@ -257,18 +257,16 @@ impl PreloadFramework {
 
         let mut stream = CommandStream::new();
         stream.push(Command::alloc(
-            "runtime_overhead",
             MemoryTier::UnifiedMemory,
             profile.runtime_overhead_mib * 1024 * 1024,
-            &[],
+            [],
         ));
         let activation_bytes =
             (graph.max_activation_bytes() as f64 * 2.0 * profile.activation_slack) as u64;
         stream.push(Command::alloc(
-            "activation_arena",
             MemoryTier::UnifiedMemory,
             activation_bytes.max(1),
-            &[],
+            [],
         ));
 
         // Phase 1 — load every weight from disk into unified memory. The
@@ -278,17 +276,16 @@ impl PreloadFramework {
         let effective_load_bytes =
             (total_weight_bytes as f64 / profile.load_efficiency.max(0.05)) as u64;
         let um_alloc = stream.push(Command::alloc(
-            "weights.um",
             MemoryTier::UnifiedMemory,
             total_weight_bytes,
-            &[],
+            [],
         ));
         let load = stream.push(Command::transfer(
             "weights.load",
             effective_load_bytes,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[um_alloc],
+            [um_alloc],
         ));
 
         // Phase 2 — transform every weight into the execution layout: one
@@ -310,20 +307,19 @@ impl PreloadFramework {
             // both the data movement and the launch/sync cost.
             let overhead_bytes = (overhead * 1e-3 * 172.0e9) as u64;
             let transform = stream.push(Command::transform(
-                &format!("{}.repack", node.name),
+                format!("{}.repack", node.name),
                 bytes + overhead_bytes,
                 traffic_factor.max(0.2),
                 QueueKind::Compute,
-                &[last_transform],
+                [last_transform],
             ));
             last_transform = transform;
         }
         if options.weight_layout != WeightLayout::LinearBuffer {
             stream.push(Command::alloc(
-                "weights.texture",
                 MemoryTier::TextureMemory,
                 tm_total,
-                &[last_transform],
+                [last_transform],
             ));
         }
         // Release the fraction of the unified-memory staging copy the
@@ -333,21 +329,16 @@ impl PreloadFramework {
         if released > 0 && options.weight_layout != WeightLayout::LinearBuffer {
             // Model the partial release by freeing the staging buffer and
             // re-allocating the retained share.
-            let free = stream.push(Command::free(
-                "weights.um_release",
-                um_alloc,
-                &[last_transform],
-            ));
+            let free = stream.push(Command::free(um_alloc, [last_transform]));
             if total_weight_bytes > released {
                 stream.push(Command::alloc(
-                    "weights.um_retained",
                     MemoryTier::UnifiedMemory,
                     total_weight_bytes - released,
-                    &[free],
+                    [free],
                 ));
             }
         }
-        let init_done = stream.push(Command::barrier("init_done", &[last_transform]));
+        let init_done = stream.push(Command::barrier([last_transform]));
 
         // Phase 3 — execute the graph, one fused kernel at a time.
         let mut prev = init_done;
@@ -356,7 +347,7 @@ impl PreloadFramework {
             // Framework kernel quality: effective FLOP rate is a fraction of
             // the roofline the simulator models.
             kernel.flops /= self.profile.exec_efficiency.max(1e-3);
-            prev = stream.push(Command::kernel(&kernel.name.clone(), kernel, 0, &[prev]));
+            prev = stream.push(Command::kernel(kernel.name.clone(), kernel, 0, [prev]));
         }
         stream
     }

@@ -68,13 +68,13 @@ fn bench_simulator_engine() {
         .with_launch(LaunchDims::new([512, 512, 1], [8, 8, 1]));
         let deps: Vec<usize> = prev.into_iter().collect();
         let t = stream.push(Command::transfer(
-            &format!("t{i}"),
+            format!("t{i}"),
             4 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &deps,
+            deps,
         ));
-        prev = Some(stream.push(Command::kernel(&format!("k{i}"), kernel, 0, &[t])));
+        prev = Some(stream.push(Command::kernel(format!("k{i}"), kernel, 0, [t])));
     }
     group("simulator");
     bench("simulator_500_kernels_500_transfers", 20, || {

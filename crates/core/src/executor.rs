@@ -11,7 +11,9 @@
 //!   FlashMem's memory savings come from.
 
 use flashmem_gpu_sim::bandwidth::MemoryTier;
-use flashmem_gpu_sim::engine::{Command, CommandStream, GpuSimulator, QueueKind, SimConfig};
+use flashmem_gpu_sim::engine::{
+    Command, CommandId, CommandStream, GpuSimulator, QueueKind, SimConfig,
+};
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::DeviceSpec;
@@ -85,24 +87,33 @@ impl StreamingExecutor {
     }
 
     /// Compile the execution into a simulator command stream.
+    ///
+    /// Only transfer, transform and kernel commands carry labels, the names
+    /// their trace spans show; alloc, free and barrier commands carry none.
     pub fn compile(&self, graph: &Graph, fusion: &FusionPlan, plan: &OverlapPlan) -> CommandStream {
         let mut stream = CommandStream::new();
-        let transform_factor = self.options.weight_layout.transform_traffic_factor();
+        let transform_factor = self
+            .options
+            .weight_layout
+            .transform_traffic_factor()
+            .max(1.0);
+        // A dedicated transform kernel pays a fixed launch/sync cost on top
+        // of the data traversal, charged as extra bytes.
+        let overhead_bytes =
+            (SEPARATE_TRANSFORM_OVERHEAD_MS * 1e-3 * self.device.texture_bw) as u64;
 
         // Framework runtime overhead + activation working set, held for the
         // whole run.
         stream.push(Command::alloc(
-            "runtime_overhead",
             MemoryTier::UnifiedMemory,
             self.runtime_overhead_bytes,
-            &[],
+            [],
         ));
         let activation_bytes = graph.max_activation_bytes() * self.activation_slots;
         stream.push(Command::alloc(
-            "activations",
             MemoryTier::UnifiedMemory,
             activation_bytes.max(1),
-            &[],
+            [],
         ));
 
         // ------------------------------------------------------------------
@@ -112,95 +123,101 @@ impl StreamingExecutor {
         for schedule in plan.weights().iter().filter(|w| w.preloaded) {
             let name = weight_label(graph, schedule.weight);
             let um = stream.push(Command::alloc(
-                &format!("{name}.um"),
                 MemoryTier::UnifiedMemory,
                 schedule.bytes,
-                &[],
+                [],
             ));
             let load = stream.push(Command::transfer(
-                &format!("{name}.load"),
+                format!("{name}.load"),
                 schedule.bytes,
                 MemoryTier::Disk,
                 MemoryTier::UnifiedMemory,
-                &[um],
+                [um],
             ));
             let tm = stream.push(Command::alloc(
-                &format!("{name}.tm"),
                 MemoryTier::TextureMemory,
                 schedule.bytes,
-                &[load],
+                [load],
             ));
             // Preloaded weights are transformed by dedicated data-loading
-            // kernels before execution; each pays a fixed launch/sync cost on
-            // top of the data traversal.
-            let overhead_bytes =
-                (SEPARATE_TRANSFORM_OVERHEAD_MS * 1e-3 * self.device.texture_bw) as u64;
+            // kernels before execution.
             let transform = stream.push(Command::transform(
-                &format!("{name}.transform"),
+                format!("{name}.transform"),
                 schedule.bytes + overhead_bytes,
-                transform_factor.max(1.0),
+                transform_factor,
                 QueueKind::Compute,
-                &[tm],
+                [tm],
             ));
             // The unified-memory staging copy is dropped once the texture copy
             // exists; the texture copy persists for the whole run.
-            let free_um = stream.push(Command::free(&format!("{name}.um_free"), um, &[transform]));
-            init_barrier_deps.push(free_um);
+            init_barrier_deps.push(stream.push(Command::free(um, [transform])));
         }
-        let init_done = stream.push(Command::barrier("init_done", &init_barrier_deps));
+        let init_done = stream.push(Command::barrier(init_barrier_deps));
 
         // ------------------------------------------------------------------
         // Streamed weights: disk loads on the transfer queue.
         // ------------------------------------------------------------------
-        // kernel index -> list of (weight, load command) that must complete
-        // before that kernel consumes the weight.
-        let mut load_of_weight: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
-        let mut um_alloc_of_weight: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
+        // Per-node lookups, indexed by `NodeId`: every chunk assignment names
+        // a weight with a schedule, and every fusion group a graph node.
+        let slots = plan
+            .weights()
+            .iter()
+            .map(|w| w.weight.0 + 1)
+            .fold(graph.len(), usize::max);
+        // The consumer kernel of each weight's first schedule.
+        let mut consumer_of: Vec<Option<usize>> = vec![None; slots];
+        for schedule in plan.weights().iter().rev() {
+            consumer_of[schedule.weight.0] = Some(schedule.consumer_kernel);
+        }
+        // The disk load and unified-memory staging allocation of each
+        // streamed weight, and its label stem when repacks need one.
+        let mut load_of: Vec<Option<CommandId>> = vec![None; slots];
+        let mut um_of: Vec<Option<CommandId>> = vec![None; slots];
+        let mut stem_of: Vec<Option<String>> = vec![None; slots];
         let mut streamed: Vec<&crate::plan::WeightSchedule> =
             plan.weights().iter().filter(|w| !w.preloaded).collect();
         // Issue loads in the order their windows open so the transfer queue
         // works ahead of compute exactly as the plan intends.
         streamed.sort_by_key(|w| (w.disk_load_kernel, w.consumer_kernel));
-        let mut kernel_cmd_of: Vec<Option<usize>> = vec![None; fusion.len()];
 
         // We interleave: walk kernels in order; before each kernel, issue the
         // disk loads whose z_w equals this kernel index, then the kernel
         // itself with its extra streamed bytes.
         let mut load_cursor = 0usize;
-        let mut previous_kernel: Option<usize> = Some(init_done);
-        // Texture-chunk allocations waiting to be freed once their consumer
-        // kernel has run: consumer kernel index -> (label, alloc command id).
-        let mut deferred_frees: std::collections::HashMap<usize, Vec<(String, usize)>> =
-            std::collections::HashMap::new();
+        let mut previous = init_done;
+        // Texture chunks to free once their consumer kernel has run, by
+        // consumer; chunks whose consumer never runs after them are freed
+        // after the last kernel, in allocation order.
+        let mut frees_after: Vec<Vec<CommandId>> = vec![Vec::new(); fusion.len()];
+        let mut orphans: Vec<CommandId> = Vec::new();
 
         for (kernel_idx, group) in fusion.groups().iter().enumerate() {
             // Disk loads scheduled to start at this kernel (`z_w`): both the
             // staging allocation and the transfer wait for execution to reach
             // the scheduled kernel, so memory occupancy and prefetch depth
             // track the plan rather than racing ahead at initialization time.
-            let issue_dep = previous_kernel.unwrap_or(init_done);
             while load_cursor < streamed.len()
                 && streamed[load_cursor].disk_load_kernel <= kernel_idx
             {
                 let schedule = streamed[load_cursor];
+                let weight = schedule.weight.0;
                 let name = weight_label(graph, schedule.weight);
                 let um = stream.push(Command::alloc(
-                    &format!("{name}.um"),
                     MemoryTier::UnifiedMemory,
                     schedule.bytes,
-                    &[issue_dep],
+                    [previous],
                 ));
-                let load = stream.push(Command::transfer(
-                    &format!("{name}.stream_load"),
+                load_of[weight] = Some(stream.push(Command::transfer(
+                    format!("{name}.stream_load"),
                     schedule.bytes,
                     MemoryTier::Disk,
                     MemoryTier::UnifiedMemory,
-                    &[um],
-                ));
-                load_of_weight.insert(schedule.weight, load);
-                um_alloc_of_weight.insert(schedule.weight, um);
+                    [um],
+                )));
+                um_of[weight] = Some(um);
+                if !self.embedded_transforms {
+                    stem_of[weight] = Some(name);
+                }
                 load_cursor += 1;
             }
 
@@ -210,100 +227,73 @@ impl StreamingExecutor {
             } else {
                 0
             };
-            let mut deps: Vec<usize> = Vec::new();
-            if let Some(prev) = previous_kernel {
-                deps.push(prev);
-            }
+            let mut deps = vec![previous];
             for assignment in plan.assignments_at(kernel_idx) {
-                let mut chunk_deps: Vec<usize> = Vec::new();
-                if let Some(&load) = load_of_weight.get(&assignment.weight) {
-                    // Embedded chunk transforms only need the *prefix* of the
-                    // weight that has already arrived in unified memory; the
-                    // plan's C1 constraint guarantees the load was issued at or
-                    // before this kernel, so the kernel itself is not blocked
-                    // on the full transfer. Only dedicated repack kernels (no
-                    // rewriting) and the final consumer synchronise with it.
-                    chunk_deps.push(load);
-                }
-                let name = weight_label(graph, assignment.weight);
+                let weight = assignment.weight.0;
                 let tm = stream.push(Command::alloc(
-                    &format!("{name}.tm_chunk@{kernel_idx}"),
                     MemoryTier::TextureMemory,
                     assignment.bytes,
-                    &[],
+                    [],
                 ));
                 if !self.embedded_transforms {
                     // Dedicated repack kernel on the compute queue: pays the
                     // data traversal plus a fixed launch/sync overhead and
-                    // serialises with the real kernels (no rewriting).
-                    if let Some(prev) = previous_kernel {
-                        chunk_deps.push(prev);
-                    }
-                    let overhead_bytes =
-                        (SEPARATE_TRANSFORM_OVERHEAD_MS * 1e-3 * self.device.texture_bw) as u64;
+                    // serialises with the real kernels (no rewriting). It
+                    // waits for the weight's load. An embedded chunk
+                    // transform needs only the *prefix* of the weight that
+                    // has already arrived in unified memory; the plan's C1
+                    // constraint guarantees the load was issued at or before
+                    // this kernel, so a rewritten kernel is not blocked on
+                    // the full transfer. Only dedicated repack kernels and
+                    // the final consumer synchronise with it.
+                    let chunk_deps: Vec<CommandId> =
+                        load_of[weight].into_iter().chain([previous]).collect();
+                    let name = stem_of[weight]
+                        .get_or_insert_with(|| weight_label(graph, assignment.weight));
                     let transform = stream.push(Command::transform(
-                        &format!("{name}.repack@{kernel_idx}"),
+                        format!("{name}.repack@{kernel_idx}"),
                         assignment.bytes + overhead_bytes,
-                        self.options
-                            .weight_layout
-                            .transform_traffic_factor()
-                            .max(1.0),
+                        transform_factor,
                         QueueKind::Compute,
-                        &chunk_deps,
+                        chunk_deps,
                     ));
                     deps.push(transform);
                 }
-                let consumer = plan
-                    .schedule_for(assignment.weight)
-                    .map(|s| s.consumer_kernel)
-                    .unwrap_or(kernel_idx);
-                deferred_frees
-                    .entry(consumer)
-                    .or_default()
-                    .push((format!("{name}.tm_chunk_free"), tm));
-            }
-
-            // Weights consumed by this kernel must have finished loading.
-            for node in &group.nodes {
-                if let Some(&load) = load_of_weight.get(node) {
-                    deps.push(load);
+                match consumer_of[weight].unwrap_or(kernel_idx) {
+                    consumer if consumer >= kernel_idx && consumer < fusion.len() => {
+                        frees_after[consumer].push(tm);
+                    }
+                    _ => orphans.push(tm),
                 }
             }
 
+            // Weights consumed by this kernel must have finished loading.
+            deps.extend(group.nodes.iter().filter_map(|node| load_of[node.0]));
+
             let kernel = kernel_for_group(graph, group, &self.options);
             let cmd = stream.push(Command::kernel(
-                &kernel.name.clone(),
+                kernel.name.clone(),
                 kernel,
                 extra_bytes,
-                &deps,
+                deps,
             ));
-            kernel_cmd_of[kernel_idx] = Some(cmd);
-            previous_kernel = Some(cmd);
+            previous = cmd;
 
             // Release texture chunks whose consumer just ran, and the
             // unified-memory staging copies of weights consumed by this
             // kernel.
-            if let Some(frees) = deferred_frees.remove(&kernel_idx) {
-                for (label, alloc) in frees {
-                    stream.push(Command::free(&label, alloc, &[cmd]));
-                }
+            for tm in std::mem::take(&mut frees_after[kernel_idx]) {
+                stream.push(Command::free(tm, [cmd]));
             }
-            for node in &group.nodes {
-                if let Some(&um) = um_alloc_of_weight.get(node) {
-                    let name = weight_label(graph, *node);
-                    stream.push(Command::free(&format!("{name}.um_free"), um, &[cmd]));
-                }
+            for um in group.nodes.iter().filter_map(|node| um_of[node.0]) {
+                stream.push(Command::free(um, [cmd]));
             }
         }
 
         // Safety net: release anything whose consumer never ran (should not
         // happen for valid plans, but keeps the accounting clean).
-        if let Some(last) = previous_kernel {
-            for (_, frees) in deferred_frees.drain() {
-                for (label, alloc) in frees {
-                    stream.push(Command::free(&label, alloc, &[last]));
-                }
-            }
+        for tm in orphans {
+            stream.push(Command::free(tm, [previous]));
         }
 
         stream
@@ -467,5 +457,65 @@ mod tests {
         let exec = StreamingExecutor::new(DeviceSpec::xiaomi_mi_6(), LoweringOptions::flashmem());
         let result = exec.execute(&graph, &fusion, &plan);
         assert!(result.is_ok(), "{result:?}");
+    }
+
+    #[test]
+    fn chunks_whose_consumer_never_runs_are_freed_last_in_allocation_order() {
+        use flashmem_gpu_sim::engine::CommandKind;
+        use flashmem_graph::GraphBuilder;
+
+        let mut b = GraphBuilder::new("orphans");
+        let mut x = b.input("x", &[64, 256]);
+        let mut weights = Vec::new();
+        for i in 0..4 {
+            x = b.matmul(&format!("fc{i}"), x, 256);
+            weights.push(x);
+        }
+        let graph = b.build();
+        let fusion = FusionPlan::unfused(&graph);
+        let kernels = fusion.len();
+        // Each weight streams one chunk at kernel `at`, and its consumer
+        // never runs after that: it lies past the last kernel or before `at`.
+        let mut plan = OverlapPlan::new(kernels, 64 * 1024);
+        for (weight, (consumer, at)) in
+            weights
+                .into_iter()
+                .zip([(kernels + 3, 1), (0, 2), (kernels, 3), (1, 4)])
+        {
+            plan.add_streamed(weight, consumer, 0, 64 * 1024, &[(at, 1)]);
+        }
+        let exec = StreamingExecutor::new(DeviceSpec::oneplus_12(), LoweringOptions::flashmem());
+        let stream = exec.compile(&graph, &fusion, &plan);
+        let commands = stream.commands();
+
+        let chunks: Vec<CommandId> = (0..commands.len())
+            .filter(|&id| {
+                matches!(
+                    commands[id].kind,
+                    CommandKind::Alloc {
+                        tier: MemoryTier::TextureMemory,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        let last_kernel = commands
+            .iter()
+            .rposition(|c| matches!(c.kind, CommandKind::Kernel { .. }))
+            .unwrap();
+        let tail: Vec<(CommandId, Vec<CommandId>)> = commands[commands.len() - chunks.len()..]
+            .iter()
+            .map(|c| match c.kind {
+                CommandKind::Free { alloc } => (alloc, c.deps.clone()),
+                ref other => panic!("expected a free, got {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(CommandId, Vec<CommandId>)> =
+            chunks.iter().map(|&tm| (tm, vec![last_kernel])).collect();
+        assert_eq!(chunks.len(), 4);
+        assert_eq!(tail, expected);
+        for _ in 0..20 {
+            assert_eq!(exec.compile(&graph, &fusion, &plan), stream);
+        }
     }
 }

@@ -218,27 +218,23 @@ impl OverlapPlan {
             bytes,
         });
         let mut remaining = bytes;
-        let total_chunks: u64 = assignments.iter().map(|(_, c)| c).sum();
+        // The final chunk of a weight may be short; attribute bytes
+        // proportionally, giving the remainder to the last assignment.
+        let last_kernel = assignments
+            .iter()
+            .filter(|(_, c)| *c > 0)
+            .map(|(k, _)| *k)
+            .max();
         for (kernel, chunks) in assignments {
             if *chunks == 0 {
                 continue;
             }
-            // The final chunk of a weight may be short; attribute bytes
-            // proportionally, giving the remainder to the last assignment.
-            let is_last = *kernel
-                == assignments
-                    .iter()
-                    .filter(|(_, c)| *c > 0)
-                    .map(|(k, _)| *k)
-                    .max()
-                    .unwrap_or(*kernel);
-            let bytes_here = if is_last {
+            let bytes_here = if Some(*kernel) == last_kernel {
                 remaining
             } else {
                 (self.chunk_bytes * chunks).min(remaining)
             };
             remaining -= bytes_here.min(remaining);
-            let _ = total_chunks;
             if let Some(slot) = self.per_kernel.get_mut(*kernel) {
                 slot.push(ChunkAssignment {
                     weight,

@@ -363,10 +363,10 @@ mod tests {
             48 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[],
+            [],
         ));
         let k = KernelDesc::new("step", KernelCategory::Reusable, 5.0e7, 48 << 20, 1 << 16);
-        s.push(Command::kernel("mm", k, 0, &[w]));
+        s.push(Command::kernel("mm", k, 0, [w]));
         s
     }
 

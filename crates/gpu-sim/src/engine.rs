@@ -39,7 +39,7 @@ pub enum QueueKind {
 /// One operation in a command stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CommandKind {
-    /// Reserve `bytes` in `tier` under `label`.
+    /// Reserve `bytes` in `tier`.
     Alloc {
         /// Memory tier to allocate in.
         tier: MemoryTier,
@@ -88,8 +88,9 @@ pub enum CommandKind {
 /// A command plus its scheduling metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Command {
-    /// Human readable label (kernel or weight name), used in trace spans and
-    /// allocation records; timeline events refer to it by command index.
+    /// Human readable label (kernel or weight name) of a transfer, transform
+    /// or kernel command: the name of its trace span. Alloc, free and barrier
+    /// commands occupy no queue, so no span shows them, and carry none.
     pub label: String,
     /// The operation.
     pub kind: CommandKind,
@@ -99,80 +100,80 @@ pub struct Command {
 
 impl Command {
     /// Convenience constructor for an allocation command.
-    pub fn alloc(label: &str, tier: MemoryTier, bytes: u64, deps: &[CommandId]) -> Self {
+    pub fn alloc(tier: MemoryTier, bytes: u64, deps: impl Into<Vec<CommandId>>) -> Self {
         Command {
-            label: label.to_string(),
+            label: String::new(),
             kind: CommandKind::Alloc { tier, bytes },
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
     /// Convenience constructor for a free command.
-    pub fn free(label: &str, alloc: CommandId, deps: &[CommandId]) -> Self {
+    pub fn free(alloc: CommandId, deps: impl Into<Vec<CommandId>>) -> Self {
         Command {
-            label: label.to_string(),
+            label: String::new(),
             kind: CommandKind::Free { alloc },
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
     /// Convenience constructor for a transfer command.
     pub fn transfer(
-        label: &str,
+        label: impl Into<String>,
         bytes: u64,
         from: MemoryTier,
         to: MemoryTier,
-        deps: &[CommandId],
+        deps: impl Into<Vec<CommandId>>,
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Transfer { bytes, from, to },
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
     /// Convenience constructor for a layout transformation command.
     pub fn transform(
-        label: &str,
+        label: impl Into<String>,
         bytes: u64,
         traffic_factor: f64,
         queue: QueueKind,
-        deps: &[CommandId],
+        deps: impl Into<Vec<CommandId>>,
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Transform {
                 bytes,
                 traffic_factor,
                 queue,
             },
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
     /// Convenience constructor for a kernel command.
     pub fn kernel(
-        label: &str,
+        label: impl Into<String>,
         desc: KernelDesc,
         extra_load_bytes: u64,
-        deps: &[CommandId],
+        deps: impl Into<Vec<CommandId>>,
     ) -> Self {
         Command {
-            label: label.to_string(),
+            label: label.into(),
             kind: CommandKind::Kernel {
                 desc,
                 extra_load_bytes,
             },
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
     /// Convenience constructor for a barrier.
-    pub fn barrier(label: &str, deps: &[CommandId]) -> Self {
+    pub fn barrier(deps: impl Into<Vec<CommandId>>) -> Self {
         Command {
-            label: label.to_string(),
+            label: String::new(),
             kind: CommandKind::Barrier,
-            deps: deps.to_vec(),
+            deps: deps.into(),
         }
     }
 
@@ -1050,9 +1051,9 @@ mod tests {
             100 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[],
+            [],
         ));
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[a]));
+        s.push(Command::kernel("k", small_kernel("k"), 0, [a]));
         let out = sim.execute(s).unwrap();
         let events = out.timeline.events();
         assert_eq!(events.len(), 2);
@@ -1070,9 +1071,9 @@ mod tests {
             200 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[],
+            [],
         ));
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
+        s.push(Command::kernel("k", small_kernel("k"), 0, []));
         let out = sim.execute(s).unwrap();
         assert!(out.timeline.overlap_fraction() > 0.0);
         // Makespan is shorter than the serial sum.
@@ -1089,14 +1090,14 @@ mod tests {
             50 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[],
+            [],
         ));
         s.push(Command::transfer(
             "t1",
             50 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[],
+            [],
         ));
         let out = sim.execute(s).unwrap();
         let e = out.timeline.events();
@@ -1107,20 +1108,15 @@ mod tests {
     fn allocation_lifecycle_tracked() {
         let mut sim = simulator();
         let mut s = CommandStream::new();
-        let a = s.push(Command::alloc(
-            "weights",
-            MemoryTier::UnifiedMemory,
-            100 << 20,
-            &[],
-        ));
+        let a = s.push(Command::alloc(MemoryTier::UnifiedMemory, 100 << 20, []));
         let t = s.push(Command::transfer(
             "load",
             100 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[a],
+            [a],
         ));
-        let f = s.push(Command::free("weights", a, &[t]));
+        let f = s.push(Command::free(a, [t]));
         // A second, weight-free phase after the release: the average footprint
         // over the whole run must now sit below the peak.
         s.push(Command::transfer(
@@ -1128,7 +1124,7 @@ mod tests {
             100 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[f],
+            [f],
         ));
         let out = sim.execute(s).unwrap();
         assert_eq!(out.peak_memory_bytes, 100 << 20);
@@ -1141,10 +1137,9 @@ mod tests {
         let mut sim = GpuSimulator::new(device.clone(), SimConfig::default());
         let mut s = CommandStream::new();
         s.push(Command::alloc(
-            "huge",
             MemoryTier::UnifiedMemory,
             device.app_budget_bytes + 1,
-            &[],
+            [],
         ));
         assert!(matches!(sim.execute(s), Err(SimError::OutOfMemory { .. })));
     }
@@ -1153,7 +1148,7 @@ mod tests {
     fn invalid_dependency_rejected() {
         let mut sim = simulator();
         let mut s = CommandStream::new();
-        s.push(Command::barrier("b", &[5]));
+        s.push(Command::barrier([5]));
         assert!(matches!(
             sim.execute(s),
             Err(SimError::UnknownDependency { .. })
@@ -1163,11 +1158,7 @@ mod tests {
     #[test]
     fn forward_dependency_is_a_cycle() {
         let mut s = CommandStream::new();
-        s.push(Command {
-            label: "self".into(),
-            kind: CommandKind::Barrier,
-            deps: vec![0],
-        });
+        s.push(Command::barrier([0]));
         assert!(matches!(
             s.validate(),
             Err(SimError::DependencyCycle { .. })
@@ -1183,9 +1174,9 @@ mod tests {
             64 << 20,
             3.0,
             QueueKind::Compute,
-            &[],
+            [],
         ));
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
+        s.push(Command::kernel("k", small_kernel("k"), 0, []));
         let out = sim.execute(s).unwrap();
         // Both occupy the compute queue, so they serialize.
         let e = out.timeline.events();
@@ -1197,9 +1188,9 @@ mod tests {
         let mut sim = simulator();
         let k = small_kernel("k");
         let mut plain = CommandStream::new();
-        plain.push(Command::kernel("k", k.clone(), 0, &[]));
+        plain.push(Command::kernel("k", k.clone(), 0, []));
         let mut loaded = CommandStream::new();
-        loaded.push(Command::kernel("k", k, 64 << 20, &[]));
+        loaded.push(Command::kernel("k", k, 64 << 20, []));
         let a = sim.execute(plain).unwrap().total_time_ms;
         let b = sim.execute(loaded).unwrap().total_time_ms;
         assert!(b > a);
@@ -1209,36 +1200,26 @@ mod tests {
         // Alloc → load → kernel chains with an independent prefetch, shaped
         // like the streaming executor's output.
         let mut s = CommandStream::new();
-        let a0 = s.push(Command::alloc(
-            "w0.um",
-            MemoryTier::UnifiedMemory,
-            64 << 20,
-            &[],
-        ));
+        let a0 = s.push(Command::alloc(MemoryTier::UnifiedMemory, 64 << 20, []));
         let l0 = s.push(Command::transfer(
             "w0.load",
             64 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[a0],
+            [a0],
         ));
-        let k0 = s.push(Command::kernel("k0", small_kernel("k0"), 8 << 20, &[l0]));
-        let a1 = s.push(Command::alloc(
-            "w1.um",
-            MemoryTier::UnifiedMemory,
-            32 << 20,
-            &[],
-        ));
+        let k0 = s.push(Command::kernel("k0", small_kernel("k0"), 8 << 20, [l0]));
+        let a1 = s.push(Command::alloc(MemoryTier::UnifiedMemory, 32 << 20, []));
         let l1 = s.push(Command::transfer(
             "w1.load",
             32 << 20,
             MemoryTier::Disk,
             MemoryTier::UnifiedMemory,
-            &[a1],
+            [a1],
         ));
-        let k1 = s.push(Command::kernel("k1", small_kernel("k1"), 0, &[k0, l1]));
-        s.push(Command::free("w0.um_free", a0, &[k1]));
-        s.push(Command::free("w1.um_free", a1, &[k1]));
+        let k1 = s.push(Command::kernel("k1", small_kernel("k1"), 0, [k0, l1]));
+        s.push(Command::free(a0, [k1]));
+        s.push(Command::free(a1, [k1]));
         s
     }
 
@@ -1401,7 +1382,7 @@ mod tests {
         let mut tracker = MemoryTracker::for_device(sim.device());
         let mut clocks = QueueClocks::new();
         let mut s = CommandStream::new();
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
+        s.push(Command::kernel("k", small_kernel("k"), 0, []));
         let mut stepper = StreamStepper::new(s).unwrap().with_floor_ms(25.0);
         let ev = stepper
             .step(&sim, &mut clocks, &mut tracker, 0.0)
@@ -1416,13 +1397,8 @@ mod tests {
         let mut tracker = MemoryTracker::for_device(sim.device());
         let mut clocks = QueueClocks::new();
         let mut s = CommandStream::new();
-        s.push(Command::alloc(
-            "persistent",
-            MemoryTier::TextureMemory,
-            10 << 20,
-            &[],
-        ));
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
+        s.push(Command::alloc(MemoryTier::TextureMemory, 10 << 20, []));
+        s.push(Command::kernel("k", small_kernel("k"), 0, []));
         let mut stepper = StreamStepper::new(s).unwrap();
         while !stepper.is_done() {
             stepper.step(&sim, &mut clocks, &mut tracker, 0.0).unwrap();
@@ -1561,7 +1537,7 @@ mod tests {
     fn energy_report_produced() {
         let mut sim = simulator();
         let mut s = CommandStream::new();
-        s.push(Command::kernel("k", small_kernel("k"), 0, &[]));
+        s.push(Command::kernel("k", small_kernel("k"), 0, []));
         let out = sim.execute(s).unwrap();
         assert!(out.energy.energy_j > 0.0);
         assert!(out.energy.average_power_w > sim.device().idle_power_w);

@@ -36,10 +36,10 @@
 //!
 //! let mut stream = CommandStream::new();
 //! let load = stream.push(Command::transfer(
-//!     "weights", 64 << 20, MemoryTier::Disk, MemoryTier::UnifiedMemory, &[]));
+//!     "weights", 64 << 20, MemoryTier::Disk, MemoryTier::UnifiedMemory, []));
 //! let kernel = KernelDesc::new("matmul", KernelCategory::Reusable, 2.0e9, 32 << 20, 8 << 20)
 //!     .with_launch(LaunchDims::new([256, 256, 1], [8, 8, 1]));
-//! stream.push(Command::kernel("mm0", kernel, 0, &[load]));
+//! stream.push(Command::kernel("mm0", kernel, 0, [load]));
 //!
 //! let outcome = sim.execute(stream)?;
 //! assert!(outcome.total_time_ms > 0.0);

@@ -139,11 +139,11 @@ fn command_streams_schedule_without_time_travel() {
         for i in 0..kernel_count {
             let deps: Vec<usize> = prev.into_iter().collect();
             let load = stream.push(Command::transfer(
-                &format!("t{i}"),
+                format!("t{i}"),
                 transfer_bytes,
                 MemoryTier::Disk,
                 MemoryTier::UnifiedMemory,
-                &deps,
+                deps,
             ));
             let kernel = KernelDesc::new(
                 &format!("k{i}"),
@@ -152,7 +152,7 @@ fn command_streams_schedule_without_time_travel() {
                 1 << 20,
                 1 << 20,
             );
-            prev = Some(stream.push(Command::kernel(&format!("k{i}"), kernel, 0, &[load])));
+            prev = Some(stream.push(Command::kernel(format!("k{i}"), kernel, 0, [load])));
         }
         let mut sim = GpuSimulator::new(DeviceSpec::oneplus_12(), SimConfig::default());
         let outcome = sim.execute(stream).unwrap();
