@@ -337,33 +337,58 @@ impl Timeline {
 
     /// Fraction of the makespan during which compute and transfer activity
     /// overlap — a direct measure of how well loading is hidden behind
-    /// execution (the paper's central mechanism).
+    /// execution (the paper's central mechanism). Transforms count as
+    /// transfers, and each (kernel, transfer) pair adds its common time.
+    ///
+    /// Transfers are sorted by start, with a running maximum of their ends,
+    /// so each kernel visits only the transfers that start before it ends
+    /// and after the last point where every earlier transfer has ended. Its
+    /// overlaps are added in the original transfer order, which keeps the
+    /// sum bit-identical to adding every pair in event order. Event times
+    /// are finite, as the engine records them.
     pub fn overlap_fraction(&self) -> f64 {
         let makespan = self.makespan_ms();
         if makespan <= 0.0 {
             return 0.0;
         }
-        // Sweep: collect interval edges for compute and transfer separately.
-        let compute: Vec<(f64, f64)> = self
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Kernel)
-            .map(|e| (e.start_ms, e.end_ms))
-            .collect();
-        let transfer: Vec<(f64, f64)> = self
+        // (start, end, index in event order) of every transfer, by start.
+        let mut transfers: Vec<(f64, f64, usize)> = self
             .events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Transfer | EventKind::Transform))
-            .map(|e| (e.start_ms, e.end_ms))
+            .enumerate()
+            .map(|(index, e)| (e.start_ms, e.end_ms, index))
             .collect();
+        transfers.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        // reach[j]: the latest end among transfers[..=j].
+        let reach: Vec<f64> = transfers
+            .iter()
+            .scan(f64::NEG_INFINITY, |latest, t| {
+                *latest = latest.max(t.1);
+                Some(*latest)
+            })
+            .collect();
+
         let mut overlap = 0.0;
-        for &(cs, ce) in &compute {
-            for &(ts, te) in &transfer {
+        let mut pieces: Vec<(usize, f64)> = Vec::new();
+        for kernel in self.events.iter().filter(|e| e.kind == EventKind::Kernel) {
+            let (cs, ce) = (kernel.start_ms, kernel.end_ms);
+            let started = transfers.partition_point(|t| t.0 < ce);
+            pieces.clear();
+            for j in (0..started).rev() {
+                if reach[j] <= cs {
+                    break;
+                }
+                let (ts, te, index) = transfers[j];
                 let s = cs.max(ts);
                 let e = ce.min(te);
                 if e > s {
-                    overlap += e - s;
+                    pieces.push((index, e - s));
                 }
+            }
+            pieces.sort_unstable_by_key(|piece| piece.0);
+            for &(_, piece) in &pieces {
+                overlap += piece;
             }
         }
         (overlap / makespan).min(1.0)
