@@ -13,7 +13,7 @@
 //! windows with no load capacity at all. A second, smaller set of golden
 //! fingerprints pins the plans and planner counters of inputs that do reach
 //! the soft-threshold retry, the greedy backup and the node-capped search,
-//! and how many windows each searches.
+//! and how many windows and search nodes each spends.
 //!
 //! Each golden compile is also lowered with `lower_artifact`, and the
 //! command streams of a model × device's three presets hash to one more
@@ -952,15 +952,14 @@ fn planner_fingerprint(plan: &OverlapPlan, report: &LcOpgReport) -> u64 {
         .write_u64(report.fallback_soft as u64)
         .write_u64(report.fallback_greedy as u64)
         .write_u64(report.fallback_preload as u64)
-        .write_u64(report.nodes_explored)
         .write_str(report.status.name())
         .finish()
 }
 
-/// (model abbreviation, configuration, planner fingerprint, searched
-/// windows) of plans made by `LcOpgSolver::plan` on the OnePlus 12. The
-/// searched-window count is checked beside the fingerprint, not hashed
-/// into it.
+/// (model abbreviation, how it was planned, planner fingerprint, searched
+/// windows, search nodes) of memory-priority plans made on the OnePlus 12 by
+/// `LcOpgSolver::plan` or `FlashMem::compile`. The searched-window and node
+/// counts are checked beside the fingerprint, not hashed into it.
 ///
 /// - Table 4's six models at memory priority. ViT-8B takes the soft-threshold
 ///   retry and the greedy backup once, Llama2-70B 161 times; no window of
@@ -968,15 +967,18 @@ fn planner_fingerprint(plan: &OverlapPlan, report: &LcOpgReport) -> u64 {
 /// - GPTN-S and GPTN-1.3B at λ = 0, where preloading can beat the fill, so
 ///   windows are searched: GPTN-S has a window that stops at its node cap, and
 ///   GPTN-1.3B has a greedy backup that streams its weight.
-const FALLBACK_GOLDEN: &[(&str, &str, u64, usize)] = &[
-    ("GPTN-S", "memory", 0x91a743eb47acc444, 0),
-    ("GPTN-1.3B", "memory", 0x2e55516cb8bc71a3, 0),
-    ("GPTN-2.7B", "memory", 0x088a4e0920c706ce, 0),
-    ("ViT-8B", "memory", 0xf9ec8ca280f3774c, 0),
-    ("Llama2-13B", "memory", 0xc9d45a51e2c6600a, 0),
-    ("Llama2-70B", "memory", 0xb2b3ada9705d0e2a, 0),
-    ("GPTN-S", "memory λ=0", 0x31eab3a7d1255abd, 1),
-    ("GPTN-1.3B", "memory λ=0", 0x03b4b94b64ac7584, 5),
+/// - GPTN-2.7B compiled at λ = 0, with adaptive fusion and the refined
+///   capacities: the one pin of a compile that searches windows.
+const FALLBACK_GOLDEN: &[(&str, &str, u64, usize, u64)] = &[
+    ("GPTN-S", "plan", 0xb51d275717f2da64, 0, 0),
+    ("GPTN-1.3B", "plan", 0x81c791671edd09a3, 0, 0),
+    ("GPTN-2.7B", "plan", 0x8a16b4a6288b16ae, 0, 0),
+    ("ViT-8B", "plan", 0x87db7006c7515c2c, 0, 0),
+    ("Llama2-13B", "plan", 0x5d44038282b8cc6a, 0, 0),
+    ("Llama2-70B", "plan", 0x6a2827fa0166134a, 0, 0),
+    ("GPTN-S", "plan λ=0", 0xd6a25a13802ed134, 1, 10000),
+    ("GPTN-1.3B", "plan λ=0", 0xd711e8d9ab113f2d, 5, 30038),
+    ("GPTN-2.7B", "compile λ=0", 0x9be78d1e38c72f4c, 3, 10254),
 ];
 
 #[test]
@@ -984,19 +986,28 @@ fn fallback_tiers_and_searched_windows_match_their_golden_fingerprints() {
     let memory = FlashMemConfig::memory_priority();
     let lambda_zero = memory.clone().with_lambda(0.0);
     let cells = vec![
-        (ModelZoo::gptneo_small(), "memory", memory.clone()),
-        (ModelZoo::gptneo_1_3b(), "memory", memory.clone()),
-        (ModelZoo::gptneo_2_7b(), "memory", memory.clone()),
-        (ModelZoo::vit_8b(), "memory", memory.clone()),
-        (ModelZoo::llama2_13b(), "memory", memory.clone()),
-        (ModelZoo::llama2_70b(), "memory", memory),
-        (ModelZoo::gptneo_small(), "memory λ=0", lambda_zero.clone()),
-        (ModelZoo::gptneo_1_3b(), "memory λ=0", lambda_zero),
+        (ModelZoo::gptneo_small(), "plan", memory.clone()),
+        (ModelZoo::gptneo_1_3b(), "plan", memory.clone()),
+        (ModelZoo::gptneo_2_7b(), "plan", memory.clone()),
+        (ModelZoo::vit_8b(), "plan", memory.clone()),
+        (ModelZoo::llama2_13b(), "plan", memory.clone()),
+        (ModelZoo::llama2_70b(), "plan", memory),
+        (ModelZoo::gptneo_small(), "plan λ=0", lambda_zero.clone()),
+        (ModelZoo::gptneo_1_3b(), "plan λ=0", lambda_zero.clone()),
+        (ModelZoo::gptneo_2_7b(), "compile λ=0", lambda_zero),
     ];
     assert_eq!(cells.len(), FALLBACK_GOLDEN.len());
 
     let planned = ThreadPool::new().parallel_map(cells, |(model, label, config)| {
-        let (plan, report) = LcOpgSolver::new(DeviceSpec::oneplus_12(), config).plan(model.graph());
+        let device = DeviceSpec::oneplus_12();
+        let (plan, report) = if label.starts_with("compile") {
+            let compiled = FlashMem::new(device)
+                .with_config(config)
+                .compile(model.graph());
+            (compiled.plan, compiled.planner_report)
+        } else {
+            LcOpgSolver::new(device, config).plan(model.graph())
+        };
         (
             model.abbr.clone(),
             label,
@@ -1009,20 +1020,27 @@ fn fallback_tiers_and_searched_windows_match_their_golden_fingerprints() {
         .iter()
         .zip(FALLBACK_GOLDEN)
         .filter(|((model, label, got, r), golden)| {
-            (model.as_str(), *label, *got, r.searched_windows) != **golden
+            (
+                model.as_str(),
+                *label,
+                *got,
+                r.searched_windows,
+                r.nodes_explored,
+            ) != **golden
         })
         .map(|((model, label, got, r), golden)| {
             format!(
-                "{model} / {label}: {got:#018x}, golden {:#018x}; {} searched windows, \
-                 golden {} ({} windows, soft {}, greedy {}, preload {}, {} nodes, {})",
-                golden.2,
+                "    (\"{model}\", \"{label}\", {got:#018x}, {}, {}), \
+                 // golden {:#018x}, {}, {}; {} windows, soft {}, greedy {}, preload {}, {}",
                 r.searched_windows,
+                r.nodes_explored,
+                golden.2,
                 golden.3,
+                golden.4,
                 r.windows,
                 r.fallback_soft,
                 r.fallback_greedy,
                 r.fallback_preload,
-                r.nodes_explored,
                 r.status.name()
             )
         })
