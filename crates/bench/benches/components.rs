@@ -1,39 +1,15 @@
-//! Micro-benchmarks for the building blocks: the CP solver on an OPG window,
-//! the LC-OPG planner, the GPU simulator's command engine, the kernel cost
-//! model and the GBRT regressor. These are the hot paths whose cost
-//! determines offline planning time (Table 4) and simulation throughput.
+//! Micro-benchmarks for the building blocks: the LC-OPG planner, the GPU
+//! simulator's command engine, the kernel cost model and the GBRT regressor.
+//! These are the hot paths whose cost determines offline planning time
+//! (Table 4) and simulation throughput.
 
 use flashmem_bench::timing::{bench, group};
-use flashmem_core::opg::greedy_hint;
-use flashmem_core::{
-    build_weight_window_model, CandidateSlot, FlashMem, FlashMemConfig, LcOpgSolver,
-};
+use flashmem_core::{FlashMem, FlashMemConfig, LcOpgSolver};
 use flashmem_gpu_sim::engine::{Command, CommandStream, GpuSimulator, SimConfig};
 use flashmem_gpu_sim::kernel::{KernelCategory, KernelCostModel, KernelDesc, LaunchDims};
 use flashmem_gpu_sim::{DeviceSpec, MemoryTier};
 use flashmem_graph::ModelZoo;
 use flashmem_profiler::{GbrtConfig, GbrtModel, KernelSample, KernelSampler, SamplingConfig};
-use flashmem_solver::{CpSolver, SolverConfig};
-
-fn bench_solver_window() {
-    let config = FlashMemConfig::memory_priority();
-    let candidates: Vec<CandidateSlot> = (0..24)
-        .map(|k| CandidateSlot {
-            kernel: k,
-            capacity_chunks: 8,
-            memory_headroom_chunks: 64,
-        })
-        .collect();
-    // Exactly the solve the LC-OPG planner issues per weight: a warm-started,
-    // node-capped window model.
-    let solver = CpSolver::with_config(SolverConfig::with_max_nodes(config.solver_node_limit));
-    group("solver");
-    bench("opg_window_solve_24_candidates", 10, || {
-        let window = build_weight_window_model(25, 40, &candidates, &config);
-        let hint = greedy_hint(&window);
-        solver.solve_with_hint(&window.model, Some(&hint))
-    });
-}
 
 fn bench_lc_opg_plan() {
     let graph = ModelZoo::gptneo_small().build();
@@ -115,7 +91,6 @@ fn bench_gbrt_training() {
 }
 
 fn main() {
-    bench_solver_window();
     bench_lc_opg_plan();
     bench_end_to_end_run();
     bench_simulator_engine();

@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | [`table1`] | Memory/latency of preloading frameworks (motivation) | Table 1 |
 //! | [`fig2`] | Latency increase vs. additional streamed volume per operator | Figure 2 |
-//! | [`table4`] | LC-OPG solver runtime breakdown and status | Table 4 |
+//! | [`table4`] | LC-OPG planning time and status | Table 4 |
 //! | [`fig4`] | Kernel profiling + GBRT latency prediction | Figure 4 |
 //! | [`table6`] | Model characterisation (generated vs published) | Table 6 |
 //! | [`table7`] | End-to-end latency comparison | Table 7 |

@@ -32,18 +32,10 @@ pub struct FlashMemConfig {
     /// Rolling-window length (in kernels) the incremental scheduler considers
     /// when placing a weight's chunks before its consumer.
     pub window: usize,
-    /// Search nodes one LC-OPG window may explore before its CP solve stops
-    /// with its best plan so far (status `FEASIBLE`). A count, not a clock,
-    /// so plans do not depend on machine speed.
-    pub solver_node_limit: u64,
-    /// Search nodes all windows of one plan may explore together — the
-    /// stand-in for the paper's 150 s offline CP-SAT limit. Once spent, the
-    /// remaining weights are scheduled greedily and the plan is `FEASIBLE`.
-    pub solver_node_budget: u64,
-    /// Weight names that must be preloaded regardless of the solver's choice
+    /// Weight names that must be preloaded regardless of the planner's choice
     /// (the explicit `|W|` list mentioned in Section 5.4).
     pub explicit_preload: Vec<String>,
-    /// Enable the OPG solver (disable to fall back to full preloading —
+    /// Enable the OPG planner (disable to fall back to full preloading —
     /// ablation baseline).
     pub enable_opg: bool,
     /// Enable adaptive fusion (Section 4.3).
@@ -70,12 +62,6 @@ impl FlashMemConfig {
             chunk_bytes: 256 * 1024,
             alpha: 0.25,
             window: 32,
-            // About 30 ms of search on a 32-kernel window at ~3 µs per node
-            // (2-vCPU Xeon, release build) — the order of the old 40 ms
-            // wall clock.
-            solver_node_limit: 10_000,
-            // About the paper's 150 s of offline solving at that rate.
-            solver_node_budget: 50_000_000,
             explicit_preload: Vec::new(),
             enable_opg: true,
             enable_adaptive_fusion: true,
@@ -84,7 +70,7 @@ impl FlashMemConfig {
     }
 
     /// The latency-priority preset: a large `M_peak` and small `λ` so the
-    /// solver may preload aggressively and shrink per-kernel streaming work.
+    /// planner may preload aggressively and shrink per-kernel streaming work.
     pub fn latency_priority() -> Self {
         FlashMemConfig {
             m_peak_bytes: 1_536 * MIB,
@@ -151,7 +137,7 @@ impl FlashMemConfig {
         self
     }
 
-    /// Toggle the OPG solver.
+    /// Toggle the OPG planner.
     pub fn with_opg(mut self, enabled: bool) -> Self {
         self.enable_opg = enabled;
         self
@@ -185,8 +171,6 @@ impl FlashMemConfig {
             .write_u64(self.chunk_bytes)
             .write_f64(self.alpha)
             .write_u64(self.window as u64)
-            .write_u64(self.solver_node_limit)
-            .write_u64(self.solver_node_budget)
             .write_u64(u64::from(self.enable_opg))
             .write_u64(u64::from(self.enable_adaptive_fusion))
             .write_u64(u64::from(self.enable_kernel_rewriting));

@@ -5,36 +5,31 @@
 //! (C3) and the in-flight memory budget `M_peak` (C2) between windows — the
 //! paper's *incremental scheduling over a rolling window*.
 //!
-//! A window is decided in closed form from its back-to-front fill
-//! ([`crate::opg::back_to_front_fill`]), which is the best streamed
-//! assignment when one exists (see [`crate::opg::WindowObjective::optimum`]).
-//! A failed fill proves that no assignment streams the weight, so the window
-//! preloads; a fill that scores no worse than preloading is the window's
-//! optimum and streams. Only a feasible fill that scores worse than
-//! preloading, which takes a λ that makes preloading cheap, builds a CP
-//! window model. Its search starts from the fill as a warm-start hint and
-//! stops at preloading's score, the proven bound, or at its node cap, which
-//! may leave a streamed incumbent. When a window preloads, the tiered
-//! fallback of Section 3.2 kicks in:
+//! The paper solves each window with CP-SAT. Here every window is decided in
+//! closed form from its back-to-front fill ([`crate::opg::back_to_front_fill`]):
+//! a window's optimum is the better of preloading and the fill (see
+//! [`crate::opg`]), so no search runs. At each capacity scale:
+//!
+//! - a failed fill proves that no assignment streams the weight, and the
+//!   window goes on to the next tier;
+//! - a fill that scores no worse than preloading is the optimum and streams;
+//! - any other window preloads. Preloading is then the window's optimum: the
+//!   decision is final, it is not a fallback and it keeps the plan `OPTIMAL`.
+//!
+//! Only a window whose fill fails enters the tiered fallback of Section 3.2:
 //!
 //! 1. **soft thresholding** — retry with the load capacities relaxed by 25%,
-//! 2. **greedy heuristic backup** — the unrelaxed window's fill,
+//! 2. **greedy heuristic backup** — the unrelaxed window's fill, which has
+//!    already failed here, so this tier always hands over to
 //! 3. **incremental preloading** — put the weight into the preload set `W`.
 //!
-//! The backup therefore only streams weights whose feasible fill scores worse
-//! than preloading. Soft thresholding relaxes the load capacities (C3) but
-//! not the `M_peak` headroom (C2): every chunk is in flight at the window's
-//! last kernel, so it cannot rescue a weight with more chunks than the
-//! headroom there.
-//!
-//! Every window's CP solve is capped at [`FlashMemConfig::solver_node_limit`]
-//! search nodes, and a plan's windows share a total of
-//! [`FlashMemConfig::solver_node_budget`] nodes (the stand-in for the paper's
-//! 150 s offline limit): once it is spent, remaining weights are scheduled by
-//! the fill alone and the final status degrades from `OPTIMAL` to `FEASIBLE`,
-//! matching the behaviour reported in Table 4. Both are counts, so a plan is
-//! a pure function of the graph, the device and the configuration; clocks
-//! only fill the report's durations.
+//! Soft thresholding relaxes the load capacities (C3) but not the `M_peak`
+//! headroom (C2): every chunk is in flight at the window's last kernel, so it
+//! cannot rescue a weight with more chunks than the headroom there. A plan
+//! whose windows enter the fallback tiers ends `FEASIBLE`, matching the
+//! statuses of Table 4. No clock decides anything, so a plan is a pure
+//! function of the graph, the device and the configuration; clocks only fill
+//! the report's durations.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -42,15 +37,12 @@ use std::time::{Duration, Instant};
 use flashmem_gpu_sim::DeviceSpec;
 use flashmem_graph::{FusionPlan, Graph, NodeId, WeightInventory};
 use flashmem_profiler::{CapacityProfiler, LoadCapacity};
-use flashmem_solver::{CpSolver, SolveStatus, SolverConfig};
+use flashmem_solver::SolveStatus;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlashMemConfig;
 use crate::kernel_rewrite::KernelRewriter;
-use crate::opg::{
-    back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
-    WindowObjective,
-};
+use crate::opg::{back_to_front_fill, CandidateSlot, WindowObjective};
 use crate::plan::OverlapPlan;
 
 /// Timing and quality report of one LC-OPG run — the columns of Table 4.
@@ -59,26 +51,18 @@ pub struct LcOpgReport {
     /// Time spent preparing the graph, fusion plan and capacities
     /// ("Process nodes" in Table 4).
     pub process_nodes: Duration,
-    /// Time spent building CP models ("Build model"), in searched windows
-    /// only.
-    pub build_model: Duration,
-    /// Time spent in the CP solver ("Solve model"), in searched windows only.
+    /// Time spent in a solver ("Solve model"): always zero, since every
+    /// window is decided in closed form. perfbench still reads it.
     pub solve_model: Duration,
-    /// Final status: `Optimal` when every window solved to optimality within
-    /// budget, otherwise `Feasible`.
+    /// Final status: `Optimal` when every window took its closed-form
+    /// optimum, `Feasible` when some window entered the fallback tiers.
     pub status: SolveStatus,
     /// Number of weight windows processed.
     pub windows: usize,
-    /// CP window models built and searched, one per capacity scale whose
-    /// feasible fill scored worse than preloading; every other window is
-    /// decided in closed form.
-    pub searched_windows: usize,
-    /// Search nodes the CP solves explored, summed over every window — a
-    /// deterministic measure of solver work.
-    pub nodes_explored: u64,
     /// Windows that needed the soft-threshold retry.
     pub fallback_soft: usize,
-    /// Windows the CP tiers left to the greedy backup.
+    /// Windows that reached the greedy backup; each hands over to
+    /// incremental preloading.
     pub fallback_greedy: usize,
     /// Weights pushed into the preload set by the fallback chain, plus
     /// windows with no load capacity at all, which never enter the chain.
@@ -90,17 +74,10 @@ pub struct LcOpgReport {
     pub streamed_weights: usize,
 }
 
-impl LcOpgReport {
-    /// Total planner wall-clock time.
-    pub fn total_time(&self) -> Duration {
-        self.process_nodes + self.build_model + self.solve_model
-    }
-}
-
 /// How the planner schedules weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlannerMode {
-    /// CP-SAT windows with the tiered fallback (the full LC-OPG).
+    /// Closed-form windows with the tiered fallback (the full LC-OPG).
     Hybrid,
     /// Preload everything (OPG disabled; the ablation baseline), the same as
     /// [`FlashMemConfig::enable_opg`] set to false.
@@ -116,8 +93,7 @@ pub struct LcOpgSolver {
 }
 
 impl LcOpgSolver {
-    /// Create a planner for `device` with `config` in hybrid (CP + fallback)
-    /// mode.
+    /// Create a planner for `device` with `config` in hybrid mode.
     pub fn new(device: DeviceSpec, config: FlashMemConfig) -> Self {
         LcOpgSolver {
             device,
@@ -163,12 +139,9 @@ impl LcOpgSolver {
         let mut plan = OverlapPlan::new(num_kernels, chunk_bytes);
         let mut report = LcOpgReport {
             process_nodes: started.elapsed(),
-            build_model: Duration::ZERO,
             solve_model: Duration::ZERO,
             status: SolveStatus::Optimal,
             windows: 0,
-            searched_windows: 0,
-            nodes_explored: 0,
             fallback_soft: 0,
             fallback_greedy: 0,
             fallback_preload: 0,
@@ -184,15 +157,6 @@ impl LcOpgSolver {
             }
             return (plan, report);
         }
-
-        let budget = self.config.solver_node_budget;
-        // Each window may spend its own cap, but no more than the budget has
-        // left.
-        let window_solver = |spent: u64| {
-            CpSolver::with_config(SolverConfig::with_max_nodes(
-                self.config.solver_node_limit.min(budget - spent),
-            ))
-        };
 
         for weight in inventory.weights() {
             let consumer_kernel = node_to_kernel.get(&weight.consumer).copied().unwrap_or(0);
@@ -222,13 +186,7 @@ impl LcOpgSolver {
                     .collect::<Vec<_>>()
             };
 
-            let use_cp = report.nodes_explored < budget;
-            if !use_cp {
-                report.status = SolveStatus::Feasible;
-            }
-
-            let slots = candidates(1.0);
-            let window_capacity: u64 = slots
+            let window_capacity: u64 = candidates(1.0)
                 .iter()
                 .map(|c| c.capacity_chunks.min(c.memory_headroom_chunks))
                 .sum();
@@ -241,58 +199,33 @@ impl LcOpgSolver {
 
             // --- Tier 0: the window; Tier 1: soft thresholding, the same
             // window with load capacities relaxed by 25% -------------------
-            let objective = WindowObjective::new(consumer_kernel, total_chunks, &self.config);
-            let mut decision = None;
+            let mut fill = None;
             for capacity_scale in [1.0, 1.25] {
-                if !use_cp || decision.is_some() {
-                    break;
-                }
                 if capacity_scale > 1.0 {
                     report.fallback_soft += 1;
                     report.status = SolveStatus::Feasible;
                 }
-                let scaled = candidates(capacity_scale);
-                decision = match back_to_front_fill(total_chunks, &scaled) {
-                    // No assignment streams the weight: preloading is optimal.
-                    None => None,
-                    Some(fill) if objective.prefers(&fill) => Some(fill),
-                    // Preloading is optimal, but a node-capped search may
-                    // stop on a streamed incumbent first.
-                    Some(_) => {
-                        report.searched_windows += 1;
-                        let build_started = Instant::now();
-                        let window = build_weight_window_model(
-                            consumer_kernel,
-                            total_chunks,
-                            &scaled,
-                            &self.config,
-                        );
-                        let hint = greedy_hint(&window);
-                        report.build_model += build_started.elapsed();
-
-                        let solve_started = Instant::now();
-                        let outcome = window_solver(report.nodes_explored)
-                            .solve_with_hint(&window.model, Some(&hint));
-                        report.solve_model += solve_started.elapsed();
-                        report.nodes_explored += outcome.nodes_explored;
-                        if outcome.status == SolveStatus::Feasible {
-                            report.status = SolveStatus::Feasible;
-                        }
-                        outcome
-                            .solution
-                            .and_then(|solution| extract_decision(&window, &solution))
-                    }
-                };
+                fill = back_to_front_fill(total_chunks, &candidates(capacity_scale));
+                if fill.is_some() {
+                    break;
+                }
             }
 
-            // --- Tier 2: greedy heuristic backup, the unrelaxed fill ------
-            if decision.is_none() {
-                report.fallback_greedy += usize::from(use_cp);
-                report.status = SolveStatus::Feasible;
-                decision = back_to_front_fill(total_chunks, &slots);
-            }
+            let objective = WindowObjective::new(consumer_kernel, total_chunks, &self.config);
+            let decision = match fill {
+                Some(fill) if objective.prefers(&fill) => Some(fill),
+                // Preloading is the window's optimum: final, not a fallback.
+                Some(_) => None,
+                // --- Tier 2: greedy heuristic backup, the unrelaxed fill,
+                // which failed at Tier 0; Tier 3: incremental preloading ----
+                None => {
+                    report.fallback_greedy += 1;
+                    report.fallback_preload += 1;
+                    report.status = SolveStatus::Feasible;
+                    None
+                }
+            };
 
-            // --- Tier 3: incremental preloading ----------------------------
             match decision {
                 Some(d) => {
                     // Commit: update shared capacity and in-flight state.
@@ -319,8 +252,6 @@ impl LcOpgSolver {
                 None => {
                     plan.add_preload(weight.consumer, consumer_kernel, weight.bytes);
                     report.preloaded_weights += 1;
-                    report.fallback_preload += 1;
-                    report.status = SolveStatus::Feasible;
                 }
             }
         }
@@ -379,7 +310,6 @@ mod tests {
             plan.streamed_fraction()
         );
         assert!(report.windows > 0);
-        assert!(report.status.has_solution());
         assert_eq!(
             report.preloaded_weights + report.streamed_weights,
             inventory.len()
@@ -470,26 +400,27 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_degrades_to_feasible() {
-        let graph = small_model();
-        let mut config = FlashMemConfig::memory_priority();
-        config.solver_node_budget = 0;
-        let solver = LcOpgSolver::new(DeviceSpec::oneplus_12(), config);
-        let (plan, report) = solver.plan(&graph);
-        assert_eq!(report.status, SolveStatus::Feasible);
-        assert_eq!(report.nodes_explored, 0);
-        assert!(plan.total_weight_bytes() > 0);
-    }
-
-    #[test]
-    fn every_window_is_decided_in_closed_form() {
+    fn every_window_takes_its_closed_form_optimum() {
         let (_, report) =
             LcOpgSolver::new(DeviceSpec::oneplus_12(), FlashMemConfig::memory_priority())
                 .plan(&small_model());
         assert_eq!(report.status, SolveStatus::Optimal);
-        assert_eq!(report.searched_windows, 0);
-        assert_eq!(report.nodes_explored, 0);
-        assert_eq!(report.build_model + report.solve_model, Duration::ZERO);
+        assert_eq!((report.fallback_soft, report.fallback_greedy), (0, 0));
+    }
+
+    #[test]
+    fn preloading_is_final_where_it_is_the_window_optimum() {
+        // At λ = 0 preloading beats some feasible fills. Those windows
+        // preload without entering the fallback tiers.
+        let graph = small_model();
+        let memory = FlashMemConfig::memory_priority();
+        let device = DeviceSpec::oneplus_12();
+        let (plan, report) =
+            LcOpgSolver::new(device.clone(), memory.clone().with_lambda(0.0)).plan(&graph);
+        let (memory_plan, _) = LcOpgSolver::new(device, memory).plan(&graph);
+        assert!(plan.preload_bytes() > memory_plan.preload_bytes());
+        assert_eq!(report.status, SolveStatus::Optimal);
+        assert_eq!((report.fallback_soft, report.fallback_greedy), (0, 0));
     }
 
     #[test]
@@ -501,15 +432,5 @@ mod tests {
         for node in graph.nodes() {
             assert!(map.contains_key(&node.id));
         }
-    }
-
-    #[test]
-    fn report_total_time_is_sum_of_phases() {
-        let graph = small_model();
-        let solver = LcOpgSolver::new(DeviceSpec::oneplus_12(), FlashMemConfig::memory_priority());
-        let (_, report) = solver.plan(&graph);
-        let total = report.total_time();
-        assert!(total >= report.solve_model);
-        assert!(total >= report.build_model);
     }
 }

@@ -10,9 +10,10 @@
 //!
 //! * [`config`] — the `M_peak` / `λ` / `μ` / `S` / `α` hyper-parameters and
 //!   ablation switches.
-//! * [`opg`] — the Overlap Plan Generation constraint model (Section 3.1):
-//!   variables `W`, `z_w`, `x_{w,ℓ}` under constraints C0–C3.
-//! * [`lc_opg`] — the load-capacity-aware solver with rolling-window
+//! * [`opg`] — the Overlap Plan Generation weight window (Section 3.1):
+//!   variables `W`, `z_w`, `x_{w,ℓ}` under constraints C0–C3, and its
+//!   closed-form optimum.
+//! * [`lc_opg`] — the load-capacity-aware planner with rolling-window
 //!   incremental scheduling and the tiered fallback (Section 3.2).
 //! * [`fusion`] — adaptive fusion (Section 4.3).
 //! * [`kernel_rewrite`] — branch-free pipelined kernel templates (Section 4.4).
@@ -25,7 +26,7 @@
 //!   compile/execute interface for the benchmark harness.
 //! * [`cache`] — the keyed [`ArtifactCache`] fronting
 //!   [`InferenceEngine::compile`] so sweeps and servers skip redundant
-//!   LC-OPG solves; sharded locks plus per-key in-flight compile
+//!   LC-OPG plans; sharded locks plus per-key in-flight compile
 //!   deduplication make it safe (and profitable) to share across threads.
 //! * [`pool`] — a std-only [`ThreadPool`]: one ordered, self-scheduling map
 //!   over scoped threads. Every embarrassingly parallel sweep above the
@@ -86,7 +87,7 @@ pub use fusion::{AdaptiveFusion, AdaptiveFusionReport};
 pub use kernel_rewrite::{KernelRewriter, KernelTemplate};
 pub use lc_opg::{LcOpgReport, LcOpgSolver, PlannerMode};
 pub use metrics::{geo_mean, ExecutionReport};
-pub use opg::{build_weight_window_model, CandidateSlot, WeightWindowModel, WindowDecision};
+pub use opg::{CandidateSlot, WindowDecision};
 pub use plan::{ChunkAssignment, OverlapPlan, PlanError, WeightSchedule};
 pub use pool::ThreadPool;
 pub use runtime::{CompiledModel, FlashMem};

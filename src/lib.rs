@@ -15,11 +15,12 @@
 //!   pools, command queues, kernels, energy model).
 //! * [`graph`] — DNN computational graphs, operator taxonomy, the model zoo
 //!   used in the paper's evaluation (GPT-Neo, ViT, SD-UNet, Whisper, ...).
-//! * [`solver`] — a small CP-SAT style constraint-programming solver used by
-//!   the Overlap Plan Generation (OPG) formulation.
+//! * [`solver`] — the status type only: `SolveStatus`, the `OPTIMAL` /
+//!   `FEASIBLE` status of an LC-OPG plan, whose windows are decided in
+//!   closed form.
 //! * [`profiler`] — operator classification, load-capacity profiling and the
 //!   gradient-boosted latency regressor.
-//! * [`core`] — the FlashMem contribution itself: OPG, the LC-OPG solver with
+//! * [`core`] — the FlashMem contribution itself: OPG, the LC-OPG planner with
 //!   fallbacks, adaptive fusion, kernel rewriting and the streaming executor.
 //! * [`baselines`] — simulated baseline frameworks (MNN, NCNN, TVM, LiteRT,
 //!   ExecuTorch, SmartMem) and naive overlap strategies.
@@ -80,6 +81,6 @@ pub mod prelude {
         MultiModelRunner, PolicyContext, PreemptionCost, PreemptivePriorityPolicy, PriorityPolicy,
         RecoveryControl, ServeEngine, ServeRequest, SloSummary, WorkloadSpec,
     };
-    pub use flashmem_solver::{CpModel, CpSolver, SolveStatus};
+    pub use flashmem_solver::SolveStatus;
     pub use flashmem_trace::{chrome_trace, FleetTrace, PhaseBreakdown, TraceConfig};
 }

@@ -1,181 +1,17 @@
-//! Property-style tests for the CP solver: solutions must satisfy the model,
-//! optimal objective values must match brute force on small instances,
-//! propagation must never prune feasible assignments, the proven bound of an
-//! OPG weight window must equal the optimum an exhaustive search finds (and
-//! LC-OPG's closed-form decision must be the one that search returns), and
-//! the back-to-front fill must stream exactly the windows that can stream.
+//! Exhaustive oracle for LC-OPG's closed-form window decision. On a seeded
+//! corpus of random OPG weight windows, every streamed assignment is
+//! enumerated under C0, C2 and C3 and scored by the window objective written
+//! out below, independently of `WindowObjective`. The back-to-front fill must
+//! exist exactly when some streamed assignment does and score their minimum,
+//! and the closed-form decision must score the window's optimum: the better
+//! of preloading and the best streamed assignment, ties going to streaming.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
 
-use flashmem::core::opg::{
-    back_to_front_fill, build_weight_window_model, extract_decision, greedy_hint, CandidateSlot,
-    WindowObjective,
-};
+use flashmem::core::opg::{back_to_front_fill, CandidateSlot, WindowDecision, WindowObjective};
 use flashmem::core::FlashMemConfig;
-use flashmem::solver::{
-    propagate, CpModel, CpSolver, LinearExpr, PropagationResult, SolveStatus, SolverConfig,
-};
 use flashmem_gpu_sim::rng::SplitMix64;
-
-/// A small random model over `n` variables with random linear constraints.
-#[derive(Debug, Clone)]
-struct SmallModel {
-    domains: Vec<(i64, i64)>,
-    les: Vec<(Vec<i64>, i64)>,
-    ges: Vec<(Vec<i64>, i64)>,
-    objective: Vec<i64>,
-}
-
-const N: usize = 3;
-
-fn gen_i64(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
-    lo + rng.gen_range_inclusive(0, (hi - lo) as u64) as i64
-}
-
-/// The deterministic corpus the properties below are checked against.
-fn small_models(cases: usize) -> Vec<SmallModel> {
-    let mut rng = SplitMix64::seed_from_u64(0x50_1e4);
-    (0..cases)
-        .map(|_| {
-            let domains = (0..N)
-                .map(|_| {
-                    let lo = gen_i64(&mut rng, 0, 2);
-                    let span = gen_i64(&mut rng, 3, 6);
-                    (lo, lo + span)
-                })
-                .collect();
-            let les = (0..rng.gen_range_inclusive(0, 2))
-                .map(|_| {
-                    let coeffs = (0..N).map(|_| gen_i64(&mut rng, -2, 2)).collect();
-                    (coeffs, gen_i64(&mut rng, 0, 14))
-                })
-                .collect();
-            let ges = (0..rng.gen_range_inclusive(0, 1))
-                .map(|_| {
-                    let coeffs = (0..N).map(|_| gen_i64(&mut rng, -1, 2)).collect();
-                    (coeffs, gen_i64(&mut rng, 0, 7))
-                })
-                .collect();
-            let objective = (0..N).map(|_| gen_i64(&mut rng, -3, 3)).collect();
-            SmallModel {
-                domains,
-                les,
-                ges,
-                objective,
-            }
-        })
-        .collect()
-}
-
-fn build(model: &SmallModel) -> (CpModel, Vec<flashmem::solver::VarId>) {
-    let mut cp = CpModel::new();
-    let vars: Vec<_> = model
-        .domains
-        .iter()
-        .enumerate()
-        .map(|(i, (lo, hi))| cp.new_int_var(*lo, *hi, &format!("v{i}")))
-        .collect();
-    for (coeffs, bound) in &model.les {
-        let mut expr = LinearExpr::new();
-        for (v, c) in vars.iter().zip(coeffs) {
-            expr = expr.plus(*v, *c);
-        }
-        cp.add_le(expr, *bound);
-    }
-    for (coeffs, bound) in &model.ges {
-        let mut expr = LinearExpr::new();
-        for (v, c) in vars.iter().zip(coeffs) {
-            expr = expr.plus(*v, *c);
-        }
-        cp.add_ge(expr, *bound);
-    }
-    let mut obj = LinearExpr::new();
-    for (v, c) in vars.iter().zip(&model.objective) {
-        obj = obj.plus(*v, *c);
-    }
-    cp.minimize(obj);
-    (cp, vars)
-}
-
-/// Brute-force the optimum over the (tiny) cartesian product of domains.
-fn brute_force(model: &SmallModel, cp: &CpModel) -> Option<i64> {
-    let mut best: Option<i64> = None;
-    let d = &model.domains;
-    for a in d[0].0..=d[0].1 {
-        for b in d[1].0..=d[1].1 {
-            for c in d[2].0..=d[2].1 {
-                let assignment = [a, b, c];
-                if cp.is_feasible(&assignment) {
-                    let obj: i64 = assignment
-                        .iter()
-                        .zip(&model.objective)
-                        .map(|(v, c)| v * c)
-                        .sum();
-                    best = Some(best.map_or(obj, |b: i64| b.min(obj)));
-                }
-            }
-        }
-    }
-    best
-}
-
-#[test]
-fn solver_matches_brute_force_on_small_models() {
-    for model in small_models(64) {
-        let (cp, _) = build(&model);
-        let expected = brute_force(&model, &cp);
-        let outcome = CpSolver::new().solve(&cp);
-        match expected {
-            Some(best) => {
-                assert_eq!(outcome.status, SolveStatus::Optimal, "{model:?}");
-                assert_eq!(outcome.objective, Some(best), "{model:?}");
-                let solution = outcome.solution.unwrap();
-                assert!(cp.is_feasible(solution.values()), "{model:?}");
-            }
-            None => {
-                assert_eq!(outcome.status, SolveStatus::Infeasible, "{model:?}");
-                assert!(outcome.solution.is_none(), "{model:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn propagation_is_sound_on_small_models() {
-    for model in small_models(64) {
-        let (cp, _) = build(&model);
-        let mut domains = cp.domains().to_vec();
-        let result = propagate(&cp, &mut domains);
-        let d = &model.domains;
-        let mut any_feasible = false;
-        for a in d[0].0..=d[0].1 {
-            for b in d[1].0..=d[1].1 {
-                for c in d[2].0..=d[2].1 {
-                    let assignment = [a, b, c];
-                    if cp.is_feasible(&assignment) {
-                        any_feasible = true;
-                        // No feasible point may be pruned.
-                        for (value, dom) in assignment.iter().zip(&domains) {
-                            assert!(
-                                *value >= dom.lo && *value <= dom.hi,
-                                "feasible value {value} pruned from [{}, {}] in {model:?}",
-                                dom.lo,
-                                dom.hi
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        if result == PropagationResult::Conflict {
-            assert!(
-                !any_feasible,
-                "propagation reported a conflict on a feasible model {model:?}"
-            );
-        }
-    }
-}
 
 /// One random OPG weight window, shaped like the ones LC-OPG builds: the
 /// candidates are the kernels right before the consumer.
@@ -256,133 +92,153 @@ fn windows_under_test() -> Vec<RandomWindow> {
     windows
 }
 
-#[test]
-fn opg_window_bound_is_the_exact_optimum() {
-    let (mut short, mut breaks_c2, mut hint_misses) = (0, 0, 0);
-    let (mut closed_preloads, mut closed_streams, mut searched) = (0, 0, 0);
-    for w in windows_under_test() {
-        let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
-        let bound = window
-            .model
-            .objective_bound()
-            .expect("LC-OPG-shaped windows carry a bound");
-        let hint = greedy_hint(&window);
-        let (objective, _) = window.model.objective().expect("windows minimise");
-        let hint_score = CpModel::eval_expr(objective, &hint);
-
-        // The slot-computed scores are the model objective on the same
-        // assignments: the fill's on the hint, preloading's on p = 1.
-        let scores = WindowObjective::new(w.consumer, w.total_chunks, &w.config);
-        let mut preload = vec![0; window.model.num_vars()];
-        preload[window.preload_var.0] = 1;
-        assert_eq!(
-            scores.score(None),
-            CpModel::eval_expr(objective, &preload),
-            "{w:?}"
-        );
-        if let Some(fill) = &window.fill {
-            assert_eq!(scores.score(Some(fill)), hint_score, "{w:?}");
-        }
-
-        let capacity: u64 = w
-            .slots
-            .iter()
-            .map(|s| s.capacity_chunks.min(s.memory_headroom_chunks))
-            .sum();
-        let fill_failed = window.fill.is_none();
-        short += usize::from(capacity < w.total_chunks);
-        breaks_c2 += usize::from(fill_failed && capacity >= w.total_chunks);
-        hint_misses += usize::from(hint_score > bound);
-
-        // The planner's solve: hint, bound and the default window node cap.
-        let planned =
-            CpSolver::with_config(SolverConfig::with_max_nodes(w.config.solver_node_limit))
-                .solve_with_hint(&window.model, Some(&hint));
-        // The reference: the same hint, no bound, a cap it never reaches.
-        let mut unbounded = window.model.clone();
-        unbounded.set_objective_bound(None);
-        let exhaustive = CpSolver::with_config(SolverConfig::with_max_nodes(u64::MAX))
-            .solve_with_hint(&unbounded, Some(&hint));
-
-        assert_eq!(exhaustive.status, SolveStatus::Optimal, "{w:?}");
-        assert_eq!(exhaustive.objective, Some(bound), "{w:?}");
-        assert_eq!(planned.status, SolveStatus::Optimal, "{w:?}");
-        assert_eq!(planned.objective, Some(bound), "{w:?}");
-        if hint_score == bound {
-            assert_eq!(planned.nodes_explored, 0, "{w:?}");
-            assert_eq!(
-                extract_decision(&window, planned.solution.as_ref().unwrap()),
-                back_to_front_fill(w.total_chunks, &w.slots),
-                "{w:?}"
-            );
-        }
-        let exhaustive_decision = extract_decision(&window, exhaustive.solution.as_ref().unwrap());
-        assert_eq!(
-            extract_decision(&window, planned.solution.as_ref().unwrap()),
-            exhaustive_decision,
-            "{w:?}"
-        );
-
-        // LC-OPG's closed form, from the slots alone: a failed fill preloads,
-        // a fill that scores no worse than preloading streams, and only the
-        // rest build and search the model.
-        let closed_form = match back_to_front_fill(w.total_chunks, &w.slots) {
-            None => {
-                closed_preloads += 1;
-                Some(None)
+/// Every streamed assignment of a window, as chunks per candidate: they
+/// cover `T(w)` (C0), stay within each candidate's load capacity (C3), and
+/// every prefix in execution order fits the headroom at its last candidate,
+/// since a chunk placed at kernel `ℓ` is in flight until the consumer (C2).
+fn streamed_assignments(w: &RandomWindow) -> Vec<Vec<u64>> {
+    fn extend(
+        slots: &[CandidateSlot],
+        left: u64,
+        in_flight: u64,
+        prefix: &mut Vec<u64>,
+        out: &mut Vec<Vec<u64>>,
+    ) {
+        let Some((slot, rest)) = slots.split_first() else {
+            if left == 0 {
+                out.push(prefix.clone());
             }
-            Some(fill) if scores.prefers(&fill) => {
-                closed_streams += 1;
-                Some(Some(fill))
-            }
-            Some(_) => {
-                searched += 1;
-                None
-            }
+            return;
         };
-        if let Some(decision) = closed_form {
-            assert_eq!(decision, exhaustive_decision, "{w:?}");
+        for chunks in 0..=slot.capacity_chunks.min(left) {
+            if in_flight + chunks > slot.memory_headroom_chunks {
+                break;
+            }
+            prefix.push(chunks);
+            extend(rest, left - chunks, in_flight + chunks, prefix, out);
+            prefix.pop();
         }
     }
-    // Every case the bound distinguishes occurs in the corpus.
-    assert!(short > 0, "no window with T(w) above its capacity");
-    assert!(breaks_c2 > 0, "no window whose fill breaks C2");
-    assert!(
-        hint_misses > 0,
-        "no window where the search must beat the hint"
-    );
-    // So does every path of the closed form.
-    assert!(closed_preloads > 0, "no window preloads in closed form");
-    assert!(closed_streams > 0, "no window streams in closed form");
-    assert!(searched > 0, "no window needs a search");
+    let mut out = Vec::new();
+    extend(&w.slots, w.total_chunks, 0, &mut Vec::new(), &mut out);
+    out
+}
+
+/// The window objective `λ·T(w)·p + (1−λ)·(i_w − z_w) + μ·Σ (i_w − 1 − ℓ)·x_ℓ`
+/// in integers: `λ` in thousandths per chunk, `1 − λ` in hundredths per
+/// kernel and `μ` in tenths per chunk and kernel, the first two at least 1.
+/// `None` preloads (`p = 1`, `z_w = 0`). A streamed assignment has `p = 0`
+/// and `z_w` at its earliest kernel holding a chunk, the latest C1 allows.
+fn oracle_score(w: &RandomWindow, chunks: Option<&[u64]>) -> i64 {
+    let per_chunk = ((w.config.lambda * 1_000.0) as i64).max(1);
+    let per_kernel = (((1.0 - w.config.lambda) * 100.0) as i64).max(1);
+    let per_waiting_chunk = (w.config.mu * 10.0) as i64;
+    let consumer = w.consumer as i64;
+    let Some(chunks) = chunks else {
+        return per_chunk * w.total_chunks as i64 + per_kernel * consumer;
+    };
+    let held = || {
+        w.slots
+            .iter()
+            .zip(chunks)
+            .filter(|(_, &c)| c > 0)
+            .map(|(slot, &c)| (slot.kernel as i64, c as i64))
+    };
+    let earliest = held().map(|(kernel, _)| kernel).min().unwrap_or(consumer);
+    let waiting: i64 = held().map(|(kernel, c)| (consumer - 1 - kernel) * c).sum();
+    per_kernel * (consumer - earliest) + per_waiting_chunk * waiting
+}
+
+/// A decision's chunks per candidate, in the enumeration's layout.
+fn chunks_per_slot(w: &RandomWindow, decision: &WindowDecision) -> Vec<u64> {
+    w.slots
+        .iter()
+        .map(|slot| {
+            decision
+                .assignments
+                .iter()
+                .filter(|&&(kernel, _)| kernel == slot.kernel)
+                .map(|&(_, c)| c)
+                .sum()
+        })
+        .collect()
 }
 
 #[test]
 fn back_to_front_fill_streams_exactly_the_windows_that_can_stream() {
-    let (mut streams, mut preloads) = (0, 0);
+    let (mut streams, mut preloads, mut short, mut breaks_c2) = (0, 0, 0, 0);
     for w in windows_under_test() {
-        let fill = back_to_front_fill(w.total_chunks, &w.slots);
-        let window = build_weight_window_model(w.consumer, w.total_chunks, &w.slots, &w.config);
-        // Every streamed assignment, searched exhaustively: the window model
-        // with its preload indicator pinned to 0 and no bound to stop at.
-        let mut streamed = window.model.clone();
-        streamed.add_eq(LinearExpr::var(window.preload_var), 0);
-        streamed.set_objective_bound(None);
-        let exhaustive =
-            CpSolver::with_config(SolverConfig::with_max_nodes(u64::MAX)).solve(&streamed);
-
-        match &fill {
-            Some(_) => {
-                assert_eq!(exhaustive.status, SolveStatus::Optimal, "{w:?}");
-                assert!(streamed.is_feasible(&greedy_hint(&window)), "{w:?}");
+        let streamed = streamed_assignments(&w);
+        let best = streamed.iter().map(|x| oracle_score(&w, Some(x))).min();
+        match back_to_front_fill(w.total_chunks, &w.slots) {
+            Some(fill) => {
+                let chunks = chunks_per_slot(&w, &fill);
+                assert!(streamed.contains(&chunks), "{w:?}");
+                assert_eq!(Some(oracle_score(&w, Some(&chunks))), best, "{w:?}");
+                // C1: the disk load happens at the earliest kernel holding a
+                // chunk.
+                let earliest = fill.assignments.iter().map(|&(k, _)| k).min();
+                assert_eq!(Some(fill.disk_load_kernel), earliest, "{w:?}");
                 streams += 1;
             }
             None => {
-                assert_eq!(exhaustive.status, SolveStatus::Infeasible, "{w:?}");
+                assert!(streamed.is_empty(), "{w:?}");
+                let capacity: u64 = w.slots.iter().map(|s| s.capacity_chunks).sum();
+                short += usize::from(capacity < w.total_chunks);
+                breaks_c2 += usize::from(capacity >= w.total_chunks);
                 preloads += 1;
             }
         }
     }
     assert!(streams > 0, "no window streams");
     assert!(preloads > 0, "no window preloads");
+    // Both reasons a fill fails occur in the corpus.
+    assert!(short > 0, "no window with T(w) above its capacity");
+    assert!(breaks_c2 > 0, "no window whose fill breaks C2");
+}
+
+/// The closed-form bound, the better of preloading's score and the fill's,
+/// is the window's exact optimum, and LC-OPG's decision scores it: the fill
+/// when `prefers` takes it, ties included, and preloading otherwise.
+#[test]
+fn opg_window_bound_is_the_exact_optimum() {
+    let (mut fill_fails, mut fill_streams, mut optimum_preloads) = (0, 0, 0);
+    for w in windows_under_test() {
+        let preload = oracle_score(&w, None);
+        let best_streamed = streamed_assignments(&w)
+            .iter()
+            .map(|x| oracle_score(&w, Some(x)))
+            .min();
+        let optimum = best_streamed.map_or(preload, |s| s.min(preload));
+
+        let objective = WindowObjective::new(w.consumer, w.total_chunks, &w.config);
+        assert_eq!(objective.score(None), preload, "{w:?}");
+        let fill = back_to_front_fill(w.total_chunks, &w.slots);
+        if let Some(fill) = &fill {
+            let chunks = chunks_per_slot(&w, fill);
+            assert_eq!(objective.score(Some(fill)), oracle_score(&w, Some(&chunks)));
+        }
+        let bound = fill
+            .as_ref()
+            .map_or(preload, |f| objective.score(Some(f)).min(preload));
+        assert_eq!(bound, optimum, "{w:?}");
+
+        // LC-OPG's closed form at one capacity scale.
+        match fill {
+            None => fill_fails += 1,
+            Some(fill) if objective.prefers(&fill) => {
+                assert_eq!(objective.score(Some(&fill)), optimum, "{w:?}");
+                fill_streams += 1;
+            }
+            Some(_) => {
+                assert!(best_streamed.is_some_and(|s| s > preload), "{w:?}");
+                assert_eq!(preload, optimum, "{w:?}");
+                optimum_preloads += 1;
+            }
+        }
+    }
+    // Every path of the closed form occurs in the corpus.
+    assert!(fill_fails > 0, "no window's fill fails");
+    assert!(fill_streams > 0, "no window streams its fill");
+    assert!(optimum_preloads > 0, "no window preloads as its optimum");
 }
