@@ -961,9 +961,9 @@ const FALLBACK_GOLDEN: &[(&str, &str, u64)] = &[
     ("ViT-8B", "plan", 0x87db7006c7515c2c),
     ("Llama2-13B", "plan", 0x5d44038282b8cc6a),
     ("Llama2-70B", "plan", 0x6a2827fa0166134a),
-    ("GPTN-S", "plan λ=0", 0xd6a25a13802ed134),
-    ("GPTN-1.3B", "plan λ=0", 0xd711e8d9ab113f2d),
-    ("GPTN-2.7B", "compile λ=0", 0x9be78d1e38c72f4c),
+    ("GPTN-S", "plan λ=0", 0x9c465419651a02f5),
+    ("GPTN-1.3B", "plan λ=0", 0x50ef1428c49672c5),
+    ("GPTN-2.7B", "compile λ=0", 0xce6a322eaf4c59e3),
 ];
 
 #[test]
