@@ -52,7 +52,8 @@ pub struct LcOpgReport {
     /// ("Process nodes" in Table 4).
     pub process_nodes: Duration,
     /// Time spent in a solver ("Solve model"): always zero, since every
-    /// window is decided in closed form. perfbench still reads it.
+    /// window is decided in closed form. Kept while perfbench's
+    /// `lcopg.solve_ms` reads it.
     pub solve_model: Duration,
     /// Final status: `Optimal` when every window took its closed-form
     /// optimum, `Feasible` when some window entered the fallback tiers.
@@ -186,7 +187,8 @@ impl LcOpgSolver {
                     .collect::<Vec<_>>()
             };
 
-            let window_capacity: u64 = candidates(1.0)
+            let slots = candidates(1.0);
+            let window_capacity: u64 = slots
                 .iter()
                 .map(|c| c.capacity_chunks.min(c.memory_headroom_chunks))
                 .sum();
@@ -199,16 +201,11 @@ impl LcOpgSolver {
 
             // --- Tier 0: the window; Tier 1: soft thresholding, the same
             // window with load capacities relaxed by 25% -------------------
-            let mut fill = None;
-            for capacity_scale in [1.0, 1.25] {
-                if capacity_scale > 1.0 {
-                    report.fallback_soft += 1;
-                    report.status = SolveStatus::Feasible;
-                }
-                fill = back_to_front_fill(total_chunks, &candidates(capacity_scale));
-                if fill.is_some() {
-                    break;
-                }
+            let mut fill = back_to_front_fill(total_chunks, &slots);
+            if fill.is_none() {
+                report.fallback_soft += 1;
+                report.status = SolveStatus::Feasible;
+                fill = back_to_front_fill(total_chunks, &candidates(1.25));
             }
 
             let objective = WindowObjective::new(consumer_kernel, total_chunks, &self.config);
