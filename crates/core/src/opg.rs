@@ -48,7 +48,7 @@ pub struct CandidateSlot {
 }
 
 /// Where a streamed weight's chunks go. A preloaded weight has no decision:
-/// every function here returns `None` for it.
+/// `None` stands for it wherever an `Option<WindowDecision>` is used.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowDecision {
     /// Chunk allocations `(kernel, chunks)`, in candidate order.

@@ -1,7 +1,7 @@
 //! Property-style tests over randomly generated models: the planner must
 //! produce constraint-satisfying overlap plans, the fusion passes must
-//! preserve the partition invariant, and the executor's memory accounting must respect
-//! the plan, for *any* well-formed graph — not just the zoo.
+//! preserve the partition invariant, and the executor's memory accounting
+//! must respect the plan, for *any* well-formed graph — not just the zoo.
 //!
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
