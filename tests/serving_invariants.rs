@@ -1,4 +1,4 @@
-//! Serving oracle: six scenarios that between them drive every part of the
+//! Serving oracle: seven scenarios that between them drive every part of the
 //! serve loop must reproduce recorded fingerprints of every request outcome
 //! and device report, give identical reports at pool widths 1 and 4, and
 //! leave every submitted request in exactly one disposition.
@@ -10,7 +10,9 @@
 //! the first four never take: FIFO in exclusive mode under transient
 //! faults, an app-budget OOM, a tenant cap too small for the model and a
 //! device loss without failover, and continuous-batching decode under
-//! device loss, flaky steps and a token budget one request exceeds.
+//! device loss, flaky steps and a token budget one request exceeds. The
+//! seventh batches two models, GPTN-S and Whisper-M, on two phones, so a
+//! decode step runs one sub-batch per model.
 //!
 //! The constants were recorded with the serve loop that lowered a fresh
 //! command stream for every admitted request and scanned every pending
@@ -41,7 +43,7 @@
 //! request trace holding the same statistics and no samples. That pins the
 //! O(1) case: a device that is not asked for its series keeps none.
 //!
-//! A seventh test pins that a fault-free run is the same run with or without
+//! An eighth test pins that a fault-free run is the same run with or without
 //! recovery armed.
 
 use flashmem::core::cache::Fnv1a;
@@ -59,6 +61,7 @@ const FIFO_GOLDEN: u64 = 0x892b9730405cfccc;
 const DECODE_GOLDEN: u64 = 0xe5ad7a9f90db7e0d;
 const FIFO_FAULTS_GOLDEN: u64 = 0xaff0620af9bf06de;
 const DECODE_FAULTS_GOLDEN: u64 = 0xf49a0121ee1a51c1;
+const DECODE_MIXED_GOLDEN: u64 = 0x35d2e1bf02c89e20;
 
 const EDF_TRACE_GOLDEN: u64 = 0x8875702842690219;
 const CHAOS_TRACE_GOLDEN: u64 = 0x8046c5a46bcb79b7;
@@ -66,6 +69,7 @@ const FIFO_TRACE_GOLDEN: u64 = 0x0a97def83da335e8;
 const DECODE_TRACE_GOLDEN: u64 = 0xc304345be61177d1;
 const FIFO_FAULTS_TRACE_GOLDEN: u64 = 0xac2c52e68e2db6fc;
 const DECODE_FAULTS_TRACE_GOLDEN: u64 = 0xf1b72fd4737caf3d;
+const DECODE_MIXED_TRACE_GOLDEN: u64 = 0xc2f1a97641122bc0;
 
 /// The serving engines' memory-series opt-in, applied when `keep` is set.
 trait KeepSeries: Sized {
@@ -770,4 +774,59 @@ fn continuous_batching_decode_under_faults_matches_its_fingerprint() {
     });
     assert_eq!(budget.count(), 1);
     assert_eq!(report.completed(), requests.len() - 1);
+}
+
+#[test]
+fn continuous_batching_of_two_models_matches_its_fingerprint() {
+    let requests = DecodeWorkloadSpec {
+        pattern: ArrivalPattern::Poisson {
+            mean_interval_ms: 40.0,
+        },
+        requests: 16,
+        tenants: 2,
+        prompt_tokens: (8, 24),
+        output_tokens: (6, 16),
+        seed: 13,
+    }
+    .generate(&[ModelZoo::gptneo_small(), ModelZoo::whisper_medium()]);
+    let (report, trace) = check(
+        "decode-mixed",
+        requests.len(),
+        DECODE_MIXED_GOLDEN,
+        DECODE_MIXED_TRACE_GOLDEN,
+        |pool, trace, series| {
+            DecodeEngine::new(
+                vec![DeviceSpec::oneplus_12(), DeviceSpec::pixel_8()],
+                FlashMemConfig::memory_priority(),
+            )
+            .with_batching(BatchConfig {
+                max_batch: 4,
+                ..BatchConfig::default()
+            })
+            .with_trace(trace)
+            .keep_series(series)
+            .run_on(pool, &requests)
+            .expect("decode-mixed run")
+        },
+    );
+    assert_eq!(report.completed(), requests.len());
+    // Both models batch, and a device steps both of them in one batch: its
+    // compute lane holds sub-batch steps of each model.
+    for model in ["GPTN-S", "Whisp-M"] {
+        assert!(
+            report
+                .outcomes
+                .iter()
+                .any(|o| o.model == model && o.decode.as_ref().is_some_and(|d| d.max_batch > 1)),
+            "{model} never shared a step"
+        );
+    }
+    assert!(trace.processes.iter().any(|p| {
+        let steps = |model: &str| {
+            p.events
+                .iter()
+                .any(|e| e.kind == TraceKind::DecodeStep && e.name.contains(model))
+        };
+        steps("GPTN-S") && steps("Whisp-M")
+    }));
 }
