@@ -394,8 +394,10 @@ impl DecodeEngine {
     /// naming a device outside the fleet or holding a non-finite value, a
     /// zero `max_batch` or `token_budget` or a NaN `waiting_served_ratio`
     /// in the [`BatchConfig`], a request
-    /// without decode token counts, a model without a decode spec, or a
-    /// request whose maximum context exceeds its model's context window.
+    /// without decode token counts or with a zero count (the builders clamp
+    /// both to at least 1, but the fields are public), a model without a
+    /// decode spec, or a request whose maximum context exceeds its model's
+    /// context window.
     /// Worker panics surface as [`SimError::WorkerPanic`]; per-request
     /// failures (out-of-memory) are recorded in the outcomes instead.
     pub fn run_on(&self, pool: &ThreadPool, requests: &[ServeRequest]) -> SimResult<ServeReport> {
@@ -403,7 +405,7 @@ impl DecodeEngine {
         self.batch.check()?;
 
         // ---- validation + placement: the sequential prologue ----
-        for request in requests {
+        for (seq, request) in requests.iter().enumerate() {
             let Some(params) = request.decode else {
                 return Err(SimError::InvalidParameter {
                     message: format!(
@@ -413,6 +415,15 @@ impl DecodeEngine {
                     ),
                 });
             };
+            if params.prompt_tokens == 0 || params.output_tokens == 0 {
+                return Err(SimError::InvalidParameter {
+                    message: format!(
+                        "request {seq} for {} asks for {} prompt and {} output tokens; both \
+                         counts must be at least 1",
+                        request.model.abbr, params.prompt_tokens, params.output_tokens
+                    ),
+                });
+            }
             let Some(spec) = request.model.decode() else {
                 return Err(SimError::InvalidParameter {
                     message: format!(
@@ -1035,6 +1046,16 @@ mod tests {
         rejects(plain(), &requests, ["request 2", "finite"]);
         requests[2] = burst(3, 8, 4)[2].clone().with_deadline_ms(nan);
         rejects(plain(), &requests, ["request 2", "deadline"]);
+        // So do zero token counts set on the public fields: the builders
+        // clamp both to at least 1.
+        for (prompt_tokens, output_tokens) in [(0, 0), (5, 0), (0, 3)] {
+            let mut requests = burst(3, 8, 4);
+            requests[2].decode = Some(DecodeParams {
+                prompt_tokens,
+                output_tokens,
+            });
+            rejects(plain(), &requests, ["request 2", "at least 1"]);
+        }
         // So do the recovery knobs.
         let off = RecoveryControl::disabled;
         let set = |backoff_ms, probe_after_ms| RecoveryControl {

@@ -140,9 +140,10 @@ pub struct DecodeParams {
 impl DecodeParams {
     /// Total context tokens this request will hold at its peak:
     /// the prompt plus every generated token except the last (which is
-    /// emitted but never fed back).
+    /// emitted but never fed back). Saturates at 0 for zero counts, which
+    /// [`DecodeEngine`](crate::DecodeEngine) rejects at entry.
     pub fn max_context_tokens(self) -> u64 {
-        self.prompt_tokens as u64 + self.output_tokens as u64 - 1
+        (u64::from(self.prompt_tokens) + u64::from(self.output_tokens)).saturating_sub(1)
     }
 }
 
@@ -310,6 +311,11 @@ mod tests {
             output_tokens: 8,
         };
         assert_eq!(d.max_context_tokens(), 23);
+        let d = DecodeParams {
+            prompt_tokens: 0,
+            output_tokens: 0,
+        };
+        assert_eq!(d.max_context_tokens(), 0);
     }
 
     #[test]
