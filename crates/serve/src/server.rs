@@ -1512,13 +1512,14 @@ impl<'a> DeviceState<'a> {
                 .span(TraceKind::Suspended, lane, &label, suspended_at_ms, now);
         }
         let evicted = suspension.evicted_bytes();
-        let (stepper, penalty) = suspension.resume_into(
-            &self.sim,
-            &mut self.tracker,
-            resume_local,
-            self.epoch,
-            &cost,
-        )?;
+        // An exclusive segment starts empty, as in `start`: the previous
+        // request's eviction sample was taken at device time.
+        if self.exclusive {
+            self.tracker.reset_trace();
+        }
+        let base = self.base();
+        let (stepper, penalty) =
+            suspension.resume_into(&self.sim, &mut self.tracker, resume_local, base, &cost)?;
         let start = self.epoch + resume_local;
         if self.trace.enabled() {
             let label = format!("resume {}", meta.row.model);
@@ -1907,6 +1908,7 @@ impl<'a> DeviceState<'a> {
             at_ms: loss_ms,
         };
         let fault = "fault device-loss";
+        let base = self.base();
         for flight in std::mem::take(&mut self.in_flight) {
             let InFlight { meta, mut stepper } = flight;
             let local_now = ((loss_ms - self.epoch).max(0.0)).max(stepper.makespan_ms());
@@ -1921,17 +1923,12 @@ impl<'a> DeviceState<'a> {
                 fault,
             );
             let resume = if carry_over {
-                let suspension = stepper.suspend_evicting(
-                    &self.clocks,
-                    &mut self.tracker,
-                    local_now,
-                    self.epoch,
-                )?;
+                let suspension =
+                    stepper.suspend_evicting(&self.clocks, &mut self.tracker, local_now, base)?;
                 trace_preempt(&mut self.trace, &meta, completion, &suspension);
                 Some((meta.clone(), suspension))
             } else {
-                let at = self.base() + local_now;
-                stepper.release_remaining(&mut self.tracker, at)?;
+                stepper.release_remaining(&mut self.tracker, base + local_now)?;
                 None
             };
             let mut row = meta.close(completion);

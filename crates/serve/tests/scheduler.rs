@@ -6,8 +6,8 @@
 //! 2. the priority policy never exhibits priority inversion;
 //! 3. plan-cache hits return artifacts identical to cold compiles;
 //!
-//! plus affinity-sharding and tenant-cap behaviour, and exclusive reports
-//! of failed-over work.
+//! plus affinity-sharding and tenant-cap behaviour, and the exclusive
+//! reports and memory series of failed-over work.
 
 use flashmem_core::{ArtifactCache, FlashMem, FlashMemConfig, InferenceEngine};
 use flashmem_gpu_sim::memory::MemoryTracker;
@@ -358,4 +358,69 @@ fn exclusive_failover_resumes_report_only_their_own_run() {
             run.peak_memory_mb
         );
     }
+}
+
+#[test]
+fn exclusive_failover_records_memory_on_each_runs_own_clock() {
+    // In exclusive mode a device records each request's memory in run-local
+    // time and stitches the segment onto its series at the run's epoch. Two
+    // of three FIFO phones die at 700 ms and fail their in-flight work over
+    // to the third. Freezing the stranded residency at device time would
+    // stitch it at twice the epoch, hundreds of milliseconds past the loss,
+    // and a resumed run's samples would be clamped onto that instant, beyond
+    // the end of its own run.
+    const LOSS_MS: f64 = 700.0;
+    let models = vec![
+        ModelZoo::gptneo_small(),
+        ModelZoo::vit(),
+        ModelZoo::resnet50(),
+    ];
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Steady { interval_ms: 40.0 },
+        requests: 18,
+        tenants: 2,
+        priority_levels: 1,
+        seed: 1,
+    }
+    .generate(&models);
+    let report = ServeEngine::new(
+        vec![DeviceSpec::oneplus_12(); 3],
+        FlashMemConfig::memory_priority(),
+    )
+    .with_recovery_control(RecoveryControl::disabled().with_failover())
+    .with_fault_plan(
+        FaultPlan::seeded(7)
+            .with_device_loss(0, LOSS_MS)
+            .with_device_loss(1, LOSS_MS),
+    )
+    .with_memory_series()
+    .run(&requests)
+    .expect("failover run succeeds");
+    let last_ms = |trace: &MemoryTrace| trace.samples().last().map_or(0.0, |s| s.time_ms);
+    for lost in &report.devices[..2] {
+        let series = lost.memory_trace.as_ref().expect("series kept");
+        // Only the command in flight at the loss drains past it.
+        assert!(
+            last_ms(series) < LOSS_MS + 10.0,
+            "a lost device's series runs on to {} ms",
+            last_ms(series)
+        );
+    }
+    let mut resumed = 0;
+    for o in report.outcomes.iter().filter(|o| o.succeeded()) {
+        let run = o.report.as_ref().expect("exclusive outcomes carry reports");
+        assert!(
+            last_ms(&run.memory_trace) <= run.integrated_latency_ms,
+            "#{} ({}) records memory at {} ms of a {} ms run",
+            o.seq,
+            o.model,
+            last_ms(&run.memory_trace),
+            run.integrated_latency_ms
+        );
+        resumed += usize::from(o.failed_over);
+    }
+    assert!(
+        resumed >= 2,
+        "only {resumed} failed-over requests completed"
+    );
 }
