@@ -169,7 +169,8 @@ impl KvCache {
     }
 
     /// Append `tokens` context tokens, charging each against `tracker` at
-    /// `now_ms`. Returns the bytes added.
+    /// `now_ms`. Returns the bytes added. `_label` is ignored: allocations
+    /// carry no label.
     ///
     /// # Errors
     ///
@@ -179,16 +180,11 @@ impl KvCache {
         &mut self,
         tracker: &mut MemoryTracker,
         tokens: u64,
-        label: &str,
+        _label: &str,
         now_ms: f64,
     ) -> SimResult<u64> {
         for _ in 0..tokens {
-            let id = tracker.allocate(
-                MemoryTier::UnifiedMemory,
-                self.bytes_per_token,
-                label,
-                now_ms,
-            )?;
+            let id = tracker.allocate(MemoryTier::UnifiedMemory, self.bytes_per_token, now_ms)?;
             self.chunks.push(id);
         }
         Ok(tokens * self.bytes_per_token)

@@ -494,7 +494,7 @@ impl StreamStepper {
 
         let (duration, bytes, event_kind) = match &cmd.kind {
             CommandKind::Alloc { tier, bytes } => {
-                let id = tracker.allocate(*tier, *bytes, &cmd.label, time_base_ms + start)?;
+                let id = tracker.allocate(*tier, *bytes, time_base_ms + start)?;
                 self.allocs.insert(idx, (*tier, id));
                 (0.0, 0, None)
             }
@@ -648,18 +648,11 @@ impl StreamStepper {
         live.sort_by_key(|(cmd, _)| *cmd);
         let mut evicted = Vec::with_capacity(live.len());
         for (command, (tier, id)) in live {
-            let label = match tier {
-                MemoryTier::TextureMemory => tracker.texture().get(id),
-                _ => tracker.unified().get(id),
-            }
-            .map(|alloc| alloc.label.clone())
-            .unwrap_or_default();
             let bytes = tracker.free(tier, id, time_base_ms + now_ms)?;
             evicted.push(EvictedAllocation {
                 command,
                 tier,
                 bytes,
-                label,
             });
         }
         Ok(Suspension {
@@ -795,7 +788,6 @@ struct EvictedAllocation {
     command: CommandId,
     tier: MemoryTier,
     bytes: u64,
-    label: String,
 }
 
 /// A checkpoint of a partially executed [`CommandStream`].
@@ -912,7 +904,7 @@ impl Suspension {
         let now = time_base_ms + resume_at_ms;
         let mut acquired: Vec<(MemoryTier, AllocationId)> = Vec::new();
         for alloc in &self.evicted {
-            match tracker.allocate(alloc.tier, alloc.bytes, &alloc.label, now) {
+            match tracker.allocate(alloc.tier, alloc.bytes, now) {
                 Ok(id) => {
                     stepper.allocs.insert(alloc.command, (alloc.tier, id));
                     acquired.push((alloc.tier, id));
@@ -1521,7 +1513,7 @@ mod tests {
         // Fill the budget so the 64 MiB re-acquisition cannot fit.
         let hog_bytes = tracker.budget() - (32 << 20);
         let hog = tracker
-            .allocate(MemoryTier::UnifiedMemory, hog_bytes, "hog", 0.0)
+            .allocate(MemoryTier::UnifiedMemory, hog_bytes, 0.0)
             .unwrap();
         assert!(!suspension.can_resume(&tracker));
         let err = suspension

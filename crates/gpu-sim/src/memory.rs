@@ -36,8 +36,6 @@ pub struct MemoryPool {
 pub struct Allocation {
     /// Bytes occupied by the allocation.
     pub bytes: u64,
-    /// Free-form label (weight name, activation id, framework-internal buffer).
-    pub label: String,
 }
 
 impl MemoryPool {
@@ -89,13 +87,13 @@ impl MemoryPool {
         self.live.len()
     }
 
-    /// Allocate `bytes` with a descriptive `label`.
+    /// Allocate `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfMemory`] if the allocation would exceed the
     /// pool capacity. The pool is left unchanged in that case.
-    pub fn allocate(&mut self, bytes: u64, label: &str) -> SimResult<AllocationId> {
+    pub fn allocate(&mut self, bytes: u64) -> SimResult<AllocationId> {
         if self.in_use.saturating_add(bytes) > self.capacity {
             return Err(SimError::OutOfMemory {
                 pool: self.name.clone(),
@@ -108,13 +106,7 @@ impl MemoryPool {
         self.next_id += 1;
         self.in_use += bytes;
         self.high_water = self.high_water.max(self.in_use);
-        self.live.insert(
-            id,
-            Allocation {
-                bytes,
-                label: label.to_string(),
-            },
-        );
+        self.live.insert(id, Allocation { bytes });
         Ok(AllocationId(id))
     }
 
@@ -233,7 +225,6 @@ impl MemoryTracker {
         &mut self,
         tier: MemoryTier,
         bytes: u64,
-        label: &str,
         now_ms: f64,
     ) -> SimResult<AllocationId> {
         if self.total_in_use().saturating_add(bytes) > self.budget {
@@ -245,8 +236,8 @@ impl MemoryTracker {
             });
         }
         let id = match tier {
-            MemoryTier::UnifiedMemory => self.unified.allocate(bytes, label)?,
-            MemoryTier::TextureMemory => self.texture.allocate(bytes, label)?,
+            MemoryTier::UnifiedMemory => self.unified.allocate(bytes)?,
+            MemoryTier::TextureMemory => self.texture.allocate(bytes)?,
             other => {
                 return Err(SimError::InvalidParameter {
                     message: format!("cannot allocate in tier `{other}`"),
@@ -357,21 +348,21 @@ mod tests {
     #[test]
     fn allocate_and_free_round_trip() {
         let mut pool = MemoryPool::new("unified", MemoryTier::UnifiedMemory, 100 * MB);
-        let a = pool.allocate(10 * MB, "w0").unwrap();
-        let b = pool.allocate(20 * MB, "w1").unwrap();
+        let a = pool.allocate(10 * MB).unwrap();
+        let b = pool.allocate(20 * MB).unwrap();
         assert_eq!(pool.in_use(), 30 * MB);
         assert_eq!(pool.live_count(), 2);
         assert_eq!(pool.free(a).unwrap(), 10 * MB);
         assert_eq!(pool.in_use(), 20 * MB);
-        assert_eq!(pool.get(b).unwrap().label, "w1");
+        assert_eq!(pool.get(b).unwrap().bytes, 20 * MB);
         assert_eq!(pool.high_water(), 30 * MB);
     }
 
     #[test]
     fn oom_when_over_capacity() {
         let mut pool = MemoryPool::new("texture", MemoryTier::TextureMemory, 10 * MB);
-        pool.allocate(8 * MB, "w").unwrap();
-        let err = pool.allocate(4 * MB, "x").unwrap_err();
+        pool.allocate(8 * MB).unwrap();
+        let err = pool.allocate(4 * MB).unwrap_err();
         match err {
             SimError::OutOfMemory {
                 requested,
@@ -390,7 +381,7 @@ mod tests {
     #[test]
     fn double_free_is_detected() {
         let mut pool = MemoryPool::new("u", MemoryTier::UnifiedMemory, MB);
-        let a = pool.allocate(1, "x").unwrap();
+        let a = pool.allocate(1).unwrap();
         pool.free(a).unwrap();
         assert!(matches!(
             pool.free(a),
@@ -401,13 +392,11 @@ mod tests {
     #[test]
     fn tracker_budget_enforced_across_pools() {
         let mut t = MemoryTracker::new(100 * MB, 100 * MB, 120 * MB);
-        t.allocate(MemoryTier::UnifiedMemory, 80 * MB, "w", 0.0)
-            .unwrap();
-        t.allocate(MemoryTier::TextureMemory, 30 * MB, "tex", 1.0)
-            .unwrap();
+        t.allocate(MemoryTier::UnifiedMemory, 80 * MB, 0.0).unwrap();
+        t.allocate(MemoryTier::TextureMemory, 30 * MB, 1.0).unwrap();
         // Both pools individually have room, but the app budget is exhausted.
         let err = t
-            .allocate(MemoryTier::TextureMemory, 20 * MB, "tex2", 2.0)
+            .allocate(MemoryTier::TextureMemory, 20 * MB, 2.0)
             .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
     }
@@ -415,9 +404,7 @@ mod tests {
     #[test]
     fn tracker_peak_and_average() {
         let mut t = MemoryTracker::new(100 * MB, 100 * MB, 200 * MB);
-        let a = t
-            .allocate(MemoryTier::UnifiedMemory, 50 * MB, "w", 0.0)
-            .unwrap();
+        let a = t.allocate(MemoryTier::UnifiedMemory, 50 * MB, 0.0).unwrap();
         t.sample(10.0);
         t.free(MemoryTier::UnifiedMemory, a, 10.0).unwrap();
         t.sample(20.0);
@@ -431,7 +418,7 @@ mod tests {
     fn cannot_allocate_in_disk_tier() {
         let mut t = MemoryTracker::new(MB, MB, MB);
         assert!(matches!(
-            t.allocate(MemoryTier::Disk, 1, "x", 0.0),
+            t.allocate(MemoryTier::Disk, 1, 0.0),
             Err(SimError::InvalidParameter { .. })
         ));
         assert!(matches!(
@@ -443,10 +430,8 @@ mod tests {
     #[test]
     fn evict_all_resets_usage() {
         let mut t = MemoryTracker::new(100 * MB, 100 * MB, 200 * MB);
-        t.allocate(MemoryTier::UnifiedMemory, 10 * MB, "w", 0.0)
-            .unwrap();
-        t.allocate(MemoryTier::TextureMemory, 10 * MB, "x", 0.0)
-            .unwrap();
+        t.allocate(MemoryTier::UnifiedMemory, 10 * MB, 0.0).unwrap();
+        t.allocate(MemoryTier::TextureMemory, 10 * MB, 0.0).unwrap();
         t.evict_all(5.0);
         assert_eq!(t.total_in_use(), 0);
         assert_eq!(t.peak_bytes(), 20 * MB);

@@ -107,7 +107,7 @@ fn memory_tracker_never_goes_negative_and_respects_budget() {
             } else {
                 MemoryTier::UnifiedMemory
             };
-            match tracker.allocate(tier, bytes, "x", clock) {
+            match tracker.allocate(tier, bytes, clock) {
                 Ok(id) => live.push((id, use_texture)),
                 Err(_) => {
                     // Over budget: free everything and continue.
