@@ -15,10 +15,9 @@
 //!   [`MemoryTracker`], one allocation per context token, so KV bytes grow
 //!   monotonically over a request's lifetime and are released in one sweep
 //!   when it leaves.
-//! - [`DecodeSession`] is one request's decode state: it replays the step
-//!   plan once per generated token, growing the KV cache and time-stamping
-//!   each emitted token (token timestamps are what TTFT/ITL percentiles are
-//!   computed from upstream).
+//!
+//! The step loop that drives them, with each request's token counts and
+//! token instants, is the serving layer's continuous-batching engine.
 
 use crate::bandwidth::MemoryTier;
 use crate::engine::{
@@ -205,144 +204,6 @@ impl KvCache {
     }
 }
 
-/// One request's autoregressive decode state: prompt/output token targets,
-/// the growing KV cache, and the timestamp of every emitted token.
-///
-/// Lifecycle: [`finish_prefill`](Self::finish_prefill) once (the prefill pass
-/// processes the prompt and emits the first token), then one
-/// [`replay_step`](Self::replay_step) or [`advance_step`](Self::advance_step)
-/// per remaining token. After the last step the KV cache holds
-/// `prompt + output - 1` tokens (the final emitted token is never fed back).
-#[derive(Debug)]
-pub struct DecodeSession {
-    kv: KvCache,
-    prompt_tokens: u32,
-    output_tokens: u32,
-    token_times_ms: Vec<f64>,
-}
-
-impl DecodeSession {
-    /// A new session generating `output_tokens` (clamped to at least 1) from
-    /// a `prompt_tokens`-long prompt.
-    pub fn new(prompt_tokens: u32, output_tokens: u32, kv_bytes_per_token: u64) -> Self {
-        DecodeSession {
-            kv: KvCache::new(kv_bytes_per_token),
-            prompt_tokens,
-            output_tokens: output_tokens.max(1),
-            token_times_ms: Vec::new(),
-        }
-    }
-
-    /// Prompt length in tokens.
-    pub fn prompt_tokens(&self) -> u32 {
-        self.prompt_tokens
-    }
-
-    /// Tokens this session will emit in total.
-    pub fn output_tokens(&self) -> u32 {
-        self.output_tokens
-    }
-
-    /// Tokens emitted so far.
-    pub fn emitted_tokens(&self) -> u32 {
-        self.token_times_ms.len() as u32
-    }
-
-    /// True once every output token has been emitted.
-    pub fn is_done(&self) -> bool {
-        self.emitted_tokens() >= self.output_tokens
-    }
-
-    /// Timestamps (absolute ms) of every emitted token; the first entry is
-    /// the time-to-first-token instant, gaps between consecutive entries are
-    /// the inter-token latencies.
-    pub fn token_times_ms(&self) -> &[f64] {
-        &self.token_times_ms
-    }
-
-    /// The KV cache backing this session.
-    pub fn kv(&self) -> &KvCache {
-        &self.kv
-    }
-
-    /// Maximum context this session will ever hold, in tokens. Admission
-    /// against a token budget reserves this much up front so a joined
-    /// request can never OOM the budget mid-decode.
-    pub fn max_context_tokens(&self) -> u64 {
-        self.prompt_tokens as u64 + self.output_tokens as u64 - 1
-    }
-
-    /// Record the prefill pass finishing at `end_ms`: the prompt's KV
-    /// becomes resident and the first token is emitted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates out-of-memory growing the prompt KV.
-    pub fn finish_prefill(
-        &mut self,
-        tracker: &mut MemoryTracker,
-        label: &str,
-        end_ms: f64,
-    ) -> SimResult<u64> {
-        let grown = self
-            .kv
-            .grow(tracker, self.prompt_tokens as u64, label, end_ms)?;
-        self.token_times_ms.push(end_ms);
-        Ok(grown)
-    }
-
-    /// Literal per-token replay: step the plan's command stream to
-    /// completion starting at `now_ms`, grow the KV cache by the token being
-    /// processed, and emit the next token at the step's end. Returns the
-    /// step cost; the emitted token's timestamp is `now_ms +
-    /// cost.makespan_ms`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates replay and tracker errors.
-    pub fn replay_step(
-        &mut self,
-        plan: &DecodeStepPlan,
-        sim: &GpuSimulator,
-        tracker: &mut MemoryTracker,
-        label: &str,
-        now_ms: f64,
-    ) -> SimResult<StepCost> {
-        let cost = plan.replay(sim, tracker, 1, now_ms)?;
-        self.advance_step(tracker, label, now_ms + cost.makespan_ms)?;
-        Ok(cost)
-    }
-
-    /// Book-keep one decode step whose cost was computed elsewhere (the
-    /// batched scheduler replays each distinct (model, batch-size) stream
-    /// once and memoizes the cost): grow KV by one token and emit the next
-    /// token at `end_ms`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates out-of-memory growing the KV cache.
-    pub fn advance_step(
-        &mut self,
-        tracker: &mut MemoryTracker,
-        label: &str,
-        end_ms: f64,
-    ) -> SimResult<u64> {
-        let grown = self.kv.grow(tracker, 1, label, end_ms)?;
-        self.token_times_ms.push(end_ms);
-        Ok(grown)
-    }
-
-    /// Release the KV cache (the request left the batch), returning the
-    /// bytes freed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tracker errors on stale handles.
-    pub fn release(&mut self, tracker: &mut MemoryTracker, now_ms: f64) -> SimResult<u64> {
-        self.kv.release(tracker, now_ms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,36 +290,5 @@ mod tests {
         let freed = kv.release(&mut tracker, 11.0).unwrap();
         assert_eq!(freed, 10 * 4096);
         assert_eq!(tracker.total_in_use(), 0);
-    }
-
-    #[test]
-    fn session_emits_exact_token_count_with_increasing_times() {
-        let plan = DecodeStepPlan::new(step_stream()).unwrap();
-        let (sim, mut tracker) = harness();
-        let mut session = DecodeSession::new(16, 5, 4096);
-        session.finish_prefill(&mut tracker, "kv", 3.0).unwrap();
-        let mut now = 3.0;
-        while !session.is_done() {
-            let cost = session
-                .replay_step(&plan, &sim, &mut tracker, "kv", now)
-                .unwrap();
-            now += cost.makespan_ms;
-        }
-        assert_eq!(session.emitted_tokens(), 5);
-        let times = session.token_times_ms();
-        assert!(times.windows(2).all(|w| w[1] > w[0]));
-        // Prompt + output - 1 context tokens resident at the end.
-        assert_eq!(session.kv().tokens(), 16 + 5 - 1);
-        assert_eq!(session.max_context_tokens(), 20);
-        let freed = session.release(&mut tracker, now).unwrap();
-        assert_eq!(freed, 20 * 4096);
-        assert_eq!(tracker.total_in_use(), 0);
-    }
-
-    #[test]
-    fn zero_output_clamps_to_one_token() {
-        let s = DecodeSession::new(4, 0, 128);
-        assert_eq!(s.output_tokens(), 1);
-        assert_eq!(s.max_context_tokens(), 4);
     }
 }

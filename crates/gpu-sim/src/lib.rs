@@ -65,7 +65,7 @@ pub mod texture;
 pub mod trace;
 
 pub use bandwidth::MemoryTier;
-pub use decode::{DecodeSession, DecodeStepPlan, KvCache, StepCost};
+pub use decode::{DecodeStepPlan, KvCache, StepCost};
 pub use device::DeviceSpec;
 pub use energy::{EnergyReport, PowerModel};
 pub use engine::{ExecutionOutcome, GpuSimulator, PreemptionCost, SimConfig, Suspension};

@@ -34,6 +34,16 @@
 //! 3. **Leave** — requests that have emitted their last token leave at the
 //!    boundary and release their KV residency in one sweep.
 //!
+//! A device runs the loop on one per-device state, `DecodeDevice`, the twin
+//! of the one-shot engine's: its `join`, `step` and `leave` phases are the
+//! three above, `lose` drains a lost device and `finish` builds the device
+//! report. Each in-flight request keeps its own [`DecodeParams`], KV cache
+//! and token instants. Every way a request leaves the device (completion,
+//! a modelled error, an injected fault, device loss) goes through one
+//! `retire`, which yields the final outcome row or, after an injected
+//! fault, an orphan for the recovery planner. Token counts of 0 are
+//! rejected at entry.
+//!
 //! ## Determinism
 //!
 //! Placement is decided in the sequential prologue (round-robin over
@@ -53,12 +63,13 @@
 //! events for long generations. Instead each device replays every distinct
 //! (model, batch-size) step stream **once** against its tracker (charging
 //! and releasing the step's transients, which establishes the transient
-//! peak) and memoizes the [`StepCost`]; subsequent steps advance sessions
-//! through [`DecodeSession::advance_step`], which grows KV and timestamps
-//! the token without re-stepping the stream. Prefill costs are memoized per
-//! model the same way.
+//! peak) and memoizes the [`StepCost`] in the model's one entry, beside its
+//! lowered streams and KV stride. Later steps grow each member's KV by one
+//! token and time-stamp the token without re-stepping the stream. Prefill
+//! costs are memoized per model the same way. A failed replay is not
+//! memoized.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -67,11 +78,11 @@ use flashmem_core::pool::{self, ThreadPool};
 use flashmem_core::telemetry::{TraceConfig, TraceKind, TraceLane, TraceRecorder};
 use flashmem_core::{lower_artifact, FlashMem, FlashMemConfig};
 use flashmem_gpu_sim::decode::replay_stream;
-use flashmem_gpu_sim::engine::CommandStream;
+use flashmem_gpu_sim::engine::{CommandStream, GpuSimulator};
 use flashmem_gpu_sim::error::SimResult;
 use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::{
-    DecodeSession, DecodeStepPlan, DeviceSpec, FaultKind, FaultPlan, SimError, StepCost,
+    DecodeStepPlan, DeviceSpec, FaultKind, FaultPlan, KvCache, SimError, StepCost,
 };
 
 use crate::fleet::{
@@ -144,135 +155,6 @@ impl BatchConfig {
         Err(SimError::InvalidParameter {
             message: format!("BatchConfig::{problem}"),
         })
-    }
-}
-
-/// Compiled per-model state one device keeps across its whole run.
-struct ModelPlans {
-    /// Lowered full-graph stream (the prefill pass).
-    prefill_stream: CommandStream,
-    /// The single-token step plan the batch replays.
-    step_plan: DecodeStepPlan,
-    /// KV bytes appended per context token.
-    kv_bytes_per_token: u64,
-}
-
-/// One in-flight generative request on a device.
-struct ActiveDecode {
-    /// The request's outcome row, kept current while it decodes; a step
-    /// failure is recorded on it.
-    row: RequestOutcome,
-    session: DecodeSession,
-    /// Largest per-model sub-batch this request shared a step with.
-    max_batch_seen: usize,
-    /// Transfer-queue busy intervals attributed to this request (absolute
-    /// time), for phase attribution.
-    transfer_intervals: Vec<(f64, f64)>,
-    /// Compute-queue busy intervals attributed to this request.
-    compute_intervals: Vec<(f64, f64)>,
-    /// Tokens emitted by *earlier* attempts (a re-prefilled request resumes
-    /// from this position; 0 on a first attempt).
-    resumed_tokens: u32,
-    /// Device-loss failover hops this request consumed before this attempt.
-    hops: u32,
-}
-
-impl ActiveDecode {
-    /// Injected-fault attempt ordinal, as in [`Carry::attempt`].
-    fn attempt(&self) -> u32 {
-        self.row.retries + self.hops
-    }
-
-    /// Close the row at `completion_ms` against the device's peak so far,
-    /// with the token-level result of a request that did not fail. The
-    /// session's KV must already be released.
-    fn into_outcome(mut self, completion_ms: f64, tracker: &MemoryTracker) -> RequestOutcome {
-        let kv_peak_bytes = self.session.max_context_tokens() * self.session.kv().bytes_per_token();
-        if self.row.error.is_none() {
-            // A re-prefilled attempt's session holds `original prompt +
-            // resumed` context and emits only the remaining tokens; the
-            // outcome reports the submission's cumulative view.
-            let times = self.session.token_times_ms();
-            self.row.decode = Some(DecodeOutcome {
-                prompt_tokens: self.session.prompt_tokens() - self.resumed_tokens,
-                output_tokens: self.resumed_tokens + self.session.emitted_tokens(),
-                ttft_ms: times.first().map_or(0.0, |t| t - self.row.arrival_ms),
-                itl_ms: times.windows(2).map(|w| w[1] - w[0]).collect(),
-                kv_peak_bytes,
-                max_batch: self.max_batch_seen,
-            });
-        }
-        self.row.resident_estimate_bytes = kv_peak_bytes;
-        self.row.peak_memory_mb = tracker.peak_bytes() as f64 / MIB;
-        self.row.close(
-            completion_ms,
-            &self.transfer_intervals,
-            &self.compute_intervals,
-        );
-        self.row
-    }
-}
-
-/// The rows and orphans one device's step loop has retired so far.
-#[derive(Default)]
-struct Retired {
-    outcomes: Vec<RequestOutcome>,
-    orphans: Vec<Orphan<u32>>,
-}
-
-impl Retired {
-    /// Retire `entry` at `completion_ms`: an injected fault makes it an
-    /// orphan for the recovery planner, carrying the request's cumulative
-    /// emitted tokens; anything else commits its outcome row.
-    fn push(&mut self, entry: ActiveDecode, completion_ms: f64, tracker: &MemoryTracker) {
-        let faulted = matches!(entry.row.error, Some(SimError::Fault { .. }));
-        let emitted = entry.resumed_tokens + entry.session.emitted_tokens();
-        let (retries, hops) = (entry.row.retries, entry.hops);
-        let outcome = entry.into_outcome(completion_ms, tracker);
-        if faulted {
-            self.orphans.push(Orphan {
-                outcome,
-                retries,
-                hops,
-                resume: emitted,
-            });
-        } else {
-            self.outcomes.push(outcome);
-        }
-    }
-
-    /// The leave phase: remove finished (or failed) sessions from the batch
-    /// at boundary `now`, release their KV residency and retire them.
-    fn leave(
-        &mut self,
-        active: &mut Vec<ActiveDecode>,
-        now: f64,
-        tracker: &mut MemoryTracker,
-        trace: &mut TraceRecorder,
-    ) -> SimResult<()> {
-        let mut i = 0;
-        while i < active.len() {
-            if !active[i].session.is_done() && active[i].row.error.is_none() {
-                i += 1;
-                continue;
-            }
-            let mut entry = active.remove(i);
-            entry.session.release(tracker, now)?;
-            if trace.enabled() {
-                trace.instant(
-                    TraceKind::BatchLeave,
-                    TraceLane::Request(entry.row.seq),
-                    &format!(
-                        "leave {} ({} tok)",
-                        entry.row.model,
-                        entry.session.emitted_tokens()
-                    ),
-                    now,
-                );
-            }
-            self.push(entry, now, tracker);
-        }
-        Ok(())
     }
 }
 
@@ -488,359 +370,29 @@ impl DeviceLoop for DecodeEngine {
     /// Single-threaded per device; a pure function of the assigned request
     /// list and the carried attempt state, so the result is identical at
     /// every pool width.
-    #[allow(clippy::too_many_lines)]
     fn run_device(&self, job: DeviceJob<'_, Self>) -> SimResult<DeviceRun<u32>> {
-        let DeviceJob {
-            index: device_index,
-            device,
-            engine,
-            sim,
-            assigned,
-            warm,
-            carry,
-            ..
-        } = job;
-        // A fresh entry for an admitted request, stamped with its carried
-        // attempt state (the session is replaced once the model's KV stride
-        // is known).
-        let admit = |seq: usize, request: &ServeRequest, start_ms: f64| -> ActiveDecode {
-            let params = request.decode.expect("validated in the prologue");
-            let carry = carry.get(&seq);
-            let mut row = RequestOutcome::unstarted(seq, request, device, device_index, carry);
-            row.start_ms = start_ms;
-            row.cache_hit = warm.contains(&ArtifactCache::key_for(&engine, &request.model, device));
-            ActiveDecode {
-                row,
-                session: DecodeSession::new(params.prompt_tokens, params.output_tokens, 0),
-                max_batch_seen: 1,
-                transfer_intervals: Vec::new(),
-                compute_intervals: Vec::new(),
-                resumed_tokens: carry.map_or(0, |c| c.resumed_tokens),
-                hops: carry.map_or(0, |c| c.hops),
+        let lost_at_ms = self.fleet.fault_plan.device_loss_ms(job.index);
+        let mut device = DecodeDevice::new(self, job);
+        while device.next < device.waiting.len() || !device.active.is_empty() {
+            if device.active.is_empty() {
+                // An idle device jumps to the next arrival.
+                let (_, next) = device.waiting[device.next];
+                device.now = device.now.max(next.arrival_ms);
             }
-        };
-        let faults_armed = !self.fleet.fault_plan.is_empty();
-        let mut faults = 0_u32;
-        let mut trace = TraceRecorder::new(self.fleet.trace);
-        let mut tracker = self.fleet.tracker(device);
-        let mut waiting = assigned;
-        waiting.sort_by(|a, b| {
-            a.1.arrival_ms
-                .total_cmp(&b.1.arrival_ms)
-                .then(a.0.cmp(&b.0))
-        });
-        let total = waiting.len();
-
-        let mut plans: HashMap<String, ModelPlans> = HashMap::new();
-        let mut prefill_costs: HashMap<String, StepCost> = HashMap::new();
-        let mut step_costs: HashMap<(String, usize), StepCost> = HashMap::new();
-
-        let mut active: Vec<ActiveDecode> = Vec::new();
-        let mut retired = Retired::default();
-        let lost_at = self.fleet.fault_plan.device_loss_ms(device_index);
-        let mut lost = false;
-        let mut widx = 0usize;
-        let mut now = 0.0_f64;
-        let mut transfer_busy = 0.0_f64;
-        let mut compute_busy = 0.0_f64;
-        let mut high_water = 0usize;
-
-        while widx < waiting.len() || !active.is_empty() {
-            // An idle device jumps to the next arrival.
-            if active.is_empty() {
-                if let Some(&(_, next)) = waiting.get(widx) {
-                    now = now.max(next.arrival_ms);
-                }
-            }
-
-            // ---- injected device loss: drain at this step boundary ----
-            // Work whose commands started before the loss instant drains
-            // normally (a dispatched kernel cannot be aborted); everything
-            // still resident or queued here dies with the device's memory.
-            if lost_at.is_some_and(|lost_at_ms| now + 1e-9 >= lost_at_ms) {
-                lost = true;
-                if trace.enabled() {
-                    trace.instant(
-                        TraceKind::Fault,
-                        TraceLane::Host,
-                        &format!("fault device-loss {}", device.name),
-                        now,
-                    );
-                }
-                let loss = |at_ms| SimError::Fault {
-                    kind: FaultKind::DeviceLoss,
-                    at_ms,
-                };
-                for mut entry in active.drain(..) {
-                    entry.row.fail(loss(now));
-                    let _ = entry.session.release(&mut tracker, now);
-                    retired.push(entry, now, &tracker);
-                }
-                for &(seq, request) in &waiting[widx..] {
-                    let at = now.max(request.arrival_ms);
-                    let mut entry = admit(seq, request, at);
-                    entry.row.fail(loss(at));
-                    retired.push(entry, at, &tracker);
-                }
+            if lost_at_ms.is_some_and(|t| device.now + 1e-9 >= t) {
+                device.lose();
                 break;
             }
-            let arrived = waiting[widx..]
-                .iter()
-                .take_while(|(_, r)| r.arrival_ms <= now + 1e-9)
-                .count();
-            high_water = high_water.max(arrived);
-
-            // ---- join phase: the waiting → served heuristic ----
-            let join = arrived > 0
-                && (active.is_empty()
-                    || arrived as f64 >= self.batch.waiting_served_ratio * active.len() as f64);
-            while join && widx < waiting.len() && active.len() < self.batch.max_batch {
-                let (seq, request) = waiting[widx];
-                if request.arrival_ms > now + 1e-9 {
-                    break;
-                }
-                let params = request.decode.expect("validated in the prologue");
-                let committed: u64 = active.iter().map(|a| a.session.max_context_tokens()).sum();
-                if committed + params.max_context_tokens() > self.batch.token_budget {
-                    if !active.is_empty() {
-                        // Head-of-line request waits for leavers to free
-                        // budget.
-                        break;
-                    }
-                    // Nothing to wait for: this request alone exceeds the
-                    // budget and can never be served, so it fails at its
-                    // arrival instant.
-                    widx += 1;
-                    let mut row =
-                        RequestOutcome::unstarted(seq, request, device, device_index, None);
-                    row.fail(SimError::InvalidParameter {
-                        message: format!(
-                            "request needs {} context tokens but the engine's token budget is {}",
-                            params.max_context_tokens(),
-                            self.batch.token_budget
-                        ),
-                    });
-                    retired.outcomes.push(row);
-                    continue;
-                }
-                widx += 1;
-                let abbr = request.model.abbr.clone();
-                let mut entry = admit(seq, request, now);
-                // Memoized prefill: the first request of a model replays the
-                // full stream through the tracker (establishing the transient
-                // peak); later ones reuse the cost.
-                let cost = self
-                    .ensure_plans(&mut plans, &engine, request, device)
-                    .and_then(|()| match prefill_costs.get(&abbr) {
-                        Some(&cost) => Ok(cost),
-                        None => {
-                            let stream = &plans[&abbr].prefill_stream;
-                            let cost = replay_stream(stream, &sim, &mut tracker, now)?;
-                            prefill_costs.insert(abbr.clone(), cost);
-                            Ok(cost)
-                        }
-                    });
-                let cost = match cost {
-                    Ok(cost) => cost,
-                    Err(error) => {
-                        entry.row.fail(error);
-                        retired.push(entry, now, &tracker);
-                        continue;
-                    }
-                };
-                let kv_bytes_per_token = plans[&abbr].kv_bytes_per_token;
-                let start = now;
-                let end = start + cost.makespan_ms;
-                transfer_busy += cost.transfer_busy_ms;
-                compute_busy += cost.compute_busy_ms;
-                entry.session = DecodeSession::new(
-                    params.prompt_tokens,
-                    params.output_tokens,
-                    kv_bytes_per_token,
-                );
-                // The prefill pass itself may take an injected fault, keyed
-                // by the resume position so a retry redraws.
-                let fault = faults_armed
-                    .then(|| {
-                        self.fleet.fault_plan.command_fault(
-                            device_index,
-                            seq,
-                            entry.resumed_tokens as usize,
-                            entry.attempt(),
-                        )
-                    })
-                    .flatten();
-                if let Some(kind) = fault {
-                    faults += 1;
-                    entry.row.fail(SimError::Fault { kind, at_ms: end });
-                    if trace.enabled() {
-                        trace.instant(
-                            TraceKind::Fault,
-                            TraceLane::Request(seq),
-                            &format!("fault {kind} {abbr} prefill"),
-                            end,
-                        );
-                    }
-                    now = end;
-                    active.push(entry);
-                    continue;
-                }
-                let label = format!("kv seq{seq} {abbr}");
-                if let Err(error) = entry.session.finish_prefill(&mut tracker, &label, end) {
-                    entry.row.fail(error);
-                    let _ = entry.session.release(&mut tracker, end);
-                    retired.push(entry, end, &tracker);
-                    now = end;
-                    continue;
-                }
-                entry
-                    .transfer_intervals
-                    .push((start, start + cost.transfer_busy_ms));
-                entry
-                    .compute_intervals
-                    .push((end - cost.compute_busy_ms, end));
-                if trace.enabled() {
-                    trace.span_bytes(
-                        TraceKind::Prefill,
-                        TraceLane::Request(seq),
-                        &format!("prefill {abbr} ({} tok)", params.prompt_tokens),
-                        start,
-                        end,
-                        u64::from(params.prompt_tokens) * kv_bytes_per_token,
-                    );
-                    trace.instant(
-                        TraceKind::BatchJoin,
-                        TraceLane::Request(seq),
-                        &format!("join {abbr}"),
-                        end,
-                    );
-                }
-                now = end;
-                active.push(entry);
+            device.join();
+            // Retires requests done at prefill (one output token) and
+            // prefill faults.
+            device.leave()?;
+            if !device.active.is_empty() {
+                device.step();
+                device.leave()?;
             }
-
-            // ---- leave phase: retire sessions done at this boundary ----
-            // Covers output_tokens == 1 requests, done at prefill.
-            retired.leave(&mut active, now, &mut tracker, &mut trace)?;
-            if active.is_empty() {
-                continue;
-            }
-
-            // ---- step phase: one batched decode step ----
-            // Per-model sub-batches, in abbreviation order for determinism;
-            // sub-batches replay back to back on the device's queues.
-            let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-            for (i, entry) in active.iter().enumerate() {
-                groups.entry(entry.row.model.clone()).or_default().push(i);
-            }
-            for (abbr, members) in groups {
-                let batch_size = members.len();
-                // Needed only on a step-cost miss or when tracing; the
-                // memo hit is the per-token hot path.
-                let model_plans = || plans.get(&abbr).expect("active implies compiled");
-                let key = (abbr.clone(), batch_size);
-                let cost = match step_costs.get(&key) {
-                    Some(&cost) => cost,
-                    None => {
-                        let plan = &model_plans().step_plan;
-                        match plan.replay(&sim, &mut tracker, batch_size, now) {
-                            Ok(cost) => {
-                                step_costs.insert(key, cost);
-                                cost
-                            }
-                            Err(error) => {
-                                // The whole sub-batch shares the failed step.
-                                for &i in &members {
-                                    active[i].row.fail(error.clone());
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                let end = now + cost.makespan_ms;
-                transfer_busy += cost.transfer_busy_ms;
-                compute_busy += cost.compute_busy_ms;
-                if trace.enabled() {
-                    trace.span_bytes(
-                        TraceKind::DecodeStep,
-                        TraceLane::ComputeQueue,
-                        &format!("step {abbr} ×{batch_size}"),
-                        now,
-                        end,
-                        batch_size as u64 * model_plans().kv_bytes_per_token,
-                    );
-                }
-                let share = 1.0 / batch_size as f64;
-                for &i in &members {
-                    let entry = &mut active[i];
-                    // The step's kernel may take an injected fault for this
-                    // sequence, keyed by its global token position so firing
-                    // is schedule- and batch-independent.
-                    let position = (entry.resumed_tokens + entry.session.emitted_tokens()) as usize;
-                    let fault = faults_armed
-                        .then(|| {
-                            self.fleet.fault_plan.command_fault(
-                                device_index,
-                                entry.row.seq,
-                                position,
-                                entry.attempt(),
-                            )
-                        })
-                        .flatten();
-                    if let Some(kind) = fault {
-                        faults += 1;
-                        entry.row.fail(SimError::Fault { kind, at_ms: end });
-                        if trace.enabled() {
-                            trace.instant(
-                                TraceKind::Fault,
-                                TraceLane::Request(entry.row.seq),
-                                &format!("fault {kind} {abbr}"),
-                                end,
-                            );
-                        }
-                        continue;
-                    }
-                    let label = format!("kv seq{} {abbr}", entry.row.seq);
-                    if let Err(error) = entry.session.advance_step(&mut tracker, &label, end) {
-                        entry.row.fail(error);
-                        continue;
-                    }
-                    entry.max_batch_seen = entry.max_batch_seen.max(batch_size);
-                    entry
-                        .transfer_intervals
-                        .push((now, now + cost.transfer_busy_ms * share));
-                    entry
-                        .compute_intervals
-                        .push((end - cost.compute_busy_ms * share, end));
-                }
-                now = end;
-            }
-
-            retired.leave(&mut active, now, &mut tracker, &mut trace)?;
         }
-
-        let report = DeviceReport {
-            requests: total,
-            completed: retired.outcomes.iter().filter(|o| o.succeeded()).count(),
-            queue_depth_high_water: high_water,
-            ..DeviceReport::new(
-                device.name.clone(),
-                now,
-                transfer_busy,
-                compute_busy,
-                tracker.peak_bytes() as f64 / MIB,
-                self.fleet.memory_series.then(|| tracker.into_trace()),
-            )
-        };
-        Ok(DeviceRun {
-            outcomes: retired.outcomes,
-            report,
-            trace,
-            orphans: retired.orphans,
-            lost,
-            faults,
-        })
+        Ok(device.finish())
     }
 
     /// Re-prefill from the emitted-token position: the new attempt's prompt
@@ -868,40 +420,566 @@ impl DeviceLoop for DecodeEngine {
     }
 }
 
-impl DecodeEngine {
-    /// Compile (through the shared cache) and lower the prefill and step
-    /// streams of `request`'s model, if this device has not seen it yet.
-    fn ensure_plans(
-        &self,
-        plans: &mut HashMap<String, ModelPlans>,
-        engine: &FlashMem,
-        request: &ServeRequest,
-        device: &DeviceSpec,
-    ) -> SimResult<()> {
-        let abbr = &request.model.abbr;
-        if plans.contains_key(abbr) {
-            return Ok(());
+/// Compiled per-model state one device keeps across its whole run.
+struct ModelPlans<'a> {
+    abbr: &'a str,
+    /// Lowered full-graph stream (the prefill pass).
+    prefill_stream: CommandStream,
+    /// The single-token step plan the batch replays.
+    step_plan: DecodeStepPlan,
+    /// KV bytes appended per context token.
+    kv_bytes_per_token: u64,
+    /// Replay costs by batch width, memoized on first use; width 0 is the
+    /// prefill pass.
+    costs: Vec<Option<StepCost>>,
+}
+
+/// One in-flight generative request on a device.
+struct ActiveDecode {
+    /// The request's outcome row, kept current while it decodes; a failure
+    /// is recorded on it.
+    row: RequestOutcome,
+    /// This attempt's token counts: a re-prefilled attempt's prompt holds
+    /// the tokens earlier attempts emitted.
+    params: DecodeParams,
+    /// Index of the request's model in [`DecodeDevice::models`].
+    model: usize,
+    kv: KvCache,
+    /// Instant (absolute ms) of every token this attempt emitted: the first
+    /// is the time-to-first-token instant, the gaps are the inter-token
+    /// latencies.
+    token_times_ms: Vec<f64>,
+    /// Largest per-model sub-batch this request shared a step with.
+    max_batch_seen: usize,
+    /// Transfer-queue busy intervals attributed to this request (absolute
+    /// time), for phase attribution.
+    transfer_intervals: Vec<(f64, f64)>,
+    /// Compute-queue busy intervals attributed to this request.
+    compute_intervals: Vec<(f64, f64)>,
+    /// Tokens emitted by *earlier* attempts (a re-prefilled request resumes
+    /// from this position; 0 on a first attempt).
+    resumed_tokens: u32,
+}
+
+impl ActiveDecode {
+    /// Tokens this attempt emitted.
+    fn emitted(&self) -> u32 {
+        self.token_times_ms.len() as u32
+    }
+
+    /// The submission's position in its token sequence: the tokens all its
+    /// attempts emitted.
+    fn position(&self) -> u32 {
+        self.resumed_tokens + self.emitted()
+    }
+
+    /// Every output token is emitted; after the last step the KV holds
+    /// `prompt + output − 1` tokens (the last token is never fed back).
+    fn is_done(&self) -> bool {
+        self.emitted() >= self.params.output_tokens
+    }
+
+    /// Close the row at `completion_ms` with the reserved KV as its
+    /// resident estimate and, for a request that did not fail, its
+    /// token-level result. The KV must already be released. Returns the row
+    /// and the request's token position.
+    fn close(mut self, completion_ms: f64) -> (RequestOutcome, u32) {
+        let kv_peak_bytes = self.params.max_context_tokens() * self.kv.bytes_per_token();
+        if self.row.error.is_none() {
+            // A re-prefilled attempt holds `original prompt + resumed`
+            // context and emits only the remaining tokens; the outcome
+            // reports the submission's cumulative view.
+            let times = &self.token_times_ms;
+            self.row.decode = Some(DecodeOutcome {
+                prompt_tokens: self.params.prompt_tokens - self.resumed_tokens,
+                output_tokens: self.position(),
+                ttft_ms: times.first().map_or(0.0, |t| t - self.row.arrival_ms),
+                itl_ms: times.windows(2).map(|w| w[1] - w[0]).collect(),
+                kv_peak_bytes,
+                max_batch: self.max_batch_seen,
+            });
         }
-        let spec = request.model.decode().expect("validated in the prologue");
-        let (full, _) = self
-            .fleet
-            .cache
-            .compile_shared(engine, &request.model, device)?;
-        let prefill_stream = lower_artifact(&full, &request.model, device, &self.fleet.config);
-        let (step, _) = self
-            .fleet
-            .cache
-            .compile_shared(engine, &spec.step, device)?;
-        let step_stream = lower_artifact(&step, &spec.step, device, &self.fleet.config);
-        plans.insert(
-            abbr.clone(),
-            ModelPlans {
-                prefill_stream,
-                step_plan: DecodeStepPlan::new(step_stream)?,
-                kv_bytes_per_token: spec.kv_bytes_per_token,
-            },
+        self.row.resident_estimate_bytes = kv_peak_bytes;
+        self.row.close(
+            completion_ms,
+            &self.transfer_intervals,
+            &self.compute_intervals,
         );
+        let position = self.position();
+        (self.row, position)
+    }
+}
+
+/// One device's state through one round of the step loop: its waiting
+/// list, the batch in flight, the clock and memory tracker they share, the
+/// compiled plans and memoized costs of every model it has served, and
+/// everything the round reports.
+struct DecodeDevice<'a> {
+    decode: &'a DecodeEngine,
+    index: usize,
+    device: &'a DeviceSpec,
+    engine: FlashMem,
+    sim: GpuSimulator,
+    warm: &'a HashSet<u64>,
+    /// Recovery state of re-dispatched requests, by `seq`.
+    carry: HashMap<usize, Carry>,
+    /// The fault plan can fire, so tokens draw injected faults.
+    faults_armed: bool,
+    /// Requests this round placed here, for the device report.
+    assigned: usize,
+    /// Sorted by (arrival, seq); the ones before `next` have left it.
+    waiting: Vec<(usize, &'a ServeRequest)>,
+    next: usize,
+    models: Vec<ModelPlans<'a>>,
+    active: Vec<ActiveDecode>,
+    /// The step boundary the device has reached, and its makespan.
+    now: f64,
+    tracker: MemoryTracker,
+    transfer_busy: f64,
+    compute_busy: f64,
+    queue_high_water: usize,
+    outcomes: Vec<RequestOutcome>,
+    orphans: Vec<Orphan<u32>>,
+    trace: TraceRecorder,
+    /// Transient injected faults this round.
+    faults: u32,
+    /// The fault plan's device loss fired.
+    lost: bool,
+}
+
+impl<'a> DecodeDevice<'a> {
+    /// The device at the start of a round: its requests waiting in arrival
+    /// order.
+    fn new(decode: &'a DecodeEngine, job: DeviceJob<'a, DecodeEngine>) -> Self {
+        let DeviceJob {
+            index,
+            device,
+            engine,
+            sim,
+            assigned: mut waiting,
+            warm,
+            carry,
+            ..
+        } = job;
+        waiting.sort_by(|a, b| {
+            a.1.arrival_ms
+                .total_cmp(&b.1.arrival_ms)
+                .then(a.0.cmp(&b.0))
+        });
+        DecodeDevice {
+            decode,
+            index,
+            device,
+            engine,
+            sim,
+            warm,
+            carry,
+            faults_armed: !decode.fleet.fault_plan.is_empty(),
+            assigned: waiting.len(),
+            waiting,
+            next: 0,
+            models: Vec::new(),
+            active: Vec::new(),
+            now: 0.0,
+            tracker: decode.fleet.tracker(device),
+            transfer_busy: 0.0,
+            compute_busy: 0.0,
+            queue_high_water: 0,
+            outcomes: Vec::new(),
+            orphans: Vec::new(),
+            trace: TraceRecorder::new(decode.fleet.trace),
+            faults: 0,
+            lost: false,
+        }
+    }
+
+    /// The unstarted row of `request` here, started at `start_ms`.
+    fn row(&self, seq: usize, request: &ServeRequest, start_ms: f64) -> RequestOutcome {
+        let carry = self.carry.get(&seq);
+        let mut row = RequestOutcome::unstarted(seq, request, self.device, self.index, carry);
+        row.start_ms = start_ms;
+        let key = ArtifactCache::key_for(&self.engine, &request.model, self.device);
+        row.cache_hit = self.warm.contains(&key);
+        row
+    }
+
+    /// The join phase at a step boundary: arrived requests join the batch
+    /// when it is empty or when `arrived ≥ waiting_served_ratio × active`,
+    /// while `max_batch` and the token budget allow, each through its
+    /// prefill. A request whose own context exceeds the budget fails at its
+    /// arrival when nothing is in flight to wait for.
+    fn join(&mut self) {
+        let batch = self.decode.batch;
+        let arrived = self.waiting[self.next..]
+            .iter()
+            .take_while(|(_, r)| r.arrival_ms <= self.now + 1e-9)
+            .count();
+        self.queue_high_water = self.queue_high_water.max(arrived);
+        let join = arrived > 0
+            && (self.active.is_empty()
+                || arrived as f64 >= batch.waiting_served_ratio * self.active.len() as f64);
+        while join && self.next < self.waiting.len() && self.active.len() < batch.max_batch {
+            let (seq, request) = self.waiting[self.next];
+            if request.arrival_ms > self.now + 1e-9 {
+                break;
+            }
+            let params = request.decode.expect("validated in the prologue");
+            let committed: u64 = self
+                .active
+                .iter()
+                .map(|a| a.params.max_context_tokens())
+                .sum();
+            if committed + params.max_context_tokens() > batch.token_budget {
+                if !self.active.is_empty() {
+                    // Head-of-line request waits for leavers to free budget.
+                    break;
+                }
+                self.next += 1;
+                let mut row =
+                    RequestOutcome::unstarted(seq, request, self.device, self.index, None);
+                row.fail(SimError::InvalidParameter {
+                    message: format!(
+                        "request needs {} context tokens but the engine's token budget is {}",
+                        params.max_context_tokens(),
+                        batch.token_budget
+                    ),
+                });
+                self.outcomes.push(row);
+                continue;
+            }
+            self.next += 1;
+            self.prefill(seq, request, params);
+        }
+    }
+
+    /// Run `seq`'s prefill from `now` and join it to the batch at the
+    /// prefill's end. A compile or prefill-replay failure retires it at
+    /// `now` and a KV OOM at the prefill's end; an injected prefill fault
+    /// joins it, failed, for the next leave sweep.
+    fn prefill(&mut self, seq: usize, request: &'a ServeRequest, params: DecodeParams) {
+        let start = self.now;
+        let mut row = self.row(seq, request, start);
+        let resumed_tokens = self.carry.get(&seq).map_or(0, |c| c.resumed_tokens);
+        let compiled = self
+            .model(request)
+            .and_then(|model| Ok((model, self.cost(model, 0)?)));
+        let (model, cost) = match compiled {
+            Ok(compiled) => compiled,
+            Err(error) => {
+                row.fail(error);
+                row.close(start, &[], &[]);
+                self.retire(row, resumed_tokens);
+                return;
+            }
+        };
+        let end = start + cost.makespan_ms;
+        self.now = end;
+        self.transfer_busy += cost.transfer_busy_ms;
+        self.compute_busy += cost.compute_busy_ms;
+        let kv_bytes_per_token = self.models[model].kv_bytes_per_token;
+        let mut entry = ActiveDecode {
+            row,
+            params,
+            model,
+            kv: KvCache::new(kv_bytes_per_token),
+            token_times_ms: Vec::new(),
+            max_batch_seen: 1,
+            transfer_intervals: Vec::new(),
+            compute_intervals: Vec::new(),
+            resumed_tokens,
+        };
+        if self.fault(&mut entry, end, " prefill") {
+            self.active.push(entry);
+            return;
+        }
+        let prompt = u64::from(params.prompt_tokens);
+        if let Err(error) = entry.kv.grow(&mut self.tracker, prompt, "", end) {
+            entry.row.fail(error);
+            let _ = entry.kv.release(&mut self.tracker, end);
+            let (row, position) = entry.close(end);
+            self.retire(row, position);
+            return;
+        }
+        entry.token_times_ms.push(end);
+        entry
+            .transfer_intervals
+            .push((start, start + cost.transfer_busy_ms));
+        entry
+            .compute_intervals
+            .push((end - cost.compute_busy_ms, end));
+        if self.trace.enabled() {
+            let lane = TraceLane::Request(seq);
+            let abbr = &request.model.abbr;
+            self.trace.span_bytes(
+                TraceKind::Prefill,
+                lane,
+                &format!("prefill {abbr} ({prompt} tok)"),
+                start,
+                end,
+                prompt * kv_bytes_per_token,
+            );
+            let label = format!("join {abbr}");
+            self.trace.instant(TraceKind::BatchJoin, lane, &label, end);
+        }
+        self.active.push(entry);
+    }
+
+    /// The index of `request`'s model in [`models`](Self::models), compiling
+    /// (through the shared cache) and lowering its prefill and step streams
+    /// the first time this device serves it.
+    fn model(&mut self, request: &'a ServeRequest) -> SimResult<usize> {
+        let abbr = request.model.abbr.as_str();
+        if let Some(model) = self.models.iter().position(|m| m.abbr == abbr) {
+            return Ok(model);
+        }
+        let fleet = &self.decode.fleet;
+        let spec = request.model.decode().expect("validated in the prologue");
+        let lower = |model| -> SimResult<CommandStream> {
+            let (artifact, _) = fleet
+                .cache
+                .compile_shared(&self.engine, model, self.device)?;
+            Ok(lower_artifact(&artifact, model, self.device, &fleet.config))
+        };
+        let prefill_stream = lower(&request.model)?;
+        let step_plan = DecodeStepPlan::new(lower(&spec.step)?)?;
+        self.models.push(ModelPlans {
+            abbr,
+            prefill_stream,
+            step_plan,
+            kv_bytes_per_token: spec.kv_bytes_per_token,
+            costs: Vec::new(),
+        });
+        Ok(self.models.len() - 1)
+    }
+
+    /// The cost of `model`'s prefill (`width` 0) or of its step `width`
+    /// sequences wide. The first request replays the stream through the
+    /// tracker at `now`, which charges and releases its transients and so
+    /// establishes the transient peak; later ones reuse the cost. A failed
+    /// replay is not memoized.
+    fn cost(&mut self, model: usize, width: usize) -> SimResult<StepCost> {
+        let plans = &mut self.models[model];
+        if let Some(cost) = plans.costs.get(width).copied().flatten() {
+            return Ok(cost);
+        }
+        let cost = if width == 0 {
+            replay_stream(
+                &plans.prefill_stream,
+                &self.sim,
+                &mut self.tracker,
+                self.now,
+            )
+        } else {
+            plans
+                .step_plan
+                .replay(&self.sim, &mut self.tracker, width, self.now)
+        }?;
+        if plans.costs.len() <= width {
+            plans.costs.resize(width + 1, None);
+        }
+        plans.costs[width] = Some(cost);
+        Ok(cost)
+    }
+
+    /// Draw the injected fault, if the plan can fire one, of `entry`'s next
+    /// token (its prefill when `what` is `" prefill"`), ending at `end_ms`.
+    /// The draw is keyed by the request's token position, so firing is
+    /// schedule- and batch-independent and a retry redraws. A fault fails
+    /// the row.
+    fn fault(&mut self, entry: &mut ActiveDecode, end_ms: f64, what: &str) -> bool {
+        if !self.faults_armed {
+            return false;
+        }
+        let seq = entry.row.seq;
+        let attempt = self.carry.get(&seq).map_or(0, Carry::attempt);
+        let position = entry.position() as usize;
+        let fault_plan = &self.decode.fleet.fault_plan;
+        let Some(kind) = fault_plan.command_fault(self.index, seq, position, attempt) else {
+            return false;
+        };
+        self.faults += 1;
+        entry.row.fail(SimError::Fault {
+            kind,
+            at_ms: end_ms,
+        });
+        if self.trace.enabled() {
+            let label = format!("fault {kind} {}{what}", entry.row.model);
+            let lane = TraceLane::Request(seq);
+            self.trace.instant(TraceKind::Fault, lane, &label, end_ms);
+        }
+        true
+    }
+
+    /// The step phase: one batched decode step. Each model's sub-batch, in
+    /// abbreviation order, replays its step stream, and the sub-batches run
+    /// back to back on the device's queues. Every member that takes no
+    /// fault grows its KV by one token and emits one token at its
+    /// sub-batch's end. A failed replay fails its whole sub-batch and does
+    /// not advance the clock.
+    fn step(&mut self) {
+        let mut active = std::mem::take(&mut self.active);
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, entry) in active.iter().enumerate() {
+            match groups.iter_mut().find(|(model, _)| *model == entry.model) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((entry.model, vec![i])),
+            }
+        }
+        groups.sort_by_key(|&(model, _)| self.models[model].abbr);
+        for (model, members) in groups {
+            let width = members.len();
+            let cost = match self.cost(model, width) {
+                Ok(cost) => cost,
+                Err(error) => {
+                    for &i in &members {
+                        active[i].row.fail(error.clone());
+                    }
+                    continue;
+                }
+            };
+            let (start, end) = (self.now, self.now + cost.makespan_ms);
+            self.transfer_busy += cost.transfer_busy_ms;
+            self.compute_busy += cost.compute_busy_ms;
+            if self.trace.enabled() {
+                let plans = &self.models[model];
+                self.trace.span_bytes(
+                    TraceKind::DecodeStep,
+                    TraceLane::ComputeQueue,
+                    &format!("step {} ×{width}", plans.abbr),
+                    start,
+                    end,
+                    width as u64 * plans.kv_bytes_per_token,
+                );
+            }
+            let share = 1.0 / width as f64;
+            for &i in &members {
+                let entry = &mut active[i];
+                if self.fault(entry, end, "") {
+                    continue;
+                }
+                if let Err(error) = entry.kv.grow(&mut self.tracker, 1, "", end) {
+                    entry.row.fail(error);
+                    continue;
+                }
+                entry.token_times_ms.push(end);
+                entry.max_batch_seen = entry.max_batch_seen.max(width);
+                entry
+                    .transfer_intervals
+                    .push((start, start + cost.transfer_busy_ms * share));
+                entry
+                    .compute_intervals
+                    .push((end - cost.compute_busy_ms * share, end));
+            }
+            self.now = end;
+        }
+        self.active = active;
+    }
+
+    /// The leave phase at `now`: every request that emitted its last token
+    /// or failed leaves the batch, releases its KV residency and retires.
+    fn leave(&mut self) -> SimResult<()> {
+        let mut i = 0;
+        while i < self.active.len() {
+            let entry = &self.active[i];
+            if !entry.is_done() && entry.row.error.is_none() {
+                i += 1;
+                continue;
+            }
+            let mut entry = self.active.remove(i);
+            entry.kv.release(&mut self.tracker, self.now)?;
+            if self.trace.enabled() {
+                let label = format!("leave {} ({} tok)", entry.row.model, entry.emitted());
+                let lane = TraceLane::Request(entry.row.seq);
+                self.trace
+                    .instant(TraceKind::BatchLeave, lane, &label, self.now);
+            }
+            let (row, position) = entry.close(self.now);
+            self.retire(row, position);
+        }
         Ok(())
+    }
+
+    /// Retire `row`, closed, against the device's peak so far: the one way
+    /// a request leaves this device. An injected fault makes it an orphan
+    /// for the recovery planner, which re-prefills it from `position`, the
+    /// tokens all its attempts emitted; anything else is final.
+    fn retire(&mut self, mut row: RequestOutcome, position: u32) {
+        row.peak_memory_mb = self.tracker.peak_bytes() as f64 / MIB;
+        if matches!(row.error, Some(SimError::Fault { .. })) {
+            let (retries, hops) = self
+                .carry
+                .get(&row.seq)
+                .map_or((0, 0), |c| (c.retries, c.hops));
+            self.orphans.push(Orphan {
+                outcome: row,
+                retries,
+                hops,
+                resume: position,
+            });
+        } else {
+            self.outcomes.push(row);
+        }
+    }
+
+    /// The device dies at this step boundary: work whose commands started
+    /// before the loss drained normally (a dispatched kernel cannot be
+    /// aborted), and everything still in the batch or waiting dies with
+    /// the device's memory and goes to the recovery planner. A waiting
+    /// request fails at its arrival if that is later, reserving nothing.
+    fn lose(&mut self) {
+        self.lost = true;
+        let now = self.now;
+        if self.trace.enabled() {
+            let label = format!("fault device-loss {}", self.device.name);
+            self.trace
+                .instant(TraceKind::Fault, TraceLane::Host, &label, now);
+        }
+        let loss = |at_ms| SimError::Fault {
+            kind: FaultKind::DeviceLoss,
+            at_ms,
+        };
+        for mut entry in std::mem::take(&mut self.active) {
+            entry.row.fail(loss(now));
+            let _ = entry.kv.release(&mut self.tracker, now);
+            let (row, position) = entry.close(now);
+            self.retire(row, position);
+        }
+        for i in self.next..self.waiting.len() {
+            let (seq, request) = self.waiting[i];
+            let at = now.max(request.arrival_ms);
+            let mut row = self.row(seq, request, at);
+            row.fail(loss(at));
+            row.close(at, &[], &[]);
+            let resumed_tokens = self.carry.get(&seq).map_or(0, |c| c.resumed_tokens);
+            self.retire(row, resumed_tokens);
+        }
+    }
+
+    /// What the round hands the merge: its rows, orphans and trace, and the
+    /// device report.
+    fn finish(self) -> DeviceRun<u32> {
+        let series = self.decode.fleet.memory_series;
+        let report = DeviceReport {
+            requests: self.assigned,
+            completed: self.outcomes.iter().filter(|o| o.succeeded()).count(),
+            queue_depth_high_water: self.queue_high_water,
+            ..DeviceReport::new(
+                self.device.name.clone(),
+                self.now,
+                self.transfer_busy,
+                self.compute_busy,
+                self.tracker.peak_bytes() as f64 / MIB,
+                series.then(|| self.tracker.into_trace()),
+            )
+        };
+        DeviceRun {
+            outcomes: self.outcomes,
+            report,
+            trace: self.trace,
+            orphans: self.orphans,
+            lost: self.lost,
+            faults: self.faults,
+        }
     }
 }
 
@@ -982,6 +1060,37 @@ mod tests {
             let stride = spec.decode().unwrap().kv_bytes_per_token;
             assert_eq!(decode.kv_peak_bytes, (12 + 5 - 1) * stride);
         }
+    }
+
+    #[test]
+    fn kv_grows_to_the_full_context_and_is_released() {
+        // One request alone on the device: the prefill charges the prompt's
+        // KV and each of the four decode steps one more token. The step that
+        // emits the last token grows the KV to prompt + output - 1 tokens,
+        // and the leave sweep at that instant frees it token by token.
+        let report = engine(BatchConfig::default())
+            .with_memory_series()
+            .run(&burst(1, 16, 5))
+            .unwrap();
+        let outcome = &report.outcomes[0];
+        let decode = outcome.decode.as_ref().unwrap();
+        assert_eq!(decode.output_tokens, 5);
+        assert_eq!(decode.itl_ms.len(), 4);
+        assert!(decode.ttft_ms > 0.0 && decode.itl_ms.iter().all(|&gap| gap > 0.0));
+        let stride = ModelZoo::gptneo_small()
+            .decode()
+            .unwrap()
+            .kv_bytes_per_token;
+        let series = report.devices[0].memory_trace.as_ref().unwrap();
+        let at_leave: Vec<u64> = series
+            .samples()
+            .iter()
+            .filter(|s| s.time_ms == outcome.completion_ms)
+            .map(|s| s.bytes)
+            .collect();
+        let context: u64 = 16 + 5 - 1;
+        let expected: Vec<u64> = (0..=context).rev().map(|t| t * stride).collect();
+        assert_eq!(at_leave, expected);
     }
 
     #[test]
