@@ -106,7 +106,7 @@ impl std::fmt::Display for Table4 {
         let mut t = TextTable::new(&[
             "Model",
             "Nodes",
-            "Process nodes (s)",
+            "Process nodes (ms)",
             "Solver Status",
             "Fallbacks",
             "Streamed (%)",
@@ -115,7 +115,7 @@ impl std::fmt::Display for Table4 {
             t.row(&[
                 r.model.clone(),
                 format!("{}", r.nodes),
-                format!("{:.3}", r.process_nodes.as_secs_f64()),
+                format!("{:.3}", r.process_nodes.as_secs_f64() * 1e3),
                 r.status.clone(),
                 format!("{}", r.fallbacks),
                 format!("{:.1}", r.streamed_fraction * 100.0),
@@ -147,6 +147,7 @@ mod tests {
         let text = result.to_string();
         assert!(text.contains("GPTNeo-Small"));
         assert!(text.contains("Solver Status"));
+        assert!(text.contains("Process nodes (ms)"));
         // The JSON keeps the deterministic columns and drops the wall clocks.
         let json = result.to_json().pretty();
         assert!(json.contains("\"fallbacks\""));
