@@ -8,7 +8,10 @@
 #   - bench-<name>.json and bench-<name>.trace.json (the `--trace-out`
 #     Chrome trace) of the serve, fleet_scale, overload, decode and chaos
 #     `--quick` runs. The `bench-` prefix keeps them apart from bin/all's
-#     own serve.json.
+#     own serve.json;
+#   - bench-decode-full.json and its trace, the decode bench without
+#     `--quick`: the only bench run whose decode batches mix two models
+#     (GPTN-S and Whisper-M on four phones; ~0.3 s in release).
 #
 # Every run uses a pool of THREADS workers. Comparing a change with its
 # parent is then two snapshots and one diff:
@@ -48,5 +51,8 @@ cargo run --release --offline -q -p flashmem-bench --bin table4 -- \
 for name in serve fleet_scale overload decode chaos; do
     bench "$name" --json "$out/bench-$name.json" --trace-out "$out/bench-$name.trace.json"
 done
+cargo run --release --offline -q -p flashmem-bench --bin decode -- \
+    --json "$out/bench-decode-full.json" --trace-out "$out/bench-decode-full.trace.json" \
+    --threads "$threads" >/dev/null
 
 echo "oracle-snapshot: $(ls "$out"/*.json | wc -l) JSON documents in $out (threads $threads)"
