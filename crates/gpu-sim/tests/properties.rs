@@ -6,13 +6,18 @@
 //! The random instances come from a seeded [`SplitMix64`] sweep instead of
 //! proptest (unavailable offline), so every run exercises the same corpus.
 
+use std::collections::BTreeMap;
+
 use flashmem_gpu_sim::bandwidth::{BandwidthModel, MemoryTier};
-use flashmem_gpu_sim::engine::{Command, CommandStream, GpuSimulator, SimConfig};
+use flashmem_gpu_sim::engine::{
+    Command, CommandKind, CommandStream, GpuSimulator, PreemptionCost, QueueClocks, SimConfig,
+    StreamStepper,
+};
 use flashmem_gpu_sim::kernel::{KernelCategory, KernelCostModel, KernelDesc, LaunchDims};
 use flashmem_gpu_sim::memory::MemoryTracker;
 use flashmem_gpu_sim::rng::SplitMix64;
 use flashmem_gpu_sim::trace::MemoryTrace;
-use flashmem_gpu_sim::DeviceSpec;
+use flashmem_gpu_sim::{DeviceSpec, SimError};
 
 const CASES: usize = 64;
 
@@ -172,4 +177,194 @@ fn command_streams_schedule_without_time_travel() {
             assert!(pair[1].start_ms >= pair[0].end_ms - 1e-9);
         }
     }
+}
+
+/// A random valid stream: allocations in both tiers, frees of live
+/// allocations, transfers, kernels and barriers, each depending on up to
+/// three earlier commands.
+fn random_stream(rng: &mut SplitMix64) -> CommandStream {
+    let mut stream = CommandStream::new();
+    let mut live: Vec<usize> = Vec::new();
+    for idx in 0..rng.gen_range_inclusive(1, 40) as usize {
+        let mut deps: Vec<usize> = (0..rng.gen_range_inclusive(0, 3))
+            .filter(|_| idx > 0)
+            .map(|_| rng.gen_range_inclusive(0, idx as u64 - 1) as usize)
+            .collect();
+        let bytes = rng.gen_range_inclusive(0, (1 << 24) - 1);
+        let command = match rng.gen_range_inclusive(0, 5) {
+            0 | 1 => {
+                live.push(idx);
+                let tier = if rng.gen_range_inclusive(0, 1) == 0 {
+                    MemoryTier::UnifiedMemory
+                } else {
+                    MemoryTier::TextureMemory
+                };
+                Command::alloc(tier, bytes, deps)
+            }
+            2 if !live.is_empty() => {
+                let alloc =
+                    live.swap_remove(rng.gen_range_inclusive(0, live.len() as u64 - 1) as usize);
+                deps.push(alloc);
+                Command::free(alloc, deps)
+            }
+            3 => Command::transfer(
+                format!("t{idx}"),
+                bytes,
+                MemoryTier::Disk,
+                MemoryTier::UnifiedMemory,
+                deps,
+            ),
+            4 => {
+                let kernel = KernelDesc::new(
+                    &format!("k{idx}"),
+                    category(rng),
+                    1.0e6 + rng.gen_f64() * 1.0e9,
+                    bytes.max(1),
+                    1 << 16,
+                );
+                Command::kernel(format!("k{idx}"), kernel, bytes / 4, deps)
+            }
+            _ => Command::barrier(deps),
+        };
+        stream.push(command);
+    }
+    stream
+}
+
+/// `(unified, texture)` bytes of a model of one stepper's live allocations,
+/// by allocating command.
+fn split_of(live: &BTreeMap<usize, (MemoryTier, u64)>) -> (u64, u64) {
+    live.values()
+        .fold((0, 0), |(unified, texture), &(tier, bytes)| {
+            if tier == MemoryTier::TextureMemory {
+                (unified, texture + bytes)
+            } else {
+                (unified + bytes, texture)
+            }
+        })
+}
+
+#[test]
+fn resident_split_follows_live_allocations_across_evicting_suspensions() {
+    let sim = GpuSimulator::new(DeviceSpec::oneplus_12(), SimConfig::default());
+    let mut rng = SplitMix64::seed_from_u64(16);
+    let mut suspensions = 0;
+    for case in 0..CASES {
+        let budget = 1u64 << 40;
+        let mut tracker = MemoryTracker::new(budget, budget, budget);
+        let mut clocks = QueueClocks::new();
+        // Two streams share the queues and the tracker, as in serving.
+        let mut steppers =
+            [(); 2].map(|_| Some(StreamStepper::new(random_stream(&mut rng)).unwrap()));
+        let mut models: [BTreeMap<usize, (MemoryTier, u64)>; 2] = Default::default();
+        loop {
+            let open: Vec<usize> = (0..2)
+                .filter(|&i| steppers[i].as_ref().is_some_and(|s| !s.is_done()))
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            let i = open[rng.gen_range_inclusive(0, open.len() as u64 - 1) as usize];
+            if rng.gen_range_inclusive(0, 5) == 0 {
+                let now = clocks.horizon_ms();
+                let stepper = steppers[i].take().unwrap();
+                let suspension = stepper
+                    .suspend_evicting(&clocks, &mut tracker, now, 0.0)
+                    .unwrap();
+                assert_eq!(
+                    suspension.evicted_split(),
+                    split_of(&models[i]),
+                    "case {case}"
+                );
+                let other = steppers[1 - i].as_ref().unwrap().resident_split(&tracker);
+                assert_eq!(
+                    (tracker.unified().in_use(), tracker.texture().in_use()),
+                    other,
+                    "case {case}: the suspended stream holds nothing"
+                );
+                let (stepper, _) = suspension
+                    .resume_into(&sim, &mut tracker, now, 0.0, &PreemptionCost::free())
+                    .unwrap();
+                steppers[i] = Some(stepper);
+                suspensions += 1;
+            }
+            let stepper = steppers[i].as_mut().unwrap();
+            let event = stepper
+                .step(&sim, &mut clocks, &mut tracker, 0.0)
+                .unwrap()
+                .unwrap();
+            match stepper.stream().commands()[event.command].kind {
+                CommandKind::Alloc { tier, bytes } => {
+                    models[i].insert(event.command, (tier, bytes));
+                }
+                CommandKind::Free { alloc } => {
+                    models[i].remove(&alloc).unwrap();
+                }
+                _ => {}
+            }
+            let splits = [0, 1].map(|j| steppers[j].as_ref().unwrap().resident_split(&tracker));
+            for j in 0..2 {
+                assert_eq!(splits[j], split_of(&models[j]), "case {case}, stream {j}");
+            }
+            assert_eq!(
+                (tracker.unified().in_use(), tracker.texture().in_use()),
+                (splits[0].0 + splits[1].0, splits[0].1 + splits[1].1),
+                "case {case}"
+            );
+        }
+    }
+    assert!(suspensions > 100, "{suspensions} suspensions");
+}
+
+/// Validation as a full scan of every dependency of every command.
+fn scanned_validation(stream: &CommandStream) -> Result<(), SimError> {
+    for (command, cmd) in stream.commands().iter().enumerate() {
+        for &dependency in &cmd.deps {
+            if dependency >= stream.len() {
+                return Err(SimError::UnknownDependency {
+                    command,
+                    dependency,
+                });
+            }
+            if dependency >= command {
+                return Err(SimError::DependencyCycle { command });
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn validation_returns_the_first_error_a_full_scan_finds() {
+    let mut rng = SplitMix64::seed_from_u64(17);
+    let mut invalid = 0;
+    for _ in 0..2_000 {
+        let len = rng.gen_range_inclusive(1, 24);
+        let mut stream = CommandStream::new();
+        for idx in 0..len {
+            // Mostly backward dependencies, with a few on the command
+            // itself, on a later command or past the stream's end.
+            let count = if idx == 0 {
+                u64::from(rng.gen_f64() < 0.05)
+            } else {
+                rng.gen_range_inclusive(0, 3)
+            };
+            let deps: Vec<usize> = (0..count)
+                .map(|_| {
+                    if idx == 0 || rng.gen_f64() < 0.03 {
+                        rng.gen_range_inclusive(idx, len + 2) as usize
+                    } else {
+                        rng.gen_range_inclusive(0, idx - 1) as usize
+                    }
+                })
+                .collect();
+            stream.push(Command::barrier(deps));
+            // After every push: a dependency past the end becomes a cycle
+            // once later pushes make it exist.
+            let want = scanned_validation(&stream);
+            assert_eq!(stream.validate(), want, "{stream:?}");
+            invalid += usize::from(want.is_err());
+        }
+    }
+    assert!(invalid > 1_000, "{invalid} invalid streams");
 }

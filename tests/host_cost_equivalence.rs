@@ -2,8 +2,10 @@
 //! overlap sum skips pairs that cannot overlap, the cost model prices a
 //! kernel's roofline once per capacity bisection, and `FlashMem::compile`
 //! plans from the capacities adaptive fusion returns instead of profiling
-//! the refined plan again. Each test here checks one of them against the
-//! straightforward algorithm it replaced, bit for bit.
+//! the refined plan again. A served request's phase attribution sums its
+//! command intervals without re-sorting lists that are already in start
+//! order. Each test here checks one of them against the straightforward
+//! algorithm it replaced, bit for bit.
 
 use flashmem::core::StreamingExecutor;
 use flashmem::gpu_sim::cache::AccessPattern;
@@ -13,6 +15,7 @@ use flashmem::gpu_sim::trace::{EventKind, ExecutionEvent, Timeline};
 use flashmem::gpu_sim::{KernelCategory, KernelDesc, LaunchDims, SplitMix64};
 use flashmem::graph::ModelSpec;
 use flashmem::prelude::*;
+use flashmem::trace::{interval_overlap_ms, interval_union_ms};
 
 /// The pairwise overlap sum: every kernel against every transfer or
 /// transform, in event order.
@@ -263,4 +266,169 @@ fn compile_plans_from_the_capacities_a_fresh_profile_gives() {
         .flatten()
         .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// The interval union as it read when every call copied and sorted its
+/// list.
+fn sorted_union_ms(intervals: &[(f64, f64)]) -> f64 {
+    let mut sorted: Vec<(f64, f64)> = intervals.iter().copied().filter(|(s, e)| e > s).collect();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut total = 0.0;
+    let mut cursor = f64::NEG_INFINITY;
+    for (s, e) in sorted {
+        let s = s.max(cursor);
+        if e > s {
+            total += e - s;
+            cursor = e;
+        }
+    }
+    total
+}
+
+/// The overlap as it read when it sorted the concatenation of both lists.
+fn sorted_overlap_ms(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+    let mut both: Vec<(f64, f64)> = Vec::with_capacity(a.len() + b.len());
+    both.extend_from_slice(a);
+    both.extend_from_slice(b);
+    sorted_union_ms(a) + sorted_union_ms(b) - sorted_union_ms(&both)
+}
+
+/// One queue's intervals in start order, back to back with random gaps
+/// (none when `touching`), from `origin`. Times come from a quarter-
+/// millisecond grid when `grid` (so ties and touching ends are common) and
+/// are continuous otherwise.
+fn queue_run(rng: &mut SplitMix64, len: usize, origin: f64, grid: bool) -> Vec<(f64, f64)> {
+    let mut draw = |scale: f64| {
+        if grid {
+            rng.gen_range_inclusive(0, 8) as f64 * 0.25
+        } else {
+            rng.gen_f64() * scale
+        }
+    };
+    let mut at = origin;
+    let mut run = Vec::with_capacity(len);
+    for _ in 0..len {
+        at += draw(2.0);
+        let end = at + draw(5.0);
+        run.push((at, end));
+        at = end;
+    }
+    run
+}
+
+/// A random interval list of one of the shapes phase attribution meets or
+/// could meet: one queue in start order, the same reversed, two sorted runs
+/// (a failover restarts the stream clock on another device), overlapping
+/// intervals in start order, or any order. Some members are then made
+/// zero-length, reversed, negatively zero or NaN, and some starts repeat.
+fn interval_list(rng: &mut SplitMix64) -> Vec<(f64, f64)> {
+    let grid = rng.gen_f64() < 0.5;
+    let len = rng.gen_range_inclusive(0, 24) as usize;
+    let mut list = match rng.gen_range_inclusive(0, 4) {
+        0 => queue_run(rng, len, 0.0, grid),
+        1 => {
+            let mut run = queue_run(rng, len, 0.0, grid);
+            run.reverse();
+            run
+        }
+        2 => {
+            let first = len / 2;
+            let mut runs = queue_run(rng, first, 10.0, grid);
+            let restart = rng.gen_f64() * 12.0;
+            runs.extend(queue_run(rng, len - first, restart, grid));
+            runs
+        }
+        3 => {
+            let mut at = 0.0;
+            (0..len)
+                .map(|_| {
+                    at += rng.gen_range_inclusive(0, 3) as f64 * 0.5;
+                    (at, at + rng.gen_range_inclusive(0, 8) as f64 * 0.5)
+                })
+                .collect()
+        }
+        _ => (0..len)
+            .map(|_| {
+                let start = rng.gen_f64() * 40.0;
+                (start, start + rng.gen_f64() * 6.0)
+            })
+            .collect(),
+    };
+    for i in 0..list.len() {
+        match rng.gen_range_inclusive(0, 29) {
+            0 => list[i].1 = list[i].0,
+            1 => list[i] = (list[i].1, list[i].0),
+            2 if i > 0 => list[i].0 = list[i - 1].0,
+            3 => list[i].0 = -0.0,
+            4 if rng.gen_f64() < 0.2 => list[i].1 = f64::NAN,
+            _ => {}
+        }
+    }
+    list
+}
+
+#[test]
+fn interval_sums_match_the_sorting_algorithm_bit_for_bit() {
+    let bits = |(union_a, union_b, overlap): (f64, f64, f64)| {
+        (union_a.to_bits(), union_b.to_bits(), overlap.to_bits())
+    };
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_1A7E);
+    let in_start_order = |list: &[(f64, f64)]| {
+        let starts: Vec<f64> = list.iter().filter(|(s, e)| e > s).map(|x| x.0).collect();
+        starts.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())
+    };
+    let (mut tied_across, mut sorted_pairs, mut unsorted_pairs) = (0, 0, 0);
+    for case in 0..12_000 {
+        let a = interval_list(&mut rng);
+        // Half the second lists start where the first list's members do,
+        // so ties across the two lists are common.
+        let b = if rng.gen_f64() < 0.5 {
+            a.iter()
+                .map(|&(s, _)| (s, s + rng.gen_range_inclusive(0, 6) as f64 * 0.5))
+                .collect()
+        } else {
+            interval_list(&mut rng)
+        };
+        tied_across += usize::from(a.iter().any(|x| b.iter().any(|y| x.0 == y.0)));
+        match (in_start_order(&a), in_start_order(&b)) {
+            (true, true) => sorted_pairs += 1,
+            (false, false) => unsorted_pairs += 1,
+            _ => {}
+        }
+        let got = (
+            interval_union_ms(&a),
+            interval_union_ms(&b),
+            interval_overlap_ms(&a, &b),
+        );
+        let want = (
+            sorted_union_ms(&a),
+            sorted_union_ms(&b),
+            sorted_overlap_ms(&a, &b),
+        );
+        assert_eq!(bits(got), bits(want), "case {case}: a {a:?}, b {b:?}");
+        assert_eq!(
+            interval_overlap_ms(&b, &a).to_bits(),
+            sorted_overlap_ms(&b, &a).to_bits(),
+            "case {case} swapped: a {a:?}, b {b:?}"
+        );
+
+        let latency = rng.gen_f64() * 200.0;
+        let phases = PhaseBreakdown::attribute(latency, 1.5, 0.25, 3.0, &a, &b);
+        let compute_ms = sorted_union_ms(&b);
+        let transfer_ms = sorted_union_ms(&a) - sorted_overlap_ms(&a, &b);
+        let stall_ms = latency - 1.5 - 0.25 - 3.0 - transfer_ms - compute_ms;
+        assert_eq!(
+            [phases.compute_ms, phases.transfer_ms, phases.stall_ms].map(f64::to_bits),
+            [compute_ms, transfer_ms, stall_ms].map(f64::to_bits),
+            "case {case}: a {a:?}, b {b:?}"
+        );
+    }
+    // Every shape is common: ties across the lists, both lists already in
+    // start order, and neither.
+    assert!(
+        tied_across > 5_000,
+        "{tied_across} cases with cross-list ties"
+    );
+    assert!(sorted_pairs > 2_000, "{sorted_pairs} pairs in start order");
+    assert!(unsorted_pairs > 2_000, "{unsorted_pairs} unsorted pairs");
 }
