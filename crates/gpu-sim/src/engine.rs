@@ -8,7 +8,6 @@
 //! (transfer + compute); memory effects are applied at command completion and
 //! recorded in a [`MemoryTracker`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -194,6 +193,10 @@ impl Command {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CommandStream {
     commands: Vec<Command>,
+    /// The first command with a dependency that does not point backwards,
+    /// recorded by [`push`](Self::push): every command before it is valid,
+    /// so [`validate`](Self::validate) only rescans this one.
+    first_forward: Option<CommandId>,
 }
 
 impl CommandStream {
@@ -204,8 +207,12 @@ impl CommandStream {
 
     /// Append a command, returning its id for use in later dependencies.
     pub fn push(&mut self, command: Command) -> CommandId {
+        let id = self.commands.len();
+        if self.first_forward.is_none() && command.deps.iter().any(|&dep| dep >= id) {
+            self.first_forward = Some(id);
+        }
         self.commands.push(command);
-        self.commands.len() - 1
+        id
     }
 
     /// The commands in issue order.
@@ -224,25 +231,29 @@ impl CommandStream {
     }
 
     /// Validate dependency references (existence and acyclicity under the
-    /// "dependencies must precede the command" rule).
+    /// "dependencies must precede the command" rule). [`push`](Self::push)
+    /// records the first command that breaks the rule, so a valid stream
+    /// validates in O(1) and an invalid one rescans that command only,
+    /// returning the error a scan of every command would find first.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownDependency`] or [`SimError::DependencyCycle`].
     pub fn validate(&self) -> SimResult<()> {
-        for (idx, cmd) in self.commands.iter().enumerate() {
-            for &dep in &cmd.deps {
-                if dep >= self.commands.len() {
-                    return Err(SimError::UnknownDependency {
-                        command: idx,
-                        dependency: dep,
-                    });
-                }
-                if dep >= idx {
-                    // Forward or self dependencies cannot be satisfied by the
-                    // in-order queues and indicate a cycle in the producer.
-                    return Err(SimError::DependencyCycle { command: idx });
-                }
+        let Some(idx) = self.first_forward else {
+            return Ok(());
+        };
+        for &dep in &self.commands[idx].deps {
+            if dep >= self.commands.len() {
+                return Err(SimError::UnknownDependency {
+                    command: idx,
+                    dependency: dep,
+                });
+            }
+            if dep >= idx {
+                // Forward or self dependencies cannot be satisfied by the
+                // in-order queues and indicate a cycle in the producer.
+                return Err(SimError::DependencyCycle { command: idx });
             }
         }
         Ok(())
@@ -388,12 +399,26 @@ impl StepEvent {
 /// The stream is held behind an [`Arc`] and only read, so any number of
 /// steppers can replay one lowered stream: a serving device lowers each plan
 /// once and every request admitted with it steps the same commands.
+///
+/// A step does O(1) bookkeeping beyond its own command's dependencies:
+/// the next command's dependency-ready time is cached when the stepper
+/// reaches it (dependencies point backwards, so it cannot change), live
+/// allocations sit in a dense per-command slot table, and the resident
+/// bytes and the makespan are running values.
 #[derive(Debug, Clone)]
 pub struct StreamStepper {
     stream: Arc<CommandStream>,
     next: usize,
+    /// When every dependency of command `next` has finished.
+    next_ready_ms: f64,
     finish: Vec<f64>,
-    allocs: HashMap<CommandId, (MemoryTier, AllocationId)>,
+    /// Latest finish so far: the stream-local makespan.
+    makespan_ms: f64,
+    /// The live allocation of each `Alloc` command, by command id
+    /// (16 bytes a command).
+    allocs: Vec<Option<(MemoryTier, AllocationId)>>,
+    /// Bytes of the live allocations, `(unified, texture)`.
+    resident: (u64, u64),
     timeline: Timeline,
     first_kernel_start: Option<f64>,
     floor_ms: f64,
@@ -410,14 +435,31 @@ impl StreamStepper {
         let stream = stream.into();
         stream.validate()?;
         let len = stream.len();
-        Ok(StreamStepper {
+        let mut stepper = StreamStepper {
             stream,
             next: 0,
+            next_ready_ms: 0.0,
             finish: vec![0.0; len],
-            allocs: HashMap::new(),
+            makespan_ms: 0.0,
+            allocs: vec![None; len],
+            resident: (0, 0),
             timeline: Timeline::new(),
             first_kernel_start: None,
             floor_ms: 0.0,
+        };
+        stepper.next_ready_ms = stepper.deps_ready_ms(0);
+        Ok(stepper)
+    }
+
+    /// When every dependency of command `idx` has finished (0 for a command
+    /// without dependencies or past the end). Exact once every command
+    /// before `idx` has run.
+    fn deps_ready_ms(&self, idx: CommandId) -> f64 {
+        self.stream.commands().get(idx).map_or(0.0, |cmd| {
+            cmd.deps
+                .iter()
+                .map(|&d| self.finish[d])
+                .fold(0.0_f64, f64::max)
         })
     }
 
@@ -453,13 +495,8 @@ impl StreamStepper {
     /// the given queue clocks, or `None` when the stream is done.
     pub fn peek_start_ms(&self, clocks: &QueueClocks) -> Option<f64> {
         let cmd = self.stream.commands().get(self.next)?;
-        let deps_ready = cmd
-            .deps
-            .iter()
-            .map(|&d| self.finish[d])
-            .fold(0.0_f64, f64::max);
         Some(
-            deps_ready
+            self.next_ready_ms
                 .max(clocks.ready_ms(cmd.queue()))
                 .max(self.floor_ms),
         )
@@ -484,29 +521,28 @@ impl StreamStepper {
         let Some(cmd) = self.stream.commands().get(idx) else {
             return Ok(None);
         };
-        let deps_ready = cmd
-            .deps
-            .iter()
-            .map(|&d| self.finish[d])
-            .fold(0.0_f64, f64::max);
         let queue = cmd.queue();
-        let start = deps_ready.max(clocks.ready_ms(queue)).max(self.floor_ms);
+        let start = self
+            .next_ready_ms
+            .max(clocks.ready_ms(queue))
+            .max(self.floor_ms);
 
         let (duration, bytes, event_kind) = match &cmd.kind {
             CommandKind::Alloc { tier, bytes } => {
                 let id = tracker.allocate(*tier, *bytes, time_base_ms + start)?;
-                self.allocs.insert(idx, (*tier, id));
+                self.allocs[idx] = Some((*tier, id));
+                *tier_bytes(&mut self.resident, *tier) += bytes;
                 (0.0, 0, None)
             }
             CommandKind::Free { alloc } => {
-                let (tier, id) = self
-                    .allocs
-                    .remove(alloc)
-                    .ok_or(SimError::UnknownDependency {
+                let (tier, id) = self.allocs.get_mut(*alloc).and_then(Option::take).ok_or(
+                    SimError::UnknownDependency {
                         command: idx,
                         dependency: *alloc,
-                    })?;
-                tracker.free(tier, id, time_base_ms + start)?;
+                    },
+                )?;
+                let freed = tracker.free(tier, id, time_base_ms + start)?;
+                *tier_bytes(&mut self.resident, tier) -= freed;
                 (0.0, 0, None)
             }
             CommandKind::Barrier => (0.0, 0, None),
@@ -552,7 +588,9 @@ impl StreamStepper {
 
         let end = start + duration;
         self.finish[idx] = end;
+        self.makespan_ms = self.makespan_ms.max(end);
         self.next += 1;
+        self.next_ready_ms = self.deps_ready_ms(self.next);
         if queue != QueueKind::Host {
             clocks.occupy(queue, end);
         }
@@ -584,11 +622,39 @@ impl StreamStepper {
         self.first_kernel_start
     }
 
-    /// Stream-local completion time: latest event end or command finish.
+    /// Stream-local completion time: the latest command finish (every
+    /// timeline event ends at its command's finish).
     pub fn makespan_ms(&self) -> f64 {
-        self.timeline
-            .makespan_ms()
-            .max(self.finish.iter().copied().fold(0.0_f64, f64::max))
+        self.makespan_ms
+    }
+
+    /// The allocations this stream holds, in command order: the allocating
+    /// command, its tier and its tracker handle.
+    pub fn live_allocations(
+        &self,
+    ) -> impl Iterator<Item = (CommandId, MemoryTier, AllocationId)> + '_ {
+        self.allocs
+            .iter()
+            .enumerate()
+            .filter_map(|(command, slot)| slot.map(|(tier, id)| (command, tier, id)))
+    }
+
+    /// Empty the slot table in command order, freeing each live allocation
+    /// in `tracker` at `now_ms` and passing its command, tier and freed
+    /// bytes to `each`.
+    fn free_live(
+        &mut self,
+        tracker: &mut MemoryTracker,
+        now_ms: f64,
+        mut each: impl FnMut(CommandId, MemoryTier, u64),
+    ) -> SimResult<()> {
+        for (command, slot) in self.allocs.iter_mut().enumerate() {
+            if let Some((tier, id)) = slot.take() {
+                each(command, tier, tracker.free(tier, id, now_ms)?);
+            }
+        }
+        self.resident = (0, 0);
+        Ok(())
     }
 
     /// Free every allocation this stream still holds (model eviction at the
@@ -603,12 +669,8 @@ impl StreamStepper {
         tracker: &mut MemoryTracker,
         now_ms: f64,
     ) -> SimResult<u64> {
-        let mut live: Vec<(CommandId, (MemoryTier, AllocationId))> = self.allocs.drain().collect();
-        live.sort_by_key(|(cmd, _)| *cmd);
         let mut freed = 0;
-        for (_, (tier, id)) in live {
-            freed += tracker.free(tier, id, now_ms)?;
-        }
+        self.free_live(tracker, now_ms, |_, _, bytes| freed += bytes)?;
         Ok(freed)
     }
 
@@ -644,17 +706,14 @@ impl StreamStepper {
         now_ms: f64,
         time_base_ms: f64,
     ) -> SimResult<Suspension> {
-        let mut live: Vec<(CommandId, (MemoryTier, AllocationId))> = self.allocs.drain().collect();
-        live.sort_by_key(|(cmd, _)| *cmd);
-        let mut evicted = Vec::with_capacity(live.len());
-        for (command, (tier, id)) in live {
-            let bytes = tracker.free(tier, id, time_base_ms + now_ms)?;
+        let mut evicted = Vec::new();
+        self.free_live(tracker, time_base_ms + now_ms, |command, tier, bytes| {
             evicted.push(EvictedAllocation {
                 command,
                 tier,
                 bytes,
             });
-        }
+        })?;
         Ok(Suspension {
             stepper: self,
             clocks: *clocks,
@@ -665,20 +724,9 @@ impl StreamStepper {
 
     /// Bytes this stream currently holds in the tracker, split as
     /// `(unified, texture)` — what an evicting suspension would release.
-    pub fn resident_split(&self, tracker: &MemoryTracker) -> (u64, u64) {
-        let mut unified = 0;
-        let mut texture = 0;
-        for (tier, id) in self.allocs.values() {
-            match tier {
-                MemoryTier::TextureMemory => {
-                    texture += tracker.texture().get(*id).map_or(0, |a| a.bytes);
-                }
-                _ => {
-                    unified += tracker.unified().get(*id).map_or(0, |a| a.bytes);
-                }
-            }
-        }
-        (unified, texture)
+    /// A running value: O(1) at any command boundary.
+    pub fn resident_split(&self) -> (u64, u64) {
+        self.resident
     }
 
     /// Finalize a fully stepped stream into the same [`ExecutionOutcome`]
@@ -701,6 +749,15 @@ impl StreamStepper {
             memory_trace: tracker.take_trace(),
             energy,
         }
+    }
+}
+
+/// The entry of a `(unified, texture)` byte pair that `tier` counts in:
+/// texture memory's, or unified memory's for every other tier.
+fn tier_bytes(split: &mut (u64, u64), tier: MemoryTier) -> &mut u64 {
+    match tier {
+        MemoryTier::TextureMemory => &mut split.1,
+        _ => &mut split.0,
     }
 }
 
@@ -906,7 +963,8 @@ impl Suspension {
         for alloc in &self.evicted {
             match tracker.allocate(alloc.tier, alloc.bytes, now) {
                 Ok(id) => {
-                    stepper.allocs.insert(alloc.command, (alloc.tier, id));
+                    stepper.allocs[alloc.command] = Some((alloc.tier, id));
+                    *tier_bytes(&mut stepper.resident, alloc.tier) += alloc.bytes;
                     acquired.push((alloc.tier, id));
                 }
                 Err(error) => {
@@ -1445,7 +1503,7 @@ mod tests {
         stepper.step(&sim, &mut clocks, &mut tracker, 0.0).unwrap();
         stepper.step(&sim, &mut clocks, &mut tracker, 0.0).unwrap();
         assert_eq!(tracker.total_in_use(), 64 << 20);
-        let (unified, texture) = stepper.resident_split(&tracker);
+        let (unified, texture) = stepper.resident_split();
         assert_eq!((unified, texture), (64 << 20, 0));
 
         let now = clocks.horizon_ms();

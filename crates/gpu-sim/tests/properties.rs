@@ -244,6 +244,25 @@ fn split_of(live: &BTreeMap<usize, (MemoryTier, u64)>) -> (u64, u64) {
         })
 }
 
+/// `(unified, texture)` bytes of `stepper`'s live allocations, each looked
+/// up in `tracker`: how `resident_split` was computed before it kept
+/// running sums.
+fn looked_up_split(stepper: &StreamStepper, tracker: &MemoryTracker) -> (u64, u64) {
+    let mut unified = 0;
+    let mut texture = 0;
+    for (_, tier, id) in stepper.live_allocations() {
+        match tier {
+            MemoryTier::TextureMemory => {
+                texture += tracker.texture().get(id).map_or(0, |a| a.bytes);
+            }
+            _ => {
+                unified += tracker.unified().get(id).map_or(0, |a| a.bytes);
+            }
+        }
+    }
+    (unified, texture)
+}
+
 #[test]
 fn resident_split_follows_live_allocations_across_evicting_suspensions() {
     let sim = GpuSimulator::new(DeviceSpec::oneplus_12(), SimConfig::default());
@@ -276,7 +295,7 @@ fn resident_split_follows_live_allocations_across_evicting_suspensions() {
                     split_of(&models[i]),
                     "case {case}"
                 );
-                let other = steppers[1 - i].as_ref().unwrap().resident_split(&tracker);
+                let other = steppers[1 - i].as_ref().unwrap().resident_split();
                 assert_eq!(
                     (tracker.unified().in_use(), tracker.texture().in_use()),
                     other,
@@ -302,9 +321,13 @@ fn resident_split_follows_live_allocations_across_evicting_suspensions() {
                 }
                 _ => {}
             }
-            let splits = [0, 1].map(|j| steppers[j].as_ref().unwrap().resident_split(&tracker));
+            let splits = [0, 1].map(|j| steppers[j].as_ref().unwrap().resident_split());
             for j in 0..2 {
                 assert_eq!(splits[j], split_of(&models[j]), "case {case}, stream {j}");
+                let stepper = steppers[j].as_ref().unwrap();
+                assert_eq!(splits[j], looked_up_split(stepper, &tracker), "case {case}");
+                let live: Vec<usize> = stepper.live_allocations().map(|(c, ..)| c).collect();
+                assert!(live.iter().eq(models[j].keys()), "case {case}: {live:?}");
             }
             assert_eq!(
                 (tracker.unified().in_use(), tracker.texture().in_use()),

@@ -1293,9 +1293,7 @@ impl<'a> DeviceState<'a> {
                 .collect();
             let victim_idx = policy.victim(&flights, &ctx).min(flights.len() - 1);
             let victim = flights[victim_idx];
-            let evictable = self.in_flight[victim_idx]
-                .stepper
-                .resident_split(&self.tracker);
+            let evictable = self.in_flight[victim_idx].stepper.resident_split();
 
             let mut candidates = self.candidates(now, true);
             let mut trigger = false;
