@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 mod trace_export;
@@ -459,7 +460,9 @@ impl PhaseBreakdown {
     /// Attribute `latency_ms` across phases. `transfer` and `compute`
     /// are the request's own command intervals (each list non-overlapping
     /// within itself, as produced by one hardware queue); transfer time
-    /// hidden under concurrent compute is credited to compute.
+    /// hidden under concurrent compute is credited to compute. Each list's
+    /// union is swept once and reused by the overlap, with the values
+    /// [`interval_union_ms`] and [`interval_overlap_ms`] give.
     pub fn attribute(
         latency_ms: f64,
         queue_ms: f64,
@@ -468,8 +471,11 @@ impl PhaseBreakdown {
         transfer: &[(f64, f64)],
         compute: &[(f64, f64)],
     ) -> Self {
-        let compute_ms = interval_union_ms(compute);
-        let transfer_ms = interval_union_ms(transfer) - interval_overlap_ms(transfer, compute);
+        let (transfer, compute) = (in_start_order(transfer), in_start_order(compute));
+        let compute_ms = sweep_ms(&compute);
+        let transfer_union = sweep_ms(&transfer);
+        let transfer_ms =
+            transfer_union - merged_overlap_ms(&transfer, &compute, transfer_union, compute_ms);
         let stall_ms = latency_ms - queue_ms - compile_ms - suspended_ms - transfer_ms - compute_ms;
         Self {
             queue_ms,
@@ -482,10 +488,54 @@ impl PhaseBreakdown {
     }
 }
 
-/// Total length covered by a set of intervals, merging overlaps.
+/// Total length covered by a set of intervals, merging overlaps. Empty
+/// and reversed intervals cover nothing. A list already in start order is
+/// swept in place; any other is sorted on a copy.
 pub fn interval_union_ms(intervals: &[(f64, f64)]) -> f64 {
-    let mut sorted: Vec<(f64, f64)> = intervals.iter().copied().filter(|(s, e)| e > s).collect();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    sweep_ms(&in_start_order(intervals))
+}
+
+/// Total length where intervals from `a` and `b` overlap each other.
+pub fn interval_overlap_ms(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+    let (a, b) = (in_start_order(a), in_start_order(b));
+    merged_overlap_ms(&a, &b, sweep_ms(&a), sweep_ms(&b))
+}
+
+/// Whether an interval covers any time: empty, reversed and NaN-bounded
+/// ones do not.
+fn covers(&(start, end): &(f64, f64)) -> bool {
+    end > start
+}
+
+/// `intervals` with their covering members in start order, as a stable
+/// sort by start leaves them: the list itself when they already are (a
+/// request's intervals on one queue always are, except across a
+/// failover), else a sorted copy of those members.
+fn in_start_order(intervals: &[(f64, f64)]) -> Cow<'_, [(f64, f64)]> {
+    let mut starts = intervals.iter().filter(|i| covers(i)).map(|i| i.0);
+    let sorted = starts.next().is_none_or(|first| {
+        starts
+            .try_fold(first, |prev, start| {
+                prev.total_cmp(&start).is_le().then_some(start)
+            })
+            .is_some()
+    });
+    if sorted {
+        return Cow::Borrowed(intervals);
+    }
+    let mut copy: Vec<(f64, f64)> = intervals.iter().copied().filter(covers).collect();
+    copy.sort_by(|a, b| a.0.total_cmp(&b.0));
+    Cow::Owned(copy)
+}
+
+/// The length the covering members of `sorted`, in start order, cover.
+fn sweep_ms(sorted: &[(f64, f64)]) -> f64 {
+    sweep_merged_ms(sorted.iter().copied().filter(covers))
+}
+
+/// The length covering intervals arriving in start order cover, merging
+/// overlaps.
+fn sweep_merged_ms(sorted: impl Iterator<Item = (f64, f64)>) -> f64 {
     let mut total = 0.0;
     let mut cursor = f64::NEG_INFINITY;
     for (s, e) in sorted {
@@ -498,14 +548,20 @@ pub fn interval_union_ms(intervals: &[(f64, f64)]) -> f64 {
     total
 }
 
-/// Total length where intervals from `a` and `b` overlap each other.
-pub fn interval_overlap_ms(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    // union(a) + union(b) - union(a ∪ b) == overlap, since each list is
-    // merged internally first.
-    let mut both: Vec<(f64, f64)> = Vec::with_capacity(a.len() + b.len());
-    both.extend_from_slice(a);
-    both.extend_from_slice(b);
-    interval_union_ms(a) + interval_union_ms(b) - interval_union_ms(&both)
+/// The overlap of `a` and `b`, each in start order with union `union_a`
+/// and `union_b`: union(a) + union(b) − union(a ∪ b), since each list is
+/// merged internally first. a ∪ b is the stable merge of the two, `a`
+/// first on ties: the sequence a stable sort of `a` then `b` gives, so
+/// every sum is the one sorting the concatenation gave.
+fn merged_overlap_ms(a: &[(f64, f64)], b: &[(f64, f64)], union_a: f64, union_b: f64) -> f64 {
+    let mut a = a.iter().copied().filter(covers).peekable();
+    let mut b = b.iter().copied().filter(covers).peekable();
+    let merged = std::iter::from_fn(|| match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0.total_cmp(&x.0).is_lt() => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    });
+    union_a + union_b - sweep_merged_ms(merged)
 }
 
 #[cfg(test)]
