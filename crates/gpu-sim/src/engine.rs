@@ -404,10 +404,14 @@ impl StepEvent {
 /// the next command's dependency-ready time is cached when the stepper
 /// reaches it (dependencies point backwards, so it cannot change), live
 /// allocations sit in a dense per-command slot table, and the resident
-/// bytes and the makespan are running values.
+/// bytes and the makespan are running values. A stepper built
+/// [`with_prices`](Self::with_prices) reads each command's duration from a
+/// table priced once per stream instead of pricing it as it runs.
 #[derive(Debug, Clone)]
 pub struct StreamStepper {
     stream: Arc<CommandStream>,
+    /// Per-command durations from [`GpuSimulator::price`], if shared.
+    prices: Option<Arc<[f64]>>,
     next: usize,
     /// When every dependency of command `next` has finished.
     next_ready_ms: f64,
@@ -437,6 +441,7 @@ impl StreamStepper {
         let len = stream.len();
         let mut stepper = StreamStepper {
             stream,
+            prices: None,
             next: 0,
             next_ready_ms: 0.0,
             finish: vec![0.0; len],
@@ -461,6 +466,31 @@ impl StreamStepper {
                 .map(|&d| self.finish[d])
                 .fold(0.0_f64, f64::max)
         })
+    }
+
+    /// Read each command's duration from `prices`, the table
+    /// [`GpuSimulator::price`] gave for this stream, instead of calling
+    /// [`GpuSimulator::command_ms`] at every step. Any number of steppers
+    /// can share one table. It must come from a simulator configured like
+    /// the one passed to [`step`](Self::step); stepping is then
+    /// bit-identical to stepping without it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidParameter`] when the table does not have
+    /// one entry per command.
+    pub fn with_prices(mut self, prices: Arc<[f64]>) -> SimResult<Self> {
+        if prices.len() != self.stream.len() {
+            return Err(SimError::InvalidParameter {
+                message: format!(
+                    "a price table of {} entries for a stream of {} commands",
+                    prices.len(),
+                    self.stream.len()
+                ),
+            });
+        }
+        self.prices = Some(prices);
+        Ok(self)
     }
 
     /// Forbid any command of this stream from starting before `floor_ms`
@@ -506,10 +536,13 @@ impl StreamStepper {
     /// scheduling record (or `None` when the stream is already done). Memory
     /// effects are recorded at `time_base_ms + start` so several steppers can
     /// share one tracker whose clock runs ahead of their stream-local time.
+    /// The command's duration comes from the stepper's price table, if it
+    /// has one, and from [`GpuSimulator::command_ms`] otherwise.
     ///
     /// # Errors
     ///
-    /// Propagates tracker errors — most importantly out-of-memory.
+    /// Propagates pricing errors and tracker errors — most importantly
+    /// out-of-memory.
     pub fn step(
         &mut self,
         sim: &GpuSimulator,
@@ -527,12 +560,16 @@ impl StreamStepper {
             .max(clocks.ready_ms(queue))
             .max(self.floor_ms);
 
-        let (duration, bytes, event_kind) = match &cmd.kind {
+        let duration = match &self.prices {
+            Some(prices) => prices[idx],
+            None => sim.command_ms(cmd)?,
+        };
+        let (bytes, event_kind) = match &cmd.kind {
             CommandKind::Alloc { tier, bytes } => {
                 let id = tracker.allocate(*tier, *bytes, time_base_ms + start)?;
                 self.allocs[idx] = Some((*tier, id));
                 *tier_bytes(&mut self.resident, *tier) += bytes;
-                (0.0, 0, None)
+                (0, None)
             }
             CommandKind::Free { alloc } => {
                 let (tier, id) = self.allocs.get_mut(*alloc).and_then(Option::take).ok_or(
@@ -543,43 +580,19 @@ impl StreamStepper {
                 )?;
                 let freed = tracker.free(tier, id, time_base_ms + start)?;
                 *tier_bytes(&mut self.resident, tier) -= freed;
-                (0.0, 0, None)
+                (0, None)
             }
-            CommandKind::Barrier => (0.0, 0, None),
-            CommandKind::Transfer { bytes, from, to } => {
-                let mut t = sim.bandwidth.transfer_time_ms(*bytes, *from, *to)?;
-                if !sim.config.charge_transfer_setup {
-                    t = (t - sim.bandwidth.transfer_setup_ms).max(0.0);
-                }
-                (t, *bytes, Some(EventKind::Transfer))
-            }
-            CommandKind::Transform {
-                bytes,
-                traffic_factor,
-                ..
-            } => {
-                let traffic = (*bytes as f64 * traffic_factor.max(0.0)) as u64;
-                let t = if traffic == 0 {
-                    0.0
-                } else {
-                    sim.bandwidth.transfer_time_ms(
-                        traffic,
-                        MemoryTier::UnifiedMemory,
-                        MemoryTier::TextureMemory,
-                    )?
-                };
-                (t, *bytes, Some(EventKind::Transform))
-            }
+            CommandKind::Barrier => (0, None),
+            CommandKind::Transfer { bytes, .. } => (*bytes, Some(EventKind::Transfer)),
+            CommandKind::Transform { bytes, .. } => (*bytes, Some(EventKind::Transform)),
             CommandKind::Kernel {
                 desc,
                 extra_load_bytes,
             } => {
-                let t = sim.cost.latency_with_extra_load_ms(desc, *extra_load_bytes);
                 if self.first_kernel_start.is_none() {
                     self.first_kernel_start = Some(start);
                 }
                 (
-                    t,
                     desc.total_bytes() + extra_load_bytes,
                     Some(EventKind::Kernel),
                 )
@@ -1021,6 +1034,65 @@ impl GpuSimulator {
         &self.bandwidth
     }
 
+    /// Simulated duration of `cmd` in milliseconds, 0 for host bookkeeping
+    /// (alloc, free, barrier): the one pricing function. A transfer pays
+    /// the DMA setup only when [`SimConfig::charge_transfer_setup`] is set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bandwidth-model errors for a transfer between tiers with
+    /// no modelled path.
+    pub fn command_ms(&self, cmd: &Command) -> SimResult<f64> {
+        Ok(match &cmd.kind {
+            CommandKind::Alloc { .. } | CommandKind::Free { .. } | CommandKind::Barrier => 0.0,
+            CommandKind::Transfer { bytes, from, to } => {
+                let t = self.bandwidth.transfer_time_ms(*bytes, *from, *to)?;
+                if self.config.charge_transfer_setup {
+                    t
+                } else {
+                    (t - self.bandwidth.transfer_setup_ms).max(0.0)
+                }
+            }
+            CommandKind::Transform {
+                bytes,
+                traffic_factor,
+                ..
+            } => {
+                let traffic = (*bytes as f64 * traffic_factor.max(0.0)) as u64;
+                if traffic == 0 {
+                    0.0
+                } else {
+                    self.bandwidth.transfer_time_ms(
+                        traffic,
+                        MemoryTier::UnifiedMemory,
+                        MemoryTier::TextureMemory,
+                    )?
+                }
+            }
+            CommandKind::Kernel {
+                desc,
+                extra_load_bytes,
+            } => self
+                .cost
+                .latency_with_extra_load_ms(desc, *extra_load_bytes),
+        })
+    }
+
+    /// Every command's [`command_ms`](Self::command_ms), in stream order:
+    /// the table a [`StreamStepper::with_prices`] reads, so a stream
+    /// stepped many times on this simulator is priced once.
+    ///
+    /// # Errors
+    ///
+    /// The first command's pricing error.
+    pub fn price(&self, stream: &CommandStream) -> SimResult<Arc<[f64]>> {
+        stream
+            .commands()
+            .iter()
+            .map(|cmd| self.command_ms(cmd))
+            .collect()
+    }
+
     /// Execute a command stream with a fresh memory tracker sized for the
     /// device, whose memory trace, series included, moves into the outcome.
     /// Takes an owned [`CommandStream`] or an `Arc` shared with other runs.
@@ -1297,6 +1369,50 @@ mod tests {
             stepped.memory_trace.samples(),
             expected.memory_trace.samples()
         );
+    }
+
+    #[test]
+    fn a_price_table_steps_like_per_command_pricing() {
+        let mut s = streaming_like_stream();
+        s.push(Command::transform(
+            "repack",
+            16 << 20,
+            2.0,
+            QueueKind::Compute,
+            [],
+        ));
+        let stream = Arc::new(s);
+        for charge_transfer_setup in [true, false] {
+            let sim = GpuSimulator::new(
+                DeviceSpec::oneplus_12(),
+                SimConfig {
+                    charge_transfer_setup,
+                },
+            );
+            let prices = sim.price(&stream).unwrap();
+            assert_eq!(prices.len(), stream.len());
+            let run = |stepper: StreamStepper| {
+                let mut tracker = MemoryTracker::for_device(sim.device());
+                let mut clocks = QueueClocks::new();
+                let mut stepper = stepper;
+                let mut events = Vec::new();
+                while let Some(e) = stepper.step(&sim, &mut clocks, &mut tracker, 0.0).unwrap() {
+                    events.push((e.command, e.start_ms.to_bits(), e.end_ms.to_bits(), e.bytes));
+                }
+                (events, stepper.makespan_ms().to_bits())
+            };
+            let unpriced = run(StreamStepper::new(Arc::clone(&stream)).unwrap());
+            let priced = StreamStepper::new(Arc::clone(&stream))
+                .unwrap()
+                .with_prices(prices)
+                .unwrap();
+            assert_eq!(run(priced), unpriced);
+        }
+        let short: Arc<[f64]> = Arc::from(vec![0.0; 2]);
+        assert!(matches!(
+            StreamStepper::new(stream).unwrap().with_prices(short),
+            Err(SimError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

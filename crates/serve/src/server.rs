@@ -294,6 +294,16 @@ impl FlightMeta {
     }
 }
 
+/// A plan as one device steps it: lowered on its first admission and
+/// priced once on the device's simulator, then shared by every request
+/// admitted with it.
+#[derive(Clone)]
+struct LoweredPlan {
+    stream: Arc<CommandStream>,
+    /// Each command's duration on this device ([`GpuSimulator::price`]).
+    prices: Arc<[f64]>,
+}
+
 /// One admitted, in-flight request on a device.
 struct InFlight {
     meta: FlightMeta,
@@ -899,9 +909,10 @@ struct DeviceState<'a> {
     /// Resident-byte estimates computed by the preemption phase's
     /// feasibility checks, memoized per request seq.
     estimate_memo: HashMap<usize, u64>,
-    /// Lowered streams by plan-cache key: each plan is lowered on its
-    /// first admission and shared by every later request that uses it.
-    lowered: HashMap<u64, Arc<CommandStream>>,
+    /// Lowered and priced plans by plan-cache key: each plan is lowered
+    /// on its first admission and shared by every later request that uses
+    /// it.
+    lowered: HashMap<u64, LoweredPlan>,
     outcomes: Vec<RequestOutcome>,
     orphans: Vec<Orphan<Stranded>>,
     trace: TraceRecorder,
@@ -1584,6 +1595,15 @@ impl<'a> DeviceState<'a> {
                 self.trace.instant(TraceKind::Compile, lane, &label, now);
             }
         }
+        let plan = match self.lowered(key, &artifact, &request.model) {
+            Ok(plan) => plan,
+            // A lowered stream always prices; if one did not, its request
+            // would fail like a compile error.
+            Err(error) => {
+                self.fail_waiting(position, now, error);
+                return Ok(true);
+            }
+        };
         let estimate = estimate_resident_bytes(&artifact, &request.model);
         if let Some(cap) = serve.effective_tenant_cap(&request.tenant) {
             let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
@@ -1605,17 +1625,11 @@ impl<'a> DeviceState<'a> {
         }
 
         self.take_pending(position);
-        let stream = Arc::clone(self.lowered.entry(key).or_insert_with(|| {
-            Arc::new(lower_artifact(
-                &artifact,
-                &request.model,
-                device,
-                &serve.fleet.config,
-            ))
-        }));
-        let total_commands = stream.len();
+        let total_commands = plan.stream.len();
         let floor = (request.arrival_ms - self.epoch).max(0.0);
-        let stepper = StreamStepper::new(stream)?.with_floor_ms(floor);
+        let stepper = StreamStepper::new(plan.stream)?
+            .with_prices(plan.prices)?
+            .with_floor_ms(floor);
         if self.exclusive {
             self.tracker.reset_trace();
         }
@@ -1664,6 +1678,30 @@ impl<'a> DeviceState<'a> {
         self.in_flight.push(InFlight { meta, stepper });
         self.admit_order += 1;
         Ok(true)
+    }
+
+    /// The lowered plan of cache key `key`, compiled as `artifact` for
+    /// `model`: lowered and priced on its first use in this device run.
+    ///
+    /// # Errors
+    ///
+    /// A pricing error, which no lowered stream gives.
+    fn lowered(
+        &mut self,
+        key: u64,
+        artifact: &CompiledArtifact,
+        model: &ModelSpec,
+    ) -> SimResult<LoweredPlan> {
+        if let Some(plan) = self.lowered.get(&key) {
+            return Ok(plan.clone());
+        }
+        let stream = lower_artifact(artifact, model, self.device, &self.serve.fleet.config);
+        let plan = LoweredPlan {
+            prices: self.sim.price(&stream)?,
+            stream: Arc::new(stream),
+        };
+        self.lowered.insert(key, plan.clone());
+        Ok(plan)
     }
 
     /// The in-flight request whose next command can start earliest (ties

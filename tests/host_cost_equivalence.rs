@@ -4,11 +4,15 @@
 //! plans from the capacities adaptive fusion returns instead of profiling
 //! the refined plan again. A served request's phase attribution sums its
 //! command intervals without re-sorting lists that are already in start
-//! order. Each test here checks one of them against the straightforward
-//! algorithm it replaced, bit for bit.
+//! order, and a serving device prices each lowered stream once instead of
+//! pricing every command as it steps. Each test here checks one of them
+//! against the straightforward algorithm it replaced, bit for bit.
 
-use flashmem::core::StreamingExecutor;
+use std::sync::Arc;
+
+use flashmem::core::{lower_artifact, StreamingExecutor};
 use flashmem::gpu_sim::cache::AccessPattern;
+use flashmem::gpu_sim::engine::{CommandStream, QueueClocks, StreamStepper};
 use flashmem::gpu_sim::kernel::KernelCostModel;
 use flashmem::gpu_sim::texture::WeightLayout;
 use flashmem::gpu_sim::trace::{EventKind, ExecutionEvent, Timeline};
@@ -431,4 +435,79 @@ fn interval_sums_match_the_sorting_algorithm_bit_for_bit() {
     );
     assert!(sorted_pairs > 2_000, "{sorted_pairs} pairs in start order");
     assert!(unsorted_pairs > 2_000, "{unsorted_pairs} unsorted pairs");
+}
+
+/// One step event as bits: command, queue, start, end and bytes.
+type StepBits = (usize, String, u64, u64, u64);
+
+/// What stepping `stepper` alone on idle queues with a fresh tracker
+/// gives, as bits: every step event, the error that stopped it if any, and
+/// the makespan and the tracker's peak and average.
+fn stepped_alone(
+    mut stepper: StreamStepper,
+    sim: &GpuSimulator,
+    device: &DeviceSpec,
+) -> (Vec<StepBits>, Option<String>, [u64; 3]) {
+    let mut tracker = MemoryTracker::for_device(device);
+    let mut clocks = QueueClocks::new();
+    let mut events = Vec::new();
+    let mut error = None;
+    while !stepper.is_done() {
+        match stepper.step(sim, &mut clocks, &mut tracker, 0.0) {
+            Ok(Some(e)) => events.push((
+                e.command,
+                format!("{:?}", e.queue),
+                e.start_ms.to_bits(),
+                e.end_ms.to_bits(),
+                e.bytes,
+            )),
+            Ok(None) => break,
+            Err(e) => {
+                error = Some(format!("{e:?}"));
+                break;
+            }
+        }
+    }
+    let totals = [
+        stepper.makespan_ms().to_bits(),
+        tracker.peak_bytes(),
+        tracker.average_bytes().to_bits(),
+    ];
+    (events, error, totals)
+}
+
+#[test]
+fn priced_stepping_matches_per_command_pricing_on_every_golden_stream() {
+    let mut cells = Vec::new();
+    for model in ModelZoo::all_evaluated() {
+        for device in DeviceSpec::all_evaluated() {
+            cells.push((model.clone(), device));
+        }
+    }
+    assert_eq!(cells.len(), 77);
+
+    let mismatches: Vec<String> = ThreadPool::new()
+        .parallel_map(cells, |(model, device)| {
+            let config = FlashMemConfig::memory_priority();
+            let compiled = FlashMem::new(device.clone())
+                .with_config(config.clone())
+                .compile(model.graph());
+            let stream: Arc<CommandStream> = Arc::new(lower_artifact(
+                &CompiledArtifact::Streaming(compiled),
+                &model,
+                &device,
+                &config,
+            ));
+            let sim = GpuSimulator::new(device.clone(), SimConfig::default());
+            let prices = sim.price(&stream).expect("a lowered stream prices");
+            let stepper = || StreamStepper::new(Arc::clone(&stream)).unwrap();
+            let unpriced = stepped_alone(stepper(), &sim, &device);
+            let priced = stepped_alone(stepper().with_prices(prices).unwrap(), &sim, &device);
+            assert!(!unpriced.0.is_empty());
+            (priced != unpriced).then(|| format!("{} on {}", model.abbr, device.name))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
