@@ -302,6 +302,9 @@ struct LoweredPlan {
     stream: Arc<CommandStream>,
     /// Each command's duration on this device ([`GpuSimulator::price`]).
     prices: Arc<[f64]>,
+    /// [`estimate_resident_bytes`] of the plan, which walks the model
+    /// graph: admission control reads it at every admission.
+    resident_estimate_bytes: u64,
 }
 
 /// One admitted, in-flight request on a device.
@@ -1604,7 +1607,7 @@ impl<'a> DeviceState<'a> {
                 return Ok(true);
             }
         };
-        let estimate = estimate_resident_bytes(&artifact, &request.model);
+        let estimate = plan.resident_estimate_bytes;
         if let Some(cap) = serve.effective_tenant_cap(&request.tenant) {
             let used = self.tenant_bytes.get(&request.tenant).copied().unwrap_or(0);
             if used.saturating_add(estimate) > cap {
@@ -1681,7 +1684,8 @@ impl<'a> DeviceState<'a> {
     }
 
     /// The lowered plan of cache key `key`, compiled as `artifact` for
-    /// `model`: lowered and priced on its first use in this device run.
+    /// `model`: lowered, priced and its residency estimated on its first
+    /// use in this device run.
     ///
     /// # Errors
     ///
@@ -1699,6 +1703,7 @@ impl<'a> DeviceState<'a> {
         let plan = LoweredPlan {
             prices: self.sim.price(&stream)?,
             stream: Arc::new(stream),
+            resident_estimate_bytes: estimate_resident_bytes(artifact, model),
         };
         self.lowered.insert(key, plan.clone());
         Ok(plan)
