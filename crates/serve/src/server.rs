@@ -1931,7 +1931,10 @@ impl<'a> DeviceState<'a> {
     /// The device dies at `loss_ms`: everything on it — running, suspended,
     /// queued — is stranded and goes to the recovery planner, and the
     /// timeline stops. Under failover, running work is frozen into a
-    /// suspension a same-spec sibling can resume.
+    /// suspension a same-spec sibling can resume. A run is frozen, and its
+    /// row closed, once the command straddling the loss has finished, and a
+    /// suspended row closes no earlier than its suspension; the makespan
+    /// covers those instants.
     fn lose(&mut self, loss_ms: f64) -> SimResult<()> {
         self.lost = true;
         self.makespan = self.makespan.max(loss_ms);
@@ -1954,6 +1957,7 @@ impl<'a> DeviceState<'a> {
             let InFlight { meta, mut stepper } = flight;
             let local_now = ((loss_ms - self.epoch).max(0.0)).max(stepper.makespan_ms());
             let completion = self.epoch + local_now;
+            self.makespan = self.makespan.max(completion);
             let running = Some((TraceKind::Running, meta.run_start_ms));
             close_lane(
                 &mut self.trace,
@@ -1984,6 +1988,7 @@ impl<'a> DeviceState<'a> {
                 ..
             } = s;
             let at = loss_ms.max(suspended_at_ms);
+            self.makespan = self.makespan.max(at);
             let suspended = Some((TraceKind::Suspended, suspended_at_ms));
             close_lane(
                 &mut self.trace,

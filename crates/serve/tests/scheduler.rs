@@ -424,3 +424,75 @@ fn exclusive_failover_records_memory_on_each_runs_own_clock() {
         "only {resumed} failed-over requests completed"
     );
 }
+
+#[test]
+fn a_lost_devices_makespan_covers_its_frozen_runs() {
+    // A device lost at 700 ms freezes each in-flight run once the command
+    // straddling the loss has finished: the freeze releases the run's
+    // memory, and closes its row, at that later instant. The device's
+    // makespan must cover both, in exclusive and in concurrent mode, with
+    // and without failover.
+    const LOSS_MS: f64 = 700.0;
+    let models = vec![
+        ModelZoo::gptneo_small(),
+        ModelZoo::vit(),
+        ModelZoo::resnet50(),
+    ];
+    let requests = WorkloadSpec {
+        pattern: ArrivalPattern::Steady { interval_ms: 40.0 },
+        requests: 18,
+        tenants: 2,
+        priority_levels: 1,
+        seed: 1,
+    }
+    .generate(&models);
+    let mut past_the_loss = 0;
+    for slots in [1, 2] {
+        for recovery in [
+            RecoveryControl::disabled(),
+            RecoveryControl::disabled().with_failover(),
+        ] {
+            let report = ServeEngine::new(
+                vec![DeviceSpec::oneplus_12(); 3],
+                FlashMemConfig::memory_priority(),
+            )
+            .with_policy(Box::new(PriorityPolicy::with_max_in_flight(slots)))
+            .with_recovery_control(recovery)
+            .with_fault_plan(
+                FaultPlan::seeded(7)
+                    .with_device_loss(0, LOSS_MS)
+                    .with_device_loss(1, LOSS_MS),
+            )
+            .with_memory_series()
+            .run(&requests)
+            .expect("the run succeeds");
+            for (index, lost) in report.devices[..2].iter().enumerate() {
+                let series = lost.memory_trace.as_ref().expect("series kept");
+                let last = series.samples().last().map_or(0.0, |s| s.time_ms);
+                past_the_loss += usize::from(last > LOSS_MS);
+                assert!(
+                    lost.makespan_ms >= last,
+                    "{slots} slots: device {index}'s makespan {} ms ends before its \
+                     last memory sample at {last} ms",
+                    lost.makespan_ms
+                );
+                // Without failover each frozen row is final and stays here.
+                for o in report.outcomes.iter().filter(|o| o.device_index == index) {
+                    assert!(
+                        lost.makespan_ms >= o.completion_ms,
+                        "{slots} slots: device {index}'s makespan {} ms ends before \
+                         #{} closes at {} ms",
+                        lost.makespan_ms,
+                        o.seq,
+                        o.completion_ms
+                    );
+                }
+            }
+        }
+    }
+    // The scenario does freeze runs past the loss instant.
+    assert!(
+        past_the_loss >= 4,
+        "{past_the_loss} series end past the loss"
+    );
+}
