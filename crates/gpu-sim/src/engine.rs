@@ -907,15 +907,11 @@ impl Suspension {
     /// Bytes released by an evicting suspension, split as
     /// `(unified, texture)`. Both zero for a memory-resident suspension.
     pub fn evicted_split(&self) -> (u64, u64) {
-        let mut unified = 0;
-        let mut texture = 0;
+        let mut split = (0, 0);
         for alloc in &self.evicted {
-            match alloc.tier {
-                MemoryTier::TextureMemory => texture += alloc.bytes,
-                _ => unified += alloc.bytes,
-            }
+            *tier_bytes(&mut split, alloc.tier) += alloc.bytes;
         }
-        (unified, texture)
+        split
     }
 
     /// Total bytes released by an evicting suspension.
