@@ -325,6 +325,8 @@ fn queue_run(rng: &mut SplitMix64, len: usize, origin: f64, grid: bool) -> Vec<(
 /// (a failover restarts the stream clock on another device), overlapping
 /// intervals in start order, or any order. Some members are then made
 /// zero-length, reversed, negatively zero or NaN, and some starts repeat.
+/// Some lists start at +0 then −0, which only the total order puts out of
+/// start order.
 fn interval_list(rng: &mut SplitMix64) -> Vec<(f64, f64)> {
     let grid = rng.gen_f64() < 0.5;
     let len = rng.gen_range_inclusive(0, 24) as usize;
@@ -367,6 +369,10 @@ fn interval_list(rng: &mut SplitMix64) -> Vec<(f64, f64)> {
             4 if rng.gen_f64() < 0.2 => list[i].1 = f64::NAN,
             _ => {}
         }
+    }
+    if rng.gen_f64() < 0.1 {
+        let zeros = [(0.0, rng.gen_f64() * 5.0), (-0.0, rng.gen_f64() * 5.0)];
+        list.splice(0..0, zeros);
     }
     list
 }
